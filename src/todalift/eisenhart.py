@@ -207,18 +207,23 @@ def state_labels(sys: TodaSystem) -> tuple[str, ...]:
 
 
 def flow_field(sys: TodaSystem):
-    """Geodesic vector field over the packed state [q, y, p, p_y]."""
+    """Geodesic vector field over the packed state [q, y, p, p_y].
+
+    vec is one state of shape (2n+2,) or a component-first batch of shape
+    (2n+2, B).
+    """
     n = sys.n
     gsq = sys.g**2
+    gsq_col = gsq[:, None]
 
     def rhs(t: float, vec: np.ndarray) -> np.ndarray:
         q = vec[:n]
         p = vec[n + 1 : 2 * n + 1]
         p_y = vec[2 * n + 1]
-        w = gsq * np.exp(2.0 * (q[:-1] - q[1:]))
-        out = np.zeros(2 * n + 2)
+        w = (gsq if vec.ndim == 1 else gsq_col) * np.exp(2.0 * (q[:-1] - q[1:]))
+        out = np.zeros(vec.shape)
         out[:n] = p
-        out[n] = 2.0 * p_y * np.sum(w)
+        out[n] = 2.0 * p_y * w.sum(axis=0)
         out[n + 1 : 2 * n] -= 2.0 * p_y**2 * w
         out[n + 2 : 2 * n + 1] += 2.0 * p_y**2 * w
         return out

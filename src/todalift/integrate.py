@@ -6,12 +6,22 @@ always shortened to land exactly on the requested end time.  Conserved
 quantities can be monitored along the way; their relative drift is recorded
 on the returned trajectory.
 
+A state is a vector of shape (d,) or a component-first batch of shape
+(d, B) whose columns advance together on one step sequence.  The step error
+norm is the largest per-column RMS, so no column is held to a looser
+tolerance than it would be alone, and a (d,) vector steps exactly like the
+same start passed as a (d, 1) column.
+
+Fixed-step RK4 places its steps on the grid t0 + i*dt, with the last step
+shortened to land on the requested time.
+
 Everything here is deterministic: identical inputs produce bit-identical
 trajectories.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -33,7 +43,7 @@ Monitor = Callable[[float, np.ndarray], float]
 
 # Dormand-Prince 5(4) tableau.  The fifth-order result is propagated; the
 # difference row gives the embedded fourth-order error estimate.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _DP_A = (
     np.array([1 / 5]),
     np.array([3 / 40, 9 / 40]),
@@ -87,7 +97,8 @@ class Trajectory:
     """Sampled solution plus monitored conserved quantities.
 
     drift maps each monitor name to max over samples of
-    |m(t) - m(0)| / max(1, |m(0)|).
+    |m(t) - m(0)| / max(1, |m(0)|).  stats records the integrator's work:
+    nfev right-hand-side evaluations, accepted and rejected steps.
     """
 
     times: np.ndarray
@@ -95,6 +106,7 @@ class Trajectory:
     monitors: dict[str, np.ndarray] = field(default_factory=dict)
     drift: dict[str, float] = field(default_factory=dict)
     labels: tuple[str, ...] | None = None
+    stats: dict[str, int] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -123,16 +135,31 @@ def rk4_step(rhs: Rhs, y: np.ndarray, t: float, dt: float) -> np.ndarray:
     return out
 
 
+def _rk4_grid(t0: float, t1: float, dt: float):
+    """Step ends t0 + i*dt for i = 1, 2, ..., the last one moved onto t1.
+
+    Each point is built from t0 rather than by summing steps, so rounding
+    cannot add a sliver step at the end; a remainder below 1e-9 dt is
+    absorbed into the last step.
+    """
+    nsteps = max(1, math.ceil((t1 - t0) / dt - 1e-9))
+    return (t1 if i == nsteps else t0 + i * dt for i in range(1, nsteps + 1))
+
+
 def _dp54_step(rhs: Rhs, t: float, y: np.ndarray, dt: float, k1: np.ndarray):
-    """One trial Dormand-Prince step: returns (y5, error_estimate, last_stage)."""
-    k = np.empty((7, y.size))
+    """One trial Dormand-Prince step: returns (y5, error_estimate, last_stage).
+
+    The stages are combined through a flat (7, y.size) view, so a batch of
+    shape (d, B) costs one vector-matrix product per stage like a vector.
+    """
+    k = np.empty((7,) + y.shape)
+    flat = k.reshape(7, -1)
     k[0] = k1
-    for i, row in enumerate(_DP_A):
-        yi = y + dt * (row @ k[: i + 1])
-        k[i + 1] = rhs(t + _DP_C[i + 1] * dt, yi)
-    y5 = y + dt * (_DP_B5 @ k)
-    err = dt * (_DP_ERR @ k)
-    return y5, err, k[6].copy()
+    for i, row in enumerate(_DP_A, 1):
+        k[i] = rhs(t + _DP_C[i] * dt, y + dt * (row @ flat[:i]).reshape(y.shape))
+    y5 = y + dt * (_DP_B5 @ flat).reshape(y.shape)
+    err = dt * (_DP_ERR @ flat).reshape(y.shape)
+    return y5, err, k[6]
 
 
 class _AdaptiveStepper:
@@ -150,6 +177,13 @@ class _AdaptiveStepper:
         if not np.all(np.isfinite(self.k1)):
             raise DivergenceError("derivative is not finite at the initial state")
         self.accepted = 0
+        self.rejected = 0
+
+    def stats(self) -> dict[str, int]:
+        # one evaluation at the start, then six per trial step (the seventh
+        # stage is reused as the next step's first)
+        trials = self.accepted + self.rejected
+        return {"nfev": 1 + 6 * trials, "accepted": self.accepted, "rejected": self.rejected}
 
     def advance_to(self, t_target: float, on_accept=None) -> None:
         min_step = _MIN_STEP_FRACTION * max(t_target, self.cfg.t_final)
@@ -159,12 +193,16 @@ class _AdaptiveStepper:
             if dt < min_step:
                 raise StiffnessError(f"step underflow at t={self.t}: dt={dt}")
             y_new, err_vec, k_last = _dp54_step(self.rhs, self.t, self.y, dt, self.k1)
-            if not np.all(np.isfinite(y_new)):
+            if not np.isfinite(y_new).all():
                 # treat an overflowing trial step as rejected and retry smaller
+                self.rejected += 1
                 self.dt = dt * _SHRINK_LIMIT
                 continue
             tol = self.cfg.atol + self.cfg.rtol * np.maximum(np.abs(self.y), np.abs(y_new))
-            err = float(np.sqrt(np.mean((err_vec / tol) ** 2)))
+            scaled = err_vec / tol
+            scaled *= scaled
+            # RMS over each column's components; a batch steps by its worst column
+            err = math.sqrt(float(np.add.reduce(scaled, axis=0).max()) / len(scaled))
             if err <= 1.0:
                 self.t = self.t + dt
                 self.y = y_new
@@ -176,11 +214,13 @@ class _AdaptiveStepper:
                     # a step shortened to land on the target keeps the
                     # controller's natural step for the next segment
                     continue
+            else:
+                self.rejected += 1
             factor = _GROWTH_LIMIT if err == 0.0 else _SAFETY * err ** (-0.2)
             self.dt = dt * min(_GROWTH_LIMIT, max(_SHRINK_LIMIT, factor))
 
 
-def _finish(times, states, monitors_spec, labels):
+def _finish(times, states, monitors_spec, labels, stats):
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     monitors: dict[str, np.ndarray] = {}
@@ -190,7 +230,9 @@ def _finish(times, states, monitors_spec, labels):
             vals = np.array([fn(t, s) for t, s in zip(times, states)])
             monitors[name] = vals
             drift[name] = monitor_drift(vals)
-    return Trajectory(times=times, states=states, monitors=monitors, drift=drift, labels=labels)
+    return Trajectory(
+        times=times, states=states, monitors=monitors, drift=drift, labels=labels, stats=stats
+    )
 
 
 def integrate(
@@ -202,8 +244,10 @@ def integrate(
 ) -> Trajectory:
     """Integrate dy/dt = rhs(t, y) from t=0 to cfg.t_final.
 
-    Output contains the initial state, every stride-th accepted step and the
-    final state exactly at t_final.  Monitors are evaluated at the recorded
+    y0 is one state of shape (d,) or a batch of shape (d, B), and the
+    recorded states have shape (samples, d) or (samples, d, B).  Output
+    contains the initial state, every stride-th accepted step and the final
+    state exactly at t_final.  Monitors are evaluated at the recorded
     samples only.
     """
     y0 = np.asarray(y0, dtype=float)
@@ -213,14 +257,14 @@ def integrate(
     if cfg.method == "rk4":
         t, y = 0.0, y0
         steps = 0
-        while t < cfg.t_final:
-            dt = min(cfg.dt, cfg.t_final - t)
-            y = rk4_step(rhs, y, t, dt)
-            t += dt
+        for t_next in _rk4_grid(0.0, cfg.t_final, cfg.dt):
+            y = rk4_step(rhs, y, t, t_next - t)
+            t = t_next
             steps += 1
-            if steps % cfg.stride == 0 or t >= cfg.t_final:
+            if steps % cfg.stride == 0 or t == cfg.t_final:
                 times.append(t)
                 states.append(y.copy())
+        stats = {"nfev": 4 * steps, "accepted": steps, "rejected": 0}
     else:
         stepper = _AdaptiveStepper(rhs, y0, cfg)
 
@@ -233,8 +277,9 @@ def integrate(
         if times[-1] != stepper.t:
             times.append(stepper.t)
             states.append(stepper.y.copy())
+        stats = stepper.stats()
 
-    return _finish(times, states, monitors, labels)
+    return _finish(times, states, monitors, labels, stats)
 
 
 def integrate_at_times(
@@ -263,16 +308,19 @@ def integrate_at_times(
     states = [y0.copy()]
     if cfg.method == "rk4":
         t, y = 0.0, y0
+        steps = 0
         for target in sample_times[1:]:
-            while t < target:
-                dt = min(cfg.dt, target - t)
-                y = rk4_step(rhs, y, t, dt)
-                t += dt
+            for t_next in _rk4_grid(t, float(target), cfg.dt):
+                y = rk4_step(rhs, y, t, t_next - t)
+                t = t_next
+                steps += 1
             states.append(y.copy())
+        stats = {"nfev": 4 * steps, "accepted": steps, "rejected": 0}
     else:
         stepper = _AdaptiveStepper(rhs, y0, cfg)
         for target in sample_times[1:]:
             stepper.advance_to(target)
             states.append(stepper.y.copy())
+        stats = stepper.stats()
 
-    return _finish(sample_times, states, monitors, labels)
+    return _finish(sample_times, states, monitors, labels, stats)

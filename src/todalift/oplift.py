@@ -605,7 +605,11 @@ def state_labels(sys: TodaSystem) -> tuple[str, ...]:
 
 
 def flow_field_generalized(sys: TodaSystem):
-    """Vector field over the packed state [q, omega, p_q, p_omega]."""
+    """Vector field over the packed state [q, omega, p_q, p_omega].
+
+    vec is one state of shape (4n-2,) or a component-first batch of shape
+    (4n-2, B).
+    """
     n = sys.n
 
     def rhs(t: float, vec: np.ndarray) -> np.ndarray:
@@ -614,7 +618,7 @@ def flow_field_generalized(sys: TodaSystem):
         p_w = vec[3 * n - 1 :]
         gap = np.exp(2.0 * (q[:-1] - q[1:]))
         w = p_w**2 * gap
-        out = np.zeros(4 * n - 2)
+        out = np.zeros(vec.shape)
         out[:n] = p_q
         out[n : 2 * n - 1] = 2.0 * p_w * gap
         out[2 * n - 1 : 3 * n - 2] -= 2.0 * w

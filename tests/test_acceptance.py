@@ -267,6 +267,8 @@ def test_criterion_9_killing_verification():
         f"bracket max {worst_bracket:.3e} (tol 1e-05), drift max {worst_drift:.3e} (tol 1e-08), "
         f"rank-2 vs inverse metric {comp_dev:.3e} (tol 1e-10)",
     )
+    # the bracket is exact, so it sits at roundoff far below its gate
+    assert worst_bracket <= 1e-12, worst_bracket
 
 
 def test_criterion_10_isometry_exactness():

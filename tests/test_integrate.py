@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from todalift import toda
+from todalift import eisenhart, oplift, toda
 from todalift.errors import DivergenceError, DomainError, StiffnessError
 from todalift.integrate import (
     IntegratorConfig,
@@ -161,3 +161,130 @@ def test_config_validation():
 def test_monitor_drift_definition():
     assert monitor_drift(np.array([2.0, 2.5, 1.5])) == 0.25
     assert monitor_drift(np.array([0.1, 0.3])) == pytest.approx(0.2)
+
+
+def test_stats_count_every_rhs_evaluation():
+    calls = []
+
+    def counted(t, y):
+        calls.append(t)
+        return one_dof_rhs(t, y)
+
+    # a large first trial step forces rejections
+    cfg = IntegratorConfig(dt=1.0, rtol=1e-10, atol=1e-12, t_final=1.0, stride=4)
+    for run in (
+        lambda: integrate(counted, [0.0, 0.0], cfg),
+        lambda: integrate_at_times(counted, [0.0, 0.0], [0.0, 0.3, 1.0], cfg),
+    ):
+        calls.clear()
+        stats = run().stats
+        assert stats["rejected"] > 0
+        assert stats["nfev"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
+        assert stats["nfev"] == len(calls)
+
+
+def test_rk4_stats():
+    cfg = IntegratorConfig(method="rk4", dt=0.3, t_final=1.0)
+    stats = integrate(lambda t, y: np.array([1.0]), [0.0], cfg).stats
+    assert stats == {"nfev": 16, "accepted": 4, "rejected": 0}
+
+
+class TestRK4Grid:
+    """Step ends sit on t0 + i*dt; rounding must not add a sliver step."""
+
+    def test_tenth_steps_to_one(self):
+        cfg = IntegratorConfig(method="rk4", dt=0.1, t_final=1.0, stride=1)
+        traj = integrate(lambda t, y: np.array([1.0]), [0.0], cfg)
+        assert len(traj) == 11
+        assert traj.times[-1] == 1.0
+        assert np.allclose(traj.times, np.linspace(0.0, 1.0, 11), rtol=0.0, atol=1e-15)
+
+    def test_long_run_has_no_tiny_last_step(self):
+        cfg = IntegratorConfig(method="rk4", dt=1e-3, t_final=10.0, stride=1)
+        traj = integrate(lambda t, y: np.array([1.0]), [0.0], cfg)
+        assert len(traj) == 10001
+        assert traj.times[-1] == 10.0
+        assert np.min(np.diff(traj.times)) > 0.999e-3
+        assert traj.stats["accepted"] == 10000
+
+    def test_integrate_at_times_uses_the_same_grid(self):
+        times = [0.0, 1.0]
+        traj = integrate_at_times(
+            lambda t, y: np.array([1.0]), [0.0], times, IntegratorConfig(method="rk4", dt=0.1)
+        )
+        assert traj.stats["accepted"] == 10
+        traj = integrate_at_times(
+            lambda t, y: np.array([1.0]),
+            [0.0],
+            [0.0, 5.0, 10.0],
+            IntegratorConfig(method="rk4", dt=1e-3),
+        )
+        assert traj.stats["accepted"] == 10000
+        assert abs(traj.states[-1][0] - 10.0) < 1e-12
+
+
+class TestBatch:
+    """A (d, B) state advances B trajectories on one shared step sequence."""
+
+    def starts(self, rng, n, count):
+        sys = toda.TodaSystem(n, rng.uniform(0.6, 1.4, n - 1))
+        cols = []
+        for _ in range(count):
+            q = rng.uniform(-1, 1, n)
+            p = rng.uniform(-1, 1, n)
+            cols.append(np.concatenate([q, [0.0], p, [rng.uniform(0.5, 1.5)]]))
+        return sys, np.stack(cols, axis=1)
+
+    @pytest.mark.parametrize("n", [3, 10])
+    @pytest.mark.parametrize("method", ["adaptive", "rk4"])
+    def test_single_column_is_bit_identical(self, rng, n, method):
+        sys, y0 = self.starts(rng, n, 1)
+        rhs = eisenhart.flow_field(sys)
+        cfg = IntegratorConfig(method=method, dt=0.01, rtol=1e-10, atol=1e-12, t_final=5.0, stride=7)
+        solo = integrate(rhs, y0[:, 0], cfg)
+        column = integrate(rhs, y0, cfg)
+        assert column.states.shape == solo.states.shape + (1,)
+        assert np.array_equal(column.times, solo.times)
+        assert np.array_equal(column.states[:, :, 0], solo.states)
+        assert column.stats == solo.stats
+
+    def test_quiet_column_does_not_loosen_the_norm(self, rng):
+        # a resting column has zero error; the batch must still step as
+        # tightly as the moving column does alone
+        sys, y0 = self.starts(rng, 3, 2)
+        y0[:, 1] = 0.0
+        rhs = eisenhart.flow_field(sys)
+        cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=5.0)
+        solo = integrate(rhs, y0[:, 0], cfg)
+        batch = integrate(rhs, y0, cfg)
+        assert batch.stats == solo.stats
+        assert np.allclose(batch.states[-1, :, 0], solo.states[-1], rtol=1e-12, atol=1e-12)
+        assert np.all(batch.states[:, :, 1] == 0.0)
+
+    def test_columns_match_solo_runs(self, rng):
+        sys, y0 = self.starts(rng, 4, 5)
+        rhs = eisenhart.flow_field(sys)
+        cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=5.0)
+        times = np.linspace(0.0, 5.0, 11)
+        batch = integrate_at_times(rhs, y0, times, cfg)
+        assert batch.states.shape == (11,) + y0.shape
+        for b in range(y0.shape[1]):
+            solo = integrate_at_times(rhs, y0[:, b], times, cfg)
+            scale = np.maximum(1.0, np.abs(solo.states))
+            assert np.max(np.abs(batch.states[:, :, b] - solo.states) / scale) < 100.0 * cfg.rtol
+
+    def test_generalized_field_batches(self, rng):
+        n = 3
+        sys = toda.TodaSystem(n, [0.8, 1.2])
+        rhs = oplift.flow_field_generalized(sys)
+        y0 = rng.uniform(-1, 1, (4 * n - 2, 3))
+        out = rhs(0.0, y0)
+        for b in range(3):
+            assert np.array_equal(out[:, b], rhs(0.0, y0[:, b]))
+
+    def test_non_finite_column_raises(self, rng):
+        sys, y0 = self.starts(rng, 3, 3)
+        y0[2, 1] = float("nan")
+        for method in ("adaptive", "rk4"):
+            with pytest.raises(DivergenceError):
+                integrate(eisenhart.flow_field(sys), y0, IntegratorConfig(method=method, t_final=1.0))

@@ -178,6 +178,118 @@ class TestPoissonBracket:
             killing.poisson_bracket_fd(bad, bad, np.zeros(2), np.zeros(2))
 
 
+def _lift_pieces(lift, sys):
+    """Packed-state chart and gradient pull-back of a lift, as verify_killing uses them."""
+    phase = killing._eisenhart_phase if lift == "eisenhart" else killing._generalized_phase
+    chart, gradient, random_packed, _ = phase(sys)
+    return chart, gradient, random_packed
+
+
+def _phase_functions(lift, n, k, g, g_other):
+    """I_k with couplings g, and a Hamiltonian with couplings g_other plus its flow field.
+
+    For the generalised lift the couplings are the momenta p_omega, so the
+    second Hamiltonian rescales them by g_other: H'(p_omega) = H(g_other
+    p_omega), whose flow is the lift's own field at the rescaled point with
+    the omega velocities scaled by g_other.
+    """
+    sys, other = toda.TodaSystem(n, g), toda.TodaSystem(n, g_other)
+    if lift == "eisenhart":
+
+        def state(pos, mom):
+            return eisenhart.EisenhartState(q=pos[:n], y=pos[n], p=mom[:n], p_y=mom[n])
+
+        def inv(pos, mom):
+            return float(eisenhart.lifted_invariants(sys, state(pos, mom), k)[k - 1])
+
+        def ham(pos, mom):
+            return eisenhart.hamiltonian_eisenhart(other, state(pos, mom))
+
+        field = eisenhart.flow_field(other)
+    else:
+
+        def state(pos, mom, scale=1.0):
+            return oplift.OPState(
+                q=pos[:n], omega=pos[n:], p_q=mom[:n], p_omega=scale * mom[n:], centered=False
+            )
+
+        def inv(pos, mom):
+            return float(oplift.generalized_invariants(state(pos, mom), k)[k - 1])
+
+        def ham(pos, mom):
+            return oplift.generalized_hamiltonian(sys, state(pos, mom, other.g))
+
+        base = oplift.flow_field_generalized(sys)
+
+        def field(t, vec):
+            scaled = vec.copy()
+            scaled[3 * n - 1 :] *= other.g[:, None]
+            out = base(t, scaled)
+            out[n : 2 * n - 1] *= other.g[:, None]
+            return out
+
+    return sys, inv, ham, field
+
+
+class TestExactBracket:
+    @pytest.mark.parametrize("lift", ["eisenhart", "generalized"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_value_matches_lifted_invariants(self, rng, lift, n):
+        sys = toda.TodaSystem(n, rng.uniform(0.5, 1.5, n - 1))
+        chart, _, random_packed = _lift_pieces(lift, sys)
+        points = np.stack([random_packed(rng) for _ in range(4)], axis=1)
+        for k in range(1, n + 1):
+            value = killing._lax_trace_gradient(*chart(points), k)[0]
+            for b in range(points.shape[1]):
+                if lift == "eisenhart":
+                    st_ = eisenhart.unpack_state(sys, points[:, b])
+                    want = eisenhart.lifted_invariants(sys, st_, k)[k - 1]
+                else:
+                    st_ = oplift.unpack_state(sys, points[:, b], centered=False)
+                    want = oplift.generalized_invariants(st_, k)[k - 1]
+                assert abs(value[b] - want) < 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("lift", ["eisenhart", "generalized"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_gradient_matches_coordinate_brackets(self, rng, lift, n):
+        # {I, p_mu} = dI/dx_mu and {I, x_mu} = -dI/dp_mu reach every packed
+        # component, including the coupling momenta that no lift flow moves
+        g = rng.uniform(0.5, 1.5, n - 1)
+        dim = n + 1 if lift == "eisenhart" else 2 * n - 1
+        for k in range(1, n + 1):
+            sys, inv, _, _ = _phase_functions(lift, n, k, g, g)
+            chart, gradient, random_packed = _lift_pieces(lift, sys)
+            point = random_packed(rng)
+            _, d_q, d_p, d_c = killing._lax_trace_gradient(*chart(point[:, None]), k)
+            grad = gradient(d_q, d_p, d_c)[:, 0]
+            pos, mom = point[:dim], point[dim:]
+            for mu in range(dim):
+                d_x = killing.poisson_bracket_fd(inv, lambda x, p: p[mu], pos, mom, richardson=True)
+                d_mom = -killing.poisson_bracket_fd(inv, lambda x, p: x[mu], pos, mom, richardson=True)
+                assert abs(d_x - grad[mu]) <= 1e-6 * max(1.0, abs(grad[mu])), (k, mu)
+                assert abs(d_mom - grad[dim + mu]) <= 1e-6 * max(1.0, abs(grad[dim + mu])), (k, mu)
+
+    @pytest.mark.parametrize("lift", ["eisenhart", "generalized"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_richardson_finite_differences(self, rng, lift, n):
+        g = rng.uniform(0.5, 1.5, n - 1)
+        g_other = rng.uniform(0.5, 1.5, n - 1)
+        dim = n + 1 if lift == "eisenhart" else 2 * n - 1
+        for k in range(1, n + 1):
+            sys, inv, ham, field = _phase_functions(lift, n, k, g, g_other)
+            chart, gradient, random_packed = _lift_pieces(lift, sys)
+            points = np.stack([random_packed(rng) for _ in range(3)], axis=1)
+            _, d_q, d_p, d_c = killing._lax_trace_gradient(*chart(points), k)
+            exact = np.sum(gradient(d_q, d_p, d_c) * field(0.0, points), axis=0)
+            for b in range(points.shape[1]):
+                pos, mom = points[:dim, b], points[dim:, b]
+                fd = killing.poisson_bracket_fd(inv, ham, pos, mom, richardson=True)
+                assert abs(fd - exact[b]) <= 1e-6 * max(1.0, abs(exact[b])), (k, fd, exact[b])
+            if k >= 2:
+                # the pair does not commute, so the comparison is not 0 == 0
+                assert np.max(np.abs(exact)) > 1e-3
+
+
 class TestVerifyKilling:
     @pytest.mark.parametrize("lift", ["eisenhart", "generalized"])
     def test_small_chain_passes(self, lift):
@@ -185,6 +297,20 @@ class TestVerifyKilling:
         for k in range(1, 4):
             report = killing.verify_killing(sys, lift, k, samples=30, seed=5, geodesics=3, t_final=10.0)
             assert report.passed, (lift, k, report)
+
+    def test_deterministic_for_a_seed(self):
+        sys = toda.TodaSystem(3, [0.8, 1.1])
+        for lift in ("eisenhart", "generalized"):
+            a = killing.verify_killing(sys, lift, 3, samples=20, seed=7, geodesics=3, t_final=5.0)
+            b = killing.verify_killing(sys, lift, 3, samples=20, seed=7, geodesics=3, t_final=5.0)
+            assert a == b
+
+    def test_needs_samples_and_geodesics(self):
+        sys = toda.TodaSystem(2, [1.0])
+        with pytest.raises(DomainError):
+            killing.verify_killing(sys, "eisenhart", 1, samples=0)
+        with pytest.raises(DomainError):
+            killing.verify_killing(sys, "generalized", 1, geodesics=0)
 
     def test_rank_out_of_range(self):
         sys = toda.TodaSystem(3, [1.0, 1.0])
