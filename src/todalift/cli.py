@@ -15,6 +15,7 @@ $TODALIFT_OUTDIR when that is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -190,6 +191,13 @@ def write_trajectory(traj: Trajectory, fmt: str, path: str) -> None:
         raise ConfigError(f"unknown output format {fmt!r}")
 
 
+def _worst_drift(traj: Trajectory, names=None) -> tuple[float, str]:
+    """Largest drift over the named monitors, with the monitor and the time of its worst sample."""
+    name = max(names or traj.drift, key=traj.drift.__getitem__)
+    at = traj.times[int(np.argmax(np.abs(traj.monitors[name] - traj.monitors[name][0])))]
+    return traj.drift[name], f"max_drift={traj.drift[name]:.3e} at {name} t={at:.6g}"
+
+
 def _report(tag: str, ok: bool, detail: str, path: str | None) -> int:
     status = "PASS" if ok else "FAIL"
     suffix = f" -> {path}" if path else ""
@@ -224,8 +232,8 @@ def _cmd_toda_run(args) -> int:
     traj = toda.run(sys_, toda.PhaseState(q=cfg.q, p=cfg.p), cfg.integrator())
     path = _out_path(cfg, f"toda_run.{cfg.output_format}")
     write_trajectory(traj, cfg.output_format, path)
-    worst = max(traj.drift.values())
-    return _report("toda-run", worst < _GATE_DRIFT, f"max_drift={worst:.3e} (gate {_GATE_DRIFT:g})", path)
+    worst, where = _worst_drift(traj)
+    return _report("toda-run", worst < _GATE_DRIFT, f"{where} (gate {_GATE_DRIFT:g})", path)
 
 
 def _cmd_eisenhart_run(args) -> int:
@@ -235,12 +243,12 @@ def _cmd_eisenhart_run(args) -> int:
     traj = eisenhart.run_geodesic(sys_, state, cfg.integrator())
     path = _out_path(cfg, f"eisenhart_run.{cfg.output_format}")
     write_trajectory(traj, cfg.output_format, path)
-    worst = max(traj.drift.values())
+    worst, where = _worst_drift(traj)
     ok = worst < _GATE_DRIFT and traj.drift["p_y"] < 1e-10
     return _report(
         "eisenhart-run",
         ok,
-        f"max_drift={worst:.3e} p_y_drift={traj.drift['p_y']:.3e} (gates {_GATE_DRIFT:g}, 1e-10)",
+        f"{where} p_y_drift={traj.drift['p_y']:.3e} (gates {_GATE_DRIFT:g}, 1e-10)",
         path,
     )
 
@@ -259,8 +267,8 @@ def _cmd_oplift_run(args) -> int:
         traj = oplift.run_geodesic_generalized(sys_, state, cfg.integrator())
         path = _out_path(cfg, f"oplift_run.{cfg.output_format}")
         write_trajectory(traj, cfg.output_format, path)
-        worst = max(traj.drift.values())
-        return _report("oplift-run", worst < _GATE_DRIFT, f"max_drift={worst:.3e} (gate {_GATE_DRIFT:g})", path)
+        worst, where = _worst_drift(traj)
+        return _report("oplift-run", worst < _GATE_DRIFT, f"{where} (gate {_GATE_DRIFT:g})", path)
     # exact auto-parallel mode: sample the closed-form curve, report det drift
     x0 = oplift.build_x(state.q, state.omega)
     xd0 = oplift.initial_xdot(state, sys_)
@@ -337,7 +345,7 @@ def _cmd_forms_monitor(args) -> int:
     else:
         # the strictly-upper rho_a_{a+1} contractions are reported, not gated
         gated = [m.name for m in mons if not (m.name.startswith("rho_") and m.name.count("_") == 2)]
-    worst = max(traj.drift[name] for name in gated)
+    worst, where = _worst_drift(traj, gated)
     cbar_dev = 0.0
     if args.set == "general":
         for a in range(1, sys_.n):
@@ -345,10 +353,10 @@ def _cmd_forms_monitor(args) -> int:
             target = 2.0 * state.p_omega[a - 1]
             cbar_dev = max(cbar_dev, float(np.max(np.abs(series - target)) / max(1.0, abs(target))))
         ok = worst < _GATE_DRIFT and cbar_dev < _GATE_CBAR
-        detail = f"max_drift={worst:.3e} cbar_vs_2pw={cbar_dev:.3e} (gates {_GATE_DRIFT:g}, {_GATE_CBAR:g})"
+        detail = f"{where} cbar_vs_2pw={cbar_dev:.3e} (gates {_GATE_DRIFT:g}, {_GATE_CBAR:g})"
     else:
         ok = worst < _GATE_DRIFT
-        detail = f"max_drift={worst:.3e} (gate {_GATE_DRIFT:g})"
+        detail = f"{where} (gate {_GATE_DRIFT:g})"
     return _report(f"forms-{args.set}", ok, detail, path)
 
 
@@ -477,6 +485,7 @@ def _cmd_findings_report(args) -> int:
     return _report("findings-report", True, "adjudications written", path)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="todalift", description=__doc__)
     sub = parser.add_subparsers(dest="group", required=True)

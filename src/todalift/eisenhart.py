@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateMetricError, DomainError
 from .integrate import IntegratorConfig, Trajectory, integrate
-from .toda import PhaseState, TodaSystem, potential, potential_gradient
+from .toda import PhaseState, TodaSystem, lax_trace_monitors, potential, potential_gradient, power_traces
 
 __all__ = [
     "EisenhartState",
@@ -146,16 +146,7 @@ def lifted_lax(sys: TodaSystem, state: EisenhartState) -> tuple[np.ndarray, np.n
 
 def lifted_invariants(sys: TodaSystem, state: EisenhartState, kmax: int) -> np.ndarray:
     """Tr(L^k)/k of the lifted Lax matrix for k = 1..kmax."""
-    if not (1 <= kmax <= sys.n):
-        raise DomainError(f"kmax must satisfy 1 <= kmax <= {sys.n}, got {kmax}")
-    lmat, _ = lifted_lax(sys, state)
-    out = np.zeros(kmax)
-    power = lmat
-    for k in range(1, kmax + 1):
-        out[k - 1] = np.trace(power) / k
-        if k < kmax:
-            power = power @ lmat
-    return out
+    return power_traces(lifted_lax(sys, state)[0], kmax)
 
 
 def hamiltonian_generalized_couplings(
@@ -232,14 +223,11 @@ def flow_field(sys: TodaSystem):
 
 
 def geodesic_monitors(sys: TodaSystem, kmax: int | None = None):
-    """Monitors p_y, lifted I_1..I_kmax and the lift energy."""
-    kmax = sys.n if kmax is None else kmax
-    mons = {"p_y": lambda t, vec: float(vec[2 * sys.n + 1])}
-    for k in range(1, kmax + 1):
-        mons[f"I_{k}"] = lambda t, vec, k=k: float(
-            lifted_invariants(sys, unpack_state(sys, vec), k)[k - 1]
-        )
-    mons["H"] = lambda t, vec: hamiltonian_eisenhart(sys, unpack_state(sys, vec))
+    """Monitors p_y, lifted I_1..I_kmax and the lift energy over recorded states."""
+    n = sys.n
+    g = sys.g[:, None]
+    mons = {"p_y": lambda states: states[:, 2 * n + 1]}
+    mons.update(lax_trace_monitors(n, kmax, lambda x: (x[:n], x[n + 1 : 2 * n + 1], x[2 * n + 1] * g)))
     return mons
 
 

@@ -57,18 +57,10 @@ def invariant_normalization_finding(seed: int = 0, samples: int = 50) -> dict:
         tr2 = float(np.trace(lmat @ lmat))
         sump = float(np.sum(state.p))
         ham = toda.hamiltonian(sys, state)
-        table["reciprocal_k"]["I1_vs_sum_p"] = max(
-            table["reciprocal_k"]["I1_vs_sum_p"], abs(tr1 / 1.0 - sump)
-        )
-        table["reciprocal_k"]["I2_vs_H"] = max(
-            table["reciprocal_k"]["I2_vs_H"], abs(tr2 / 2.0 - ham)
-        )
-        table["reciprocal_2^k"]["I1_vs_sum_p"] = max(
-            table["reciprocal_2^k"]["I1_vs_sum_p"], abs(tr1 / 2.0 - sump)
-        )
-        table["reciprocal_2^k"]["I2_vs_H"] = max(
-            table["reciprocal_2^k"]["I2_vs_H"], abs(tr2 / 4.0 - ham)
-        )
+        for key, div1, div2 in (("reciprocal_k", 1.0, 2.0), ("reciprocal_2^k", 2.0, 4.0)):
+            row = table[key]
+            row["I1_vs_sum_p"] = max(row["I1_vs_sum_p"], abs(tr1 / div1 - sump))
+            row["I2_vs_H"] = max(row["I2_vs_H"], abs(tr2 / div2 - ham))
     return {
         "residuals": table,
         "conclusion": "I_k = Tr(L^k)/k reproduces I_1 = sum(p) and I_2 = H; "

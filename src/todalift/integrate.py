@@ -3,8 +3,9 @@
 The adaptive method is the Dormand-Prince embedded pair with the standard
 step controller (safety 0.9, growth clamped to [0.2, 5.0]).  The last step is
 always shortened to land exactly on the requested end time.  Conserved
-quantities can be monitored along the way; their relative drift is recorded
-on the returned trajectory.
+quantities are monitored at the recorded samples: each monitor is called
+once, on the (samples, d) array of recorded states, and returns one value
+per sample.  Their relative drift is recorded on the returned trajectory.
 
 A state is a vector of shape (d,) or a component-first batch of shape
 (d, B) whose columns advance together on one step sequence.  The step error
@@ -39,7 +40,7 @@ __all__ = [
 ]
 
 Rhs = Callable[[float, np.ndarray], np.ndarray]
-Monitor = Callable[[float, np.ndarray], float]
+Monitor = Callable[[np.ndarray], np.ndarray]  # states (samples, d) -> values (samples,)
 
 # Dormand-Prince 5(4) tableau.  The fifth-order result is propagated; the
 # difference row gives the embedded fourth-order error estimate.
@@ -225,11 +226,12 @@ def _finish(times, states, monitors_spec, labels, stats):
     states = np.asarray(states, dtype=float)
     monitors: dict[str, np.ndarray] = {}
     drift: dict[str, float] = {}
-    if monitors_spec:
-        for name, fn in monitors_spec.items():
-            vals = np.array([fn(t, s) for t, s in zip(times, states)])
-            monitors[name] = vals
-            drift[name] = monitor_drift(vals)
+    for name, fn in (monitors_spec or {}).items():
+        vals = np.asarray(fn(states), dtype=float)
+        if vals.shape != times.shape:
+            raise DomainError(f"monitor {name!r} returned shape {vals.shape}, expected {times.shape}")
+        monitors[name] = vals
+        drift[name] = monitor_drift(vals)
     return Trajectory(
         times=times, states=states, monitors=monitors, drift=drift, labels=labels, stats=stats
     )
@@ -247,8 +249,8 @@ def integrate(
     y0 is one state of shape (d,) or a batch of shape (d, B), and the
     recorded states have shape (samples, d) or (samples, d, B).  Output
     contains the initial state, every stride-th accepted step and the final
-    state exactly at t_final.  Monitors are evaluated at the recorded
-    samples only.
+    state exactly at t_final.  Each monitor is called once, on the array of
+    recorded states, after the integration.
     """
     y0 = np.asarray(y0, dtype=float)
     times = [0.0]

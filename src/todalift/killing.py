@@ -34,7 +34,7 @@ import numpy as np
 from . import eisenhart, oplift
 from .errors import ConditioningError, DomainError, NotHomogeneousError
 from .integrate import IntegratorConfig, integrate, monitor_drift
-from .toda import TodaSystem
+from .toda import TodaSystem, lax_energy, lax_trace_gradient, lax_traces
 
 __all__ = [
     "SymmetricTensorField",
@@ -107,17 +107,19 @@ def extract_tensor(
             f"scaling probe failed: f(2p) = {f2}, 2^k f(p) = {(2.0 ** rank) * f1}"
         )
 
+    # multi-indices share sub-multisets, so each polarization vector is evaluated once
+    values: dict[tuple[int, ...], float] = {}
     table: dict[tuple[int, ...], float] = {}
     for idx in _multi_indices(rank, dim):
         acc = 0.0
         for mask in range(1, 2**rank):
-            vec = np.zeros(dim)
-            bits = 0
-            for slot in range(rank):
-                if mask >> slot & 1:
-                    vec[idx[slot] - 1] += 1.0
-                    bits += 1
-            acc += (-1.0) ** (rank - bits) * invariant(pos, vec)
+            sub = tuple(idx[slot] for slot in range(rank) if mask >> slot & 1)
+            if sub not in values:
+                vec = np.zeros(dim)
+                for mu in sub:
+                    vec[mu - 1] += 1.0
+                values[sub] = invariant(pos, vec)
+            acc += (-1.0) ** (rank - len(sub)) * values[sub]
         table[idx] = acc
 
     rng = np.random.default_rng(0)
@@ -226,42 +228,6 @@ class KillingReport:
         return json.dumps(self.to_dict())
 
 
-def _lax_trace_gradient(q, p, couplings, k: int):
-    """I_k = Tr(L^k)/k of a tridiagonal Lax matrix and its exact gradient.
-
-    L carries p on the diagonal, the couplings c_i below it and
-    c_i exp(2 (q_i - q_{i+1})) above it.  With G = (L^{k-1})^T the
-    differential dI_k = Tr(L^{k-1} dL) (Flaschka 1974) reads
-
-        dI/dp_i = G_ii,   dI/dc_i = G_{i+1,i} + G_{i,i+1} exp(2 (q_i - q_{i+1})),
-
-    and each pair adds +-2 G_{i,i+1} L_{i,i+1} to dI/dq_i and dI/dq_{i+1}.
-    Arguments are component-first batches: q and p of shape (n, M),
-    couplings (n-1, M).  Returns (I (M,), dI/dq, dI/dp, dI/dc).
-    """
-    n, m = p.shape
-    diag = np.arange(n)
-    sub = np.arange(n - 1)
-    gap = np.exp(2.0 * (q[:-1] - q[1:]))
-    upper = couplings * gap
-    lmat = np.zeros((m, n, n))
-    lmat[:, diag, diag] = p.T
-    lmat[:, sub + 1, sub] = couplings.T
-    lmat[:, sub, sub + 1] = upper.T
-    power = np.broadcast_to(np.eye(n), (m, n, n))
-    for _ in range(k - 1):
-        power = power @ lmat
-    gmat = power.transpose(0, 2, 1)
-    value = np.sum(gmat * lmat, axis=(1, 2)) / k
-    g_upper = gmat[:, sub, sub + 1].T
-    flux = 2.0 * g_upper * upper
-    d_q = np.zeros((n, m))
-    d_q[:-1] += flux
-    d_q[1:] -= flux
-    d_c = gmat[:, sub + 1, sub].T + g_upper * gap
-    return value, d_q, gmat[:, diag, diag].T, d_c
-
-
 def _eisenhart_phase(sys: TodaSystem):
     """Packed layout [q, y, p, p_y]; the couplings are p_y g."""
     n = sys.n
@@ -322,7 +288,7 @@ def verify_killing(
     geodesics.  PASS needs bracket < 1e-5 and drift < 1e-8.
 
     The bracket is exact to roundoff: {I_k, H} = grad I_k . X_H, with the
-    gradient from the Lax matrix (see _lax_trace_gradient) and X_H the lift's
+    gradient from the Lax matrix (see toda.lax_trace_gradient) and X_H the lift's
     own flow field, so it does not depend on any integrator or step size.
     The geodesics are integrated together as one (dim, geodesics) batch and
     each one's drift is read off the recorded samples.  The phase points are
@@ -345,17 +311,16 @@ def verify_killing(
     starts = np.stack([random_packed(rng) for _ in range(geodesics)], axis=1)
 
     q, p, c = chart(points)
-    value, d_q, d_p, d_c = _lax_trace_gradient(q, p, c, k)
+    value, d_q, d_p, d_c = lax_trace_gradient(q, p, c, k)
     bracket = np.sum(gradient(d_q, d_p, d_c) * field(0.0, points), axis=0)
-    energy = 0.5 * np.sum(p * p, axis=0) + np.sum(c**2 * np.exp(2.0 * (q[:-1] - q[1:])), axis=0)
-    scale = np.maximum(1.0, np.abs(value) * np.abs(energy))
+    scale = np.maximum(1.0, np.abs(value) * np.abs(lax_energy(q, p, c)))
     bracket_max = float(np.max(np.abs(bracket) / scale))
 
     cfg = IntegratorConfig(method="adaptive", rtol=1e-10, atol=1e-12, t_final=t_final, stride=20)
     traj = integrate(field, starts, cfg)
     # states are (time, component, geodesic); evaluate I_k on all of them at once
     flat = traj.states.transpose(1, 0, 2).reshape(len(starts), -1)
-    along = _lax_trace_gradient(*chart(flat), k)[0].reshape(len(traj), geodesics)
+    along = lax_traces(*chart(flat), k)[k - 1].reshape(len(traj), geodesics)
     drift_max = max(monitor_drift(values) for values in along.T)
 
     return KillingReport(

@@ -24,14 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConstraintError, DefinitenessError, DomainError
 from .integrate import IntegratorConfig, Trajectory, integrate, integrate_at_times
 from .linalg import mat_exp, udu_decompose, unitriangular_inverse
-from .toda import TodaSystem, potential
+from .toda import TodaSystem, lax_trace_monitors, power_traces
 
 __all__ = [
     "OPState",
@@ -152,10 +152,36 @@ class XPoint:
 
 @dataclass(frozen=True)
 class FormMonitor:
-    """Named scalar evaluated on a state; conserved along geodesics."""
+    """Named quantity conserved along geodesics.
+
+    evaluate takes one OPState, or a component-first batch of states (see
+    generalized_monitors) and then returns one value per state.
+    """
 
     name: str
     evaluate: Callable[[OPState], float]
+
+
+def _chain_z(omega, omega_dot=None) -> tuple[np.ndarray, np.ndarray]:
+    """Chain Z = exp(sum_a omega_a M_{a,a+1}) and Zdot, by the product rule on Z_ab.
+
+    omega and omega_dot are (n-1,) or component-first (n-1, S); Z and Zdot
+    are (n, n) or (S, n, n), with Zdot = 0 when omega_dot is not given.
+    """
+    om = np.asarray(omega, dtype=float).T
+    dom = np.zeros_like(om) if omega_dot is None else np.asarray(omega_dot, dtype=float).T
+    n = om.shape[-1] + 1
+    z = np.zeros(om.shape[:-1] + (n, n))
+    zd = np.zeros_like(z)
+    for a in range(n):
+        z[..., a, a] = 1.0
+        prod, dprod = 1.0, 0.0
+        for b in range(a + 1, n):
+            dprod = dprod * om[..., b - 1] + prod * dom[..., b - 1]
+            prod = prod * om[..., b - 1]
+            z[..., a, b] = prod / math.factorial(b - a)
+            zd[..., a, b] = dprod / math.factorial(b - a)
+    return z, zd
 
 
 def z_from_omega(omega, n: int) -> np.ndarray:
@@ -168,13 +194,7 @@ def z_from_omega(omega, n: int) -> np.ndarray:
     om = np.atleast_1d(np.asarray(omega, dtype=float))
     if om.shape != (n - 1,):
         raise DomainError(f"omega must have length n-1={n - 1}, got {om.shape}")
-    z = np.eye(n)
-    for a in range(n):
-        prod = 1.0
-        for b in range(a + 1, n):
-            prod *= om[b - 1]
-            z[a, b] = prod / math.factorial(b - a)
-    return z
+    return _chain_z(om)[0]
 
 
 def z_dot_from_omega(omega, omega_dot) -> np.ndarray:
@@ -183,19 +203,7 @@ def z_dot_from_omega(omega, omega_dot) -> np.ndarray:
     dom = np.atleast_1d(np.asarray(omega_dot, dtype=float))
     if om.shape != dom.shape:
         raise DomainError("omega and omega_dot must have equal length")
-    n = len(om) + 1
-    zd = np.zeros((n, n))
-    for a in range(n):
-        for b in range(a + 1, n):
-            total = 0.0
-            for c in range(a, b):
-                prod = dom[c]
-                for d in range(a, b):
-                    if d != c:
-                        prod *= om[d]
-                total += prod
-            zd[a, b] = total / math.factorial(b - a)
-    return zd
+    return _chain_z(om, dom)[1]
 
 
 def build_x(q, omega) -> XPoint:
@@ -296,16 +304,7 @@ def generalized_lax(state: OPState) -> tuple[np.ndarray, np.ndarray]:
 
 def generalized_invariants(state: OPState, kmax: int) -> np.ndarray:
     """Tr(L^k)/k for the momentum-promoted Lax matrix, k = 1..kmax."""
-    if not (1 <= kmax <= state.n):
-        raise DomainError(f"kmax must satisfy 1 <= kmax <= {state.n}, got {kmax}")
-    lmat, _ = generalized_lax(state)
-    out = np.zeros(kmax)
-    power = lmat
-    for k in range(1, kmax + 1):
-        out[k - 1] = np.trace(power) / k
-        if k < kmax:
-            power = power @ lmat
-    return out
+    return power_traces(generalized_lax(state)[0], kmax)
 
 
 def initial_xdot(state: OPState, sys: TodaSystem) -> np.ndarray:
@@ -370,21 +369,22 @@ def exact_geodesic(x0: XPoint, xdot0, t: float) -> XPoint:
     return XPoint(x=raw * math.exp(-logdet / x0.dim))
 
 
-def xdot_xinv(state: OPState) -> np.ndarray:
-    """The right-invariant velocity matrix xdot x^{-1} at a state.
+def xdot_xinv(state) -> np.ndarray:
+    """The right-invariant velocity matrix xdot x^{-1}.
 
-    Constant along geodesics; its basis coefficients are the contracted
-    right-invariant forms.
+    One (n, n) matrix for an OPState, (S, n, n) for a component-first batch
+    of states.  Constant along geodesics; its basis coefficients are the
+    contracted right-invariant forms.
     """
-    z = z_from_omega(state.omega, state.n)
-    zinv = unitriangular_inverse(z)
-    zd = z_dot_from_omega(state.omega, state.omega_dot())
-    h2 = np.exp(2.0 * state.q)
-    qdot = state.p_q
+    z, zd = _chain_z(state.omega, state.omega_dot())
+    # Z = exp(N) for nilpotent N, so Z^-1 = exp(-N) is the chain Z at -omega
+    zinv = _chain_z(-state.omega)[0]
+    h2 = np.exp(2.0 * state.q).T[..., None, :]
+    qdot = state.p_q.T[..., None, :]
     # xdot x^-1 = Zdot Z^-1 + Z (h2dot/h2) Z^-1 + Z h2 Zdot^T Z^-T h2^-1 Z^-1
     term1 = zd @ zinv
     term2 = (z * (2.0 * qdot)) @ zinv
-    term3 = ((z * h2) @ zd.T) @ (zinv.T * (1.0 / h2)) @ zinv
+    term3 = ((z * h2) @ np.swapaxes(zd, -1, -2)) @ (np.swapaxes(zinv, -1, -2) * (1.0 / h2)) @ zinv
     return term1 + term2 + term3
 
 
@@ -416,40 +416,33 @@ def monitors_general(sys: TodaSystem, n: int) -> list[FormMonitor]:
     monitors: list[FormMonitor] = []
 
     def cbar(a):  # a = 1..n-1
-        def value(s: OPState) -> float:
-            gap = np.exp(-2.0 * (s.q[a - 1] - s.q[a]))
-            return float(gap * s.omega_dot()[a - 1])
-
-        return value
+        return lambda s: np.exp(-2.0 * (s.q[a - 1] - s.q[a])) * s.omega_dot()[a - 1]
 
     def lam(a):  # a = 1..n
-        def value(s: OPState) -> float:
-            out = float(s.p_q[a - 1])
+        def value(s):
+            out = s.p_q[a - 1]
             if a <= n - 1:
-                out += float(s.p_omega[a - 1] * s.omega[a - 1])
+                out = out + s.p_omega[a - 1] * s.omega[a - 1]
             if a >= 2:
-                out -= float(s.p_omega[a - 2] * s.omega[a - 2])
+                out = out - s.p_omega[a - 2] * s.omega[a - 2]
             return out
 
         return value
 
     def rho_diag(a):  # a = 1..n
-        def value(s: OPState) -> float:
+        def value(s):
             od = s.omega_dot()
-            out = 2.0 * float(s.p_q[a - 1])
+            out = 2.0 * s.p_q[a - 1]
             if a <= n - 1:
-                out += float(np.exp(-2.0 * (s.q[a - 1] - s.q[a])) * s.omega[a - 1] * od[a - 1])
+                out = out + np.exp(-2.0 * (s.q[a - 1] - s.q[a])) * s.omega[a - 1] * od[a - 1]
             if a >= 2:
-                out -= float(np.exp(-2.0 * (s.q[a - 2] - s.q[a - 1])) * s.omega[a - 2] * od[a - 2])
+                out = out - np.exp(-2.0 * (s.q[a - 2] - s.q[a - 1])) * s.omega[a - 2] * od[a - 2]
             return out
 
         return value
 
     def rho_upper(a):  # a = 1..n-1, slot (a, a+1)
-        def value(s: OPState) -> float:
-            return float(xdot_xinv(s)[a - 1, a])
-
-        return value
+        return lambda s: xdot_xinv(s)[..., a - 1, a]
 
     for a in range(1, n):
         monitors.append(FormMonitor(name=f"cbar_{a + 1}_{a}", evaluate=cbar(a)))
@@ -479,24 +472,21 @@ def monitors_n2(sys: TodaSystem) -> list[FormMonitor]:
     if sys.n != 2:
         raise DomainError("the explicit three-charge family is specific to n = 2")
 
-    def rel(s: OPState) -> tuple[float, float, float]:
-        qrel = float(s.q[0] - s.q[1])
-        qdot = float(s.p_q[0] - s.p_q[1])
-        zdot = float(s.omega_dot()[0])
-        return qrel, qdot, zdot
+    def rel(s):
+        return s.q[0] - s.q[1], s.p_q[0] - s.p_q[1], s.omega_dot()[0]
 
-    def c1(s: OPState) -> float:
+    def c1(s):
         qrel, _, zdot = rel(s)
         return 0.5 * np.exp(-2.0 * qrel) * zdot
 
-    def c2(s: OPState) -> float:
+    def c2(s):
         qrel, qdot, zdot = rel(s)
-        z = float(s.omega[0])
+        z = s.omega[0]
         return -z * qdot + (0.5 - 0.5 * z**2 * np.exp(-2.0 * qrel)) * zdot
 
-    def c3(s: OPState) -> float:
+    def c3(s):
         qrel, qdot, zdot = rel(s)
-        z = float(s.omega[0])
+        z = s.omega[0]
         return 0.5 * qdot + 0.5 * z * np.exp(-2.0 * qrel) * zdot
 
     return [
@@ -628,15 +618,30 @@ def flow_field_generalized(sys: TodaSystem):
     return rhs
 
 
-def generalized_monitors(sys: TodaSystem, kmax: int | None = None):
-    """Monitors for the generalised geodesic run: invariants and energy."""
-    kmax = sys.n if kmax is None else kmax
-    mons = {}
-    for k in range(1, kmax + 1):
-        mons[f"I_{k}"] = lambda t, vec, k=k: float(
-            generalized_invariants(unpack_state(sys, vec, centered=False), k)[k - 1]
+class _StateBatch(NamedTuple):
+    """Unvalidated component-first view of recorded states, (len, S) per field."""
+
+    q: np.ndarray
+    omega: np.ndarray
+    p_q: np.ndarray
+    p_omega: np.ndarray
+    omega_dot = OPState.omega_dot
+
+
+def generalized_monitors(
+    sys: TodaSystem, kmax: int | None = None, extra_monitors: list[FormMonitor] | None = None
+):
+    """Monitors for the generalised geodesic run over recorded states.
+
+    The invariants I_1..I_kmax and the energy come first, then each form
+    monitor, evaluated once on the component-first batch of all samples.
+    """
+    n = sys.n
+    mons = lax_trace_monitors(n, kmax, lambda x: (x[:n], x[2 * n - 1 : 3 * n - 1], x[3 * n - 1 :]))
+    for fm in extra_monitors or []:
+        mons[fm.name] = lambda states, fm=fm: fm.evaluate(
+            _StateBatch(*np.split(states.T, [n, 2 * n - 1, 3 * n - 1]))
         )
-    mons["H"] = lambda t, vec: generalized_hamiltonian(sys, unpack_state(sys, vec, centered=False))
     return mons
 
 
@@ -647,14 +652,11 @@ def run_geodesic_generalized(
     kmax: int | None = None,
     extra_monitors: list[FormMonitor] | None = None,
 ) -> Trajectory:
-    mons = generalized_monitors(sys, kmax)
-    for fm in extra_monitors or []:
-        mons[fm.name] = lambda t, vec, fm=fm: fm.evaluate(unpack_state(sys, vec, centered=False))
     return integrate(
         flow_field_generalized(sys),
         pack_state(state),
         cfg,
-        monitors=mons,
+        monitors=generalized_monitors(sys, kmax, extra_monitors),
         labels=state_labels(sys),
     )
 
@@ -683,25 +685,22 @@ def reduction_check(sys: TodaSystem, traj: Trajectory) -> ReductionReport:
     n = sys.n
     if traj.states.ndim != 2 or traj.states.shape[1] != 4 * n - 2:
         raise DomainError("trajectory was not produced by the generalised lift")
-    r1 = r2 = r3 = 0.0
-    for vec in traj.states:
-        s = unpack_state(sys, vec, centered=False)
-        if float(np.max(np.abs(s.p_omega - sys.g))) > 1e-8 * max(1.0, float(np.max(np.abs(sys.g)))):
-            raise DomainError("reduction identities need a trajectory with p_omega = g")
-        od = s.omega_dot()
-        v = potential(sys, s.q)
-        scale = max(1.0, 2.0 * v)
-        ydot = float(np.dot(sys.g, od))
-        kin = 0.5 * float(np.sum(np.exp(-2.0 * (s.q[:-1] - s.q[1:])) * od**2))
-        r1 = max(r1, abs(ydot - 2.0 * v) / scale)
-        r2 = max(r2, abs(kin - 2.0 * v) / scale)
-        if v > 0.0:
-            r3 = max(r3, abs(ydot**2 / (4.0 * v) - 0.5 * kin) / scale)
+    x, g = traj.states.T, sys.g[:, None]
+    q, p_omega = x[:n], x[3 * n - 1 :]
+    if float(np.max(np.abs(p_omega - g))) > 1e-8 * max(1.0, float(np.max(np.abs(sys.g)))):
+        raise DomainError("reduction identities need a trajectory with p_omega = g")
+    gap = np.exp(2.0 * (q[:-1] - q[1:]))
+    od = 2.0 * p_omega * gap
+    v = np.sum(g**2 * gap, axis=0)
+    scale = np.maximum(1.0, 2.0 * v)
+    ydot = np.sum(g * od, axis=0)
+    kin = 0.5 * np.sum(np.exp(-2.0 * (q[:-1] - q[1:])) * od**2, axis=0)
+    block = np.abs(ydot**2 / (4.0 * np.where(v > 0.0, v, 1.0)) - 0.5 * kin) / scale
     return ReductionReport(
         n_samples=len(traj),
-        max_ydot_residual=r1,
-        max_kinetic_residual=r2,
-        max_block_residual=r3,
+        max_ydot_residual=float(np.max(np.abs(ydot - 2.0 * v) / scale, initial=0.0)),
+        max_kinetic_residual=float(np.max(np.abs(kin - 2.0 * v) / scale, initial=0.0)),
+        max_block_residual=float(np.max(block, where=v > 0.0, initial=0.0)),
     )
 
 

@@ -30,6 +30,11 @@ __all__ = [
     "eom_rhs",
     "lax_pair",
     "invariants",
+    "power_traces",
+    "lax_traces",
+    "lax_trace_gradient",
+    "lax_energy",
+    "lax_trace_monitors",
     "com_split",
     "pack_state",
     "unpack_state",
@@ -140,18 +145,94 @@ def lax_pair(sys: TodaSystem, state: PhaseState) -> tuple[np.ndarray, np.ndarray
     return lmat, mmat
 
 
-def invariants(sys: TodaSystem, state: PhaseState, kmax: int) -> np.ndarray:
-    """I_k = Tr(L^k) / k for k = 1..kmax.  I_1 = sum(p), I_2 = H."""
-    if not (1 <= kmax <= sys.n):
-        raise DomainError(f"kmax must satisfy 1 <= kmax <= {sys.n}, got {kmax}")
-    lmat, _ = lax_pair(sys, state)
-    out = np.zeros(kmax)
+def power_traces(lmat: np.ndarray, kmax: int) -> np.ndarray:
+    """Tr(L^k)/k for k = 1..kmax of one matrix (n, n) or of each matrix in a stack (M, n, n)."""
+    n = lmat.shape[-1]
+    if not (1 <= kmax <= n):
+        raise DomainError(f"kmax must satisfy 1 <= kmax <= {n}, got {kmax}")
+    out = np.empty((kmax,) + lmat.shape[:-2])
     power = lmat
     for k in range(1, kmax + 1):
-        out[k - 1] = np.trace(power) / k
+        out[k - 1] = np.trace(power, axis1=-2, axis2=-1) / k
         if k < kmax:
             power = power @ lmat
     return out
+
+
+def invariants(sys: TodaSystem, state: PhaseState, kmax: int) -> np.ndarray:
+    """I_k = Tr(L^k) / k for k = 1..kmax.  I_1 = sum(p), I_2 = H."""
+    return power_traces(lax_pair(sys, state)[0], kmax)
+
+
+def _lax_stack(q, p, couplings):
+    """Lax matrices (M, n, n) of q, p (n, M) and couplings (n-1, M) or (n-1, 1).
+
+    As in lax_pair, L has p on the diagonal, c_i below it and c_i gap_i above
+    it, gap_i = exp(2 (q_i - q_{i+1})).  Returns (L, gap, upper = c gap).
+    """
+    n, m = p.shape
+    diag = np.arange(n)
+    sub = np.arange(n - 1)
+    gap = np.exp(2.0 * (q[:-1] - q[1:]))
+    upper = couplings * gap
+    lmat = np.zeros((m, n, n))
+    lmat[:, diag, diag] = p.T
+    lmat[:, sub + 1, sub] = couplings.T
+    lmat[:, sub, sub + 1] = upper.T
+    return lmat, gap, upper
+
+
+def lax_traces(q, p, couplings, kmax: int) -> np.ndarray:
+    """Tr(L^k)/k for k = 1..kmax of component-first batches, shape (kmax, M)."""
+    return power_traces(_lax_stack(q, p, couplings)[0], kmax)
+
+
+def lax_trace_gradient(q, p, couplings, k: int):
+    """I_k = Tr(L^k)/k of component-first batches and its exact gradient.
+
+    With G = (L^{k-1})^T the differential dI_k = Tr(L^{k-1} dL) (Flaschka
+    1974) reads
+
+        dI/dp_i = G_ii,   dI/dc_i = G_{i+1,i} + G_{i,i+1} exp(2 (q_i - q_{i+1})),
+
+    and each pair adds +-2 G_{i,i+1} L_{i,i+1} to dI/dq_i and dI/dq_{i+1}.
+    Returns (I (M,), dI/dq (n, M), dI/dp (n, M), dI/dc (n-1, M)).
+    """
+    lmat, gap, upper = _lax_stack(q, p, couplings)
+    m, n, _ = lmat.shape
+    diag = np.arange(n)
+    sub = np.arange(n - 1)
+    power = np.broadcast_to(np.eye(n), (m, n, n))
+    for _ in range(k - 1):
+        power = power @ lmat
+    gmat = power.transpose(0, 2, 1)
+    value = np.sum(gmat * lmat, axis=(1, 2)) / k
+    g_upper = gmat[:, sub, sub + 1].T
+    flux = 2.0 * g_upper * upper
+    d_q = np.zeros((n, m))
+    d_q[:-1] += flux
+    d_q[1:] -= flux
+    d_c = gmat[:, sub + 1, sub].T + g_upper * gap
+    return value, d_q, gmat[:, diag, diag].T, d_c
+
+
+def lax_energy(q, p, couplings) -> np.ndarray:
+    """sum(p^2)/2 + sum_i c_i^2 exp(2 (q_i - q_{i+1})) of component-first batches."""
+    return 0.5 * np.sum(p * p, axis=0) + np.sum(couplings**2 * np.exp(2.0 * (q[:-1] - q[1:])), axis=0)
+
+
+def lax_trace_monitors(n: int, kmax: int | None, chart):
+    """Monitors I_1..I_kmax and H over recorded states of shape (S, d).
+
+    chart maps the component-first states (d, S) to (q, p, couplings); each
+    monitor returns one value per sample.
+    """
+    kmax = n if kmax is None else kmax
+    if not (1 <= kmax <= n):
+        raise DomainError(f"kmax must satisfy 1 <= kmax <= {n}, got {kmax}")
+    mons = {f"I_{k}": (lambda states, k=k: lax_traces(*chart(states.T), k)[k - 1]) for k in range(1, kmax + 1)}
+    mons["H"] = lambda states: lax_energy(*chart(states.T))
+    return mons
 
 
 def com_split(sys: TodaSystem, state: PhaseState) -> tuple[PhaseState, float, float]:
@@ -202,17 +283,8 @@ def flow_field(sys: TodaSystem):
 
 
 def invariant_monitors(sys: TodaSystem, kmax: int | None = None):
-    """Monitors I_1..I_kmax and H over the packed state."""
-    kmax = sys.n if kmax is None else kmax
-    if not (1 <= kmax <= sys.n):
-        raise DomainError(f"kmax must satisfy 1 <= kmax <= {sys.n}, got {kmax}")
-    mons = {}
-    for k in range(1, kmax + 1):
-        mons[f"I_{k}"] = lambda t, y, k=k: float(
-            invariants(sys, unpack_state(sys, y), k)[k - 1]
-        )
-    mons["H"] = lambda t, y: hamiltonian(sys, unpack_state(sys, y))
-    return mons
+    """Monitors I_1..I_kmax and H over recorded packed states [q, p]."""
+    return lax_trace_monitors(sys.n, kmax, lambda x: (x[: sys.n], x[sys.n :], sys.g[:, None]))
 
 
 def run(

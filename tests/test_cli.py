@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -198,3 +199,62 @@ class TestCommands:
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
         cfgp = write_cfg(tmp_path, CALM)  # three particles
         assert cli.run_command(["forms", "monitor", "--set", "n2", "-c", cfgp]) == 2
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_no_state_carries_over(self):
+        parser = cli._build_parser()
+        first = parser.parse_args(["toda", "run", "-c", "a.json", "--format", "json", "--seed", "3", "--t-final", "2"])
+        assert (first.format, first.seed, first.t_final) == ("json", 3, 2.0)
+        second = parser.parse_args(["toda", "run", "-c", "b.json"])
+        assert (second.config, second.format, second.seed, second.t_final) == ("b.json", None, None, None)
+
+    def test_consecutive_commands_parse_afresh(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        cfgp = write_cfg(tmp_path, MINIMAL)
+        argv = ["toda", "run", "-c", cfgp, "--format", "json", "--t-final", "0.5", "--seed", "7", "--out", "a.json"]
+        assert cli.run_command(argv) == 0
+        assert json.loads((tmp_path / "a.json").read_text())["t"][-1] == 0.5
+        # no --format or --t-final: the config's csv and t_final = 10 apply again
+        assert cli.run_command(["toda", "run", "-c", cfgp, "--out", "b.csv"]) == 0
+        rows = (tmp_path / "b.csv").read_text().strip().splitlines()
+        assert rows[0].startswith("t,") and float(rows[-1].split(",")[0]) == 10.0
+        assert cli.run_command(["toda", "run"]) == 2  # usage error: no config
+        assert cli.run_command(["toda", "run", "-c", cfgp, "--t-final", "0.25", "--out", "c.csv"]) == 0
+        assert float((tmp_path / "c.csv").read_text().strip().splitlines()[-1].split(",")[0]) == 0.25
+
+
+class TestDriftGateLine:
+    PATTERN = re.compile(r"^(PASS|FAIL) (\S+) max_drift=(\S+) at (\S+) t=(\S+) ")
+
+    def test_failing_gate_names_worst_monitor(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        sloppy = dict(MINIMAL, rtol=1e-3, atol=1e-3, q=[0.5, -0.5], p=[0.4, -0.4], output_format="json")
+        assert cli.run_command(["toda", "run", "-c", write_cfg(tmp_path, sloppy)]) == 1
+        status, tag, drift, name, at = self.PATTERN.match(capsys.readouterr().out).groups()
+        assert (status, tag) == ("FAIL", "toda-run")
+        doc = json.loads((tmp_path / "toda_run.json").read_text())
+        assert name == max(doc["drift"], key=doc["drift"].get)
+        assert float(drift) == pytest.approx(doc["drift"][name], rel=1e-3)
+        values = np.array(doc["monitors"][name])
+        worst_t = doc["t"][int(np.argmax(np.abs(values - values[0])))]
+        assert float(at) == pytest.approx(worst_t, rel=1e-5)
+
+    @pytest.mark.parametrize(
+        "argv, tag",
+        [
+            (["eisenhart", "run"], "eisenhart-run"),
+            (["oplift", "run", "--mode", "hamiltonian"], "oplift-run"),
+            (["forms", "monitor", "--set", "general"], "forms-general"),
+        ],
+    )
+    def test_every_drift_gate_names_a_monitor(self, tmp_path, monkeypatch, capsys, argv, tag):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        sloppy = dict(CALM, rtol=1e-4, atol=1e-4, output_format="json")
+        rc = cli.run_command(argv + ["-c", write_cfg(tmp_path, sloppy), "--out", "o.json"])
+        status, got_tag, _, name, _ = self.PATTERN.match(capsys.readouterr().out).groups()
+        assert (status, got_tag) == (("PASS", "FAIL")[rc], tag)
+        assert name in json.loads((tmp_path / "o.json").read_text())["monitors"]

@@ -49,7 +49,7 @@ def test_one_dof_against_closed_form():
 
 def test_energy_monitor_drift():
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=1.0, stride=1)
-    mon = {"E": lambda t, y: 0.5 * y[1] ** 2 + 2.0 * math.exp(2.0 * y[0])}
+    mon = {"E": lambda y: 0.5 * y[:, 1] ** 2 + 2.0 * np.exp(2.0 * y[:, 0])}
     traj = integrate(one_dof_rhs, [0.0, 0.0], cfg, monitors=mon)
     assert traj.drift["E"] < 1e-9
 

@@ -239,7 +239,7 @@ class TestExactBracket:
         chart, _, random_packed = _lift_pieces(lift, sys)
         points = np.stack([random_packed(rng) for _ in range(4)], axis=1)
         for k in range(1, n + 1):
-            value = killing._lax_trace_gradient(*chart(points), k)[0]
+            value = toda.lax_trace_gradient(*chart(points), k)[0]
             for b in range(points.shape[1]):
                 if lift == "eisenhart":
                     st_ = eisenhart.unpack_state(sys, points[:, b])
@@ -260,7 +260,7 @@ class TestExactBracket:
             sys, inv, _, _ = _phase_functions(lift, n, k, g, g)
             chart, gradient, random_packed = _lift_pieces(lift, sys)
             point = random_packed(rng)
-            _, d_q, d_p, d_c = killing._lax_trace_gradient(*chart(point[:, None]), k)
+            _, d_q, d_p, d_c = toda.lax_trace_gradient(*chart(point[:, None]), k)
             grad = gradient(d_q, d_p, d_c)[:, 0]
             pos, mom = point[:dim], point[dim:]
             for mu in range(dim):
@@ -279,7 +279,7 @@ class TestExactBracket:
             sys, inv, ham, field = _phase_functions(lift, n, k, g, g_other)
             chart, gradient, random_packed = _lift_pieces(lift, sys)
             points = np.stack([random_packed(rng) for _ in range(3)], axis=1)
-            _, d_q, d_p, d_c = killing._lax_trace_gradient(*chart(points), k)
+            _, d_q, d_p, d_c = toda.lax_trace_gradient(*chart(points), k)
             exact = np.sum(gradient(d_q, d_p, d_c) * field(0.0, points), axis=0)
             for b in range(points.shape[1]):
                 pos, mom = points[:dim, b], points[dim:, b]
@@ -374,3 +374,48 @@ class TestIsometryFlow:
             killing.isometry_flow("omega-translation", 4, s, 0.5)
         with pytest.raises(DomainError):
             killing.isometry_flow("lambda", 5, s, 0.5)
+
+
+def _unmemoised_polarization(invariant, rank, dim, pos):
+    """The polarization sum with one invariant evaluation per term."""
+    table = {}
+    for idx in combinations_with_replacement(range(1, dim + 1), rank):
+        acc = 0.0
+        for mask in range(1, 2**rank):
+            vec = np.zeros(dim)
+            bits = 0
+            for slot in range(rank):
+                if mask >> slot & 1:
+                    vec[idx[slot] - 1] += 1.0
+                    bits += 1
+            acc += (-1.0) ** (rank - bits) * invariant(pos, vec)
+        table[idx] = acc
+    return table
+
+
+class TestPolarizationMemo:
+    @pytest.mark.parametrize("lift", ["eisenhart", "generalized"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_tables_bit_identical_to_unmemoised(self, rng, lift, n):
+        g = rng.uniform(0.5, 1.5, n - 1)
+        dim = n + 1 if lift == "eisenhart" else 2 * n - 1
+        for k in range(2, n + 1):
+            _, inv, _, _ = _phase_functions(lift, n, k, g, g)
+            pos = rng.uniform(-1.0, 1.0, dim)
+            table = killing.extract_tensor(inv, k, dim, pos)
+            reference = _unmemoised_polarization(inv, k, dim, pos)
+            assert list(table) == list(reference)
+            assert all(table[idx] == reference[idx] for idx in reference), (lift, n, k)
+
+    @pytest.mark.parametrize("rank, dim", [(1, 3), (2, 4), (3, 5), (4, 7)])
+    def test_each_polarization_vector_evaluated_once(self, rank, dim):
+        # C(dim + k, k) - 1 distinct non-empty sub-multisets, plus the two
+        # homogeneity probes and the three contraction checks
+        calls = []
+
+        def inv(pos, mom):
+            calls.append(mom.copy())
+            return float(np.sum(mom) ** rank)
+
+        killing.extract_tensor(inv, rank, dim, np.zeros(dim))
+        assert len(calls) == math.comb(dim + rank, rank) - 1 + 5

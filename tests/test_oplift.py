@@ -430,6 +430,42 @@ class TestReduction:
         with pytest.raises(DomainError):
             oplift.reduction_check(sys, traj)
 
+    def test_matches_per_sample_residuals(self, rng):
+        # momenta a hair off g (inside the 1e-8 acceptance) make the first
+        # two residuals measurable numbers; the block residual is second
+        # order in the offset, so it stays at roundoff
+        sys, st = calm_chain(rng, 4)
+        s = op_state(st, sys.g * (1.0 + 2e-9), omega=rng.uniform(-0.5, 0.5, 3))
+        cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=5.0, stride=3)
+        traj = oplift.run_geodesic_generalized(sys, s, cfg, kmax=1)
+        want = [0.0, 0.0, 0.0]
+        for vec in traj.states:
+            u = oplift.unpack_state(sys, vec, centered=False)
+            od = u.omega_dot()
+            v = toda.potential(sys, u.q)
+            scale = max(1.0, 2.0 * v)
+            ydot = float(np.dot(sys.g, od))
+            kin = 0.5 * float(np.sum(np.exp(-2.0 * (u.q[:-1] - u.q[1:])) * od**2))
+            want[0] = max(want[0], abs(ydot - 2.0 * v) / scale)
+            want[1] = max(want[1], abs(kin - 2.0 * v) / scale)
+            if v > 0.0:
+                want[2] = max(want[2], abs(ydot**2 / (4.0 * v) - 0.5 * kin) / scale)
+        report = oplift.reduction_check(sys, traj)
+        got = [report.max_ydot_residual, report.max_kinetic_residual, report.max_block_residual]
+        assert report.n_samples == len(traj)
+        assert min(want[:2]) > 1e-10
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 4.0 * np.finfo(float).eps
+
+    def test_one_bad_sample_rejected(self, rng):
+        sys, st = calm_chain(rng, 3)
+        cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=1.0, stride=10)
+        traj = oplift.run_geodesic_generalized(sys, op_state(st, sys.g), cfg, kmax=1)
+        oplift.reduction_check(sys, traj)
+        traj.states[len(traj) // 2, -1] += 1e-6
+        with pytest.raises(DomainError):
+            oplift.reduction_check(sys, traj)
+
     def test_reduced_eisenhart_geodesic_matches(self, rng):
         sys, st = calm_chain(rng, 4)
         s = op_state(st, sys.g, omega=rng.uniform(-0.5, 0.5, 3))
