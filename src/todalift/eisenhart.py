@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateMetricError, DomainError
 from .integrate import IntegratorConfig, Trajectory, integrate
-from .toda import PhaseState, TodaSystem, lax_trace_monitors, potential, potential_gradient, power_traces
+from .toda import PhaseState, TodaSystem, lax_trace_monitors, packed_lax_traces, potential, potential_gradient, power_traces
 
 __all__ = [
     "EisenhartState",
@@ -34,6 +34,7 @@ __all__ = [
     "geodesic_rhs",
     "lifted_lax",
     "lifted_invariants",
+    "lax_chart",
     "hamiltonian_generalized_couplings",
     "lift_from_toda",
     "project_to_toda",
@@ -145,8 +146,18 @@ def lifted_lax(sys: TodaSystem, state: EisenhartState) -> tuple[np.ndarray, np.n
 
 
 def lifted_invariants(sys: TodaSystem, state: EisenhartState, kmax: int) -> np.ndarray:
-    """Tr(L^k)/k of the lifted Lax matrix for k = 1..kmax."""
-    return power_traces(lifted_lax(sys, state)[0], kmax)
+    """Tr(L^k)/k of the lifted Lax matrix for k = 1..kmax: shape (kmax,) for
+    one EisenhartState, (kmax, S) for packed states [q, y, p, p_y] of shape (S, 2n+2)."""
+    if isinstance(state, EisenhartState):
+        return power_traces(lifted_lax(sys, state)[0], kmax)
+    return packed_lax_traces(state, 2 * sys.n + 2, lax_chart(sys), kmax)
+
+
+def lax_chart(sys: TodaSystem):
+    """Map component-first packed states [q, y, p, p_y] (2n+2, M) to the Lax data (q, p, p_y g)."""
+    n = sys.n
+    g = sys.g[:, None]
+    return lambda x: (x[:n], x[n + 1 : 2 * n + 1], x[2 * n + 1] * g)
 
 
 def hamiltonian_generalized_couplings(
@@ -224,10 +235,10 @@ def flow_field(sys: TodaSystem):
 
 def geodesic_monitors(sys: TodaSystem, kmax: int | None = None):
     """Monitors p_y, lifted I_1..I_kmax and the lift energy over recorded states."""
-    n = sys.n
-    g = sys.g[:, None]
-    mons = {"p_y": lambda states: states[:, 2 * n + 1]}
-    mons.update(lax_trace_monitors(n, kmax, lambda x: (x[:n], x[n + 1 : 2 * n + 1], x[2 * n + 1] * g)))
+    mons = {"p_y": lambda states: states[:, 2 * sys.n + 1]}
+    mons.update(
+        lax_trace_monitors(sys.n, kmax, lambda states, k: lifted_invariants(sys, states, k), lax_chart(sys))
+    )
     return mons
 
 

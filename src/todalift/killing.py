@@ -233,9 +233,6 @@ def _eisenhart_phase(sys: TodaSystem):
     n = sys.n
     g = sys.g[:, None]
 
-    def chart(vec):
-        return vec[:n], vec[n + 1 : 2 * n + 1], vec[2 * n + 1] * g
-
     def gradient(d_q, d_p, d_c):
         # I does not depend on y, and dI/dp_y = g . dI/dc
         d_y = np.zeros((1, d_q.shape[1]))
@@ -246,15 +243,12 @@ def _eisenhart_phase(sys: TodaSystem):
         p = rng.uniform(-1.0, 1.0, n)
         return np.concatenate([q, rng.uniform(-1.0, 1.0, 1), p, rng.uniform(-1.0, 1.0, 1)])
 
-    return chart, gradient, random_packed, eisenhart.flow_field(sys)
+    return eisenhart.lax_chart(sys), gradient, random_packed, eisenhart.flow_field(sys)
 
 
 def _generalized_phase(sys: TodaSystem):
     """Packed layout [q, omega, p_q, p_omega]; the couplings are p_omega."""
     n = sys.n
-
-    def chart(vec):
-        return vec[:n], vec[2 * n - 1 : 3 * n - 1], vec[3 * n - 1 :]
 
     def gradient(d_q, d_p, d_c):
         # I does not depend on omega
@@ -269,7 +263,7 @@ def _generalized_phase(sys: TodaSystem):
             [q, rng.uniform(-1.0, 1.0, n - 1), p, rng.uniform(-1.0, 1.0, n - 1)]
         )
 
-    return chart, gradient, random_packed, oplift.flow_field_generalized(sys)
+    return oplift.lax_chart(n), gradient, random_packed, oplift.flow_field_generalized(sys)
 
 
 def verify_killing(

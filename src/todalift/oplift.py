@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConstraintError, DefinitenessError, DomainError
 from .integrate import IntegratorConfig, Trajectory, integrate, integrate_at_times
 from .linalg import mat_exp, udu_decompose, unitriangular_inverse
-from .toda import TodaSystem, lax_trace_monitors, power_traces
+from .toda import TodaSystem, lax_trace_monitors, packed_lax_traces, power_traces
 
 __all__ = [
     "OPState",
@@ -49,6 +49,7 @@ __all__ = [
     "geodesic_rhs_generalized",
     "generalized_lax",
     "generalized_invariants",
+    "lax_chart",
     "exact_geodesic",
     "exact_geodesic_raw",
     "initial_xdot",
@@ -159,7 +160,7 @@ class FormMonitor:
     """
 
     name: str
-    evaluate: Callable[[OPState], float]
+    evaluate: Callable[[OPState | _StateBatch], float | np.ndarray]
 
 
 def _chain_z(omega, omega_dot=None) -> tuple[np.ndarray, np.ndarray]:
@@ -303,8 +304,17 @@ def generalized_lax(state: OPState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def generalized_invariants(state: OPState, kmax: int) -> np.ndarray:
-    """Tr(L^k)/k for the momentum-promoted Lax matrix, k = 1..kmax."""
-    return power_traces(generalized_lax(state)[0], kmax)
+    """Tr(L^k)/k for the momentum-promoted Lax matrix, k = 1..kmax: shape (kmax,) for
+    one OPState, (kmax, S) for packed states [q, omega, p_q, p_omega] of shape (S, 4n-2)."""
+    if isinstance(state, OPState):
+        return power_traces(generalized_lax(state)[0], kmax)
+    n = max(2, (np.shape(state)[-1] + 2) // 4)
+    return packed_lax_traces(state, 4 * n - 2, lax_chart(n), kmax)
+
+
+def lax_chart(n: int):
+    """Map component-first packed states [q, omega, p_q, p_omega] (4n-2, M) to the Lax data (q, p_q, p_omega)."""
+    return lambda x: (x[:n], x[2 * n - 1 : 3 * n - 1], x[3 * n - 1 :])
 
 
 def initial_xdot(state: OPState, sys: TodaSystem) -> np.ndarray:
@@ -637,7 +647,7 @@ def generalized_monitors(
     monitor, evaluated once on the component-first batch of all samples.
     """
     n = sys.n
-    mons = lax_trace_monitors(n, kmax, lambda x: (x[:n], x[2 * n - 1 : 3 * n - 1], x[3 * n - 1 :]))
+    mons = lax_trace_monitors(n, kmax, lambda states, k: generalized_invariants(states, k), lax_chart(n))
     for fm in extra_monitors or []:
         mons[fm.name] = lambda states, fm=fm: fm.evaluate(
             _StateBatch(*np.split(states.T, [n, 2 * n - 1, 3 * n - 1]))

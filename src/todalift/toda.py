@@ -31,7 +31,9 @@ __all__ = [
     "lax_pair",
     "invariants",
     "power_traces",
+    "lax_chart",
     "lax_traces",
+    "packed_lax_traces",
     "lax_trace_gradient",
     "lax_energy",
     "lax_trace_monitors",
@@ -160,8 +162,17 @@ def power_traces(lmat: np.ndarray, kmax: int) -> np.ndarray:
 
 
 def invariants(sys: TodaSystem, state: PhaseState, kmax: int) -> np.ndarray:
-    """I_k = Tr(L^k) / k for k = 1..kmax.  I_1 = sum(p), I_2 = H."""
-    return power_traces(lax_pair(sys, state)[0], kmax)
+    """I_k = Tr(L^k) / k for k = 1..kmax.  I_1 = sum(p), I_2 = H.  Shape (kmax,)
+    for one PhaseState, (kmax, S) for packed states [q, p] of shape (S, 2n)."""
+    if isinstance(state, PhaseState):
+        return power_traces(lax_pair(sys, state)[0], kmax)
+    return packed_lax_traces(state, 2 * sys.n, lax_chart(sys), kmax)
+
+
+def lax_chart(sys: TodaSystem):
+    """Map component-first packed states [q, p] (2n, M) to the Lax data (q, p, g)."""
+    n = sys.n
+    return lambda x: (x[:n], x[n:], sys.g[:, None])
 
 
 def _lax_stack(q, p, couplings):
@@ -185,6 +196,13 @@ def _lax_stack(q, p, couplings):
 def lax_traces(q, p, couplings, kmax: int) -> np.ndarray:
     """Tr(L^k)/k for k = 1..kmax of component-first batches, shape (kmax, M)."""
     return power_traces(_lax_stack(q, p, couplings)[0], kmax)
+
+
+def packed_lax_traces(states, dim: int, chart, kmax: int) -> np.ndarray:
+    """lax_traces of recorded packed states (S, dim), read through a picture's Lax chart."""
+    if np.ndim(states) != 2 or np.shape(states)[1] != dim:
+        raise DomainError(f"packed states must have shape (samples, {dim}), got {np.shape(states)}")
+    return lax_traces(*chart(np.asarray(states, dtype=float).T), kmax)
 
 
 def lax_trace_gradient(q, p, couplings, k: int):
@@ -221,16 +239,17 @@ def lax_energy(q, p, couplings) -> np.ndarray:
     return 0.5 * np.sum(p * p, axis=0) + np.sum(couplings**2 * np.exp(2.0 * (q[:-1] - q[1:])), axis=0)
 
 
-def lax_trace_monitors(n: int, kmax: int | None, chart):
+def lax_trace_monitors(n: int, kmax: int | None, traces, chart):
     """Monitors I_1..I_kmax and H over recorded states of shape (S, d).
 
-    chart maps the component-first states (d, S) to (q, p, couplings); each
-    monitor returns one value per sample.
+    traces(states, k) is the picture's invariants function on recorded
+    states, shape (k, S); chart maps the component-first states (d, S) to
+    (q, p, couplings).  Each monitor returns one value per sample.
     """
     kmax = n if kmax is None else kmax
     if not (1 <= kmax <= n):
         raise DomainError(f"kmax must satisfy 1 <= kmax <= {n}, got {kmax}")
-    mons = {f"I_{k}": (lambda states, k=k: lax_traces(*chart(states.T), k)[k - 1]) for k in range(1, kmax + 1)}
+    mons = {f"I_{k}": (lambda states, k=k: traces(states, k)[k - 1]) for k in range(1, kmax + 1)}
     mons["H"] = lambda states: lax_energy(*chart(states.T))
     return mons
 
@@ -284,7 +303,7 @@ def flow_field(sys: TodaSystem):
 
 def invariant_monitors(sys: TodaSystem, kmax: int | None = None):
     """Monitors I_1..I_kmax and H over recorded packed states [q, p]."""
-    return lax_trace_monitors(sys.n, kmax, lambda x: (x[: sys.n], x[sys.n :], sys.g[:, None]))
+    return lax_trace_monitors(sys.n, kmax, lambda states, k: invariants(sys, states, k), lax_chart(sys))
 
 
 def run(

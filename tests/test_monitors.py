@@ -181,3 +181,57 @@ def test_monitor_must_return_one_value_per_sample():
     cfg = IntegratorConfig(t_final=1.0, stride=1)
     with pytest.raises(DomainError, match="'E'"):
         integrate(lambda t, y: -y, [1.0], cfg, monitors={"E": lambda states: float(states[0, 0])})
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_invariant_functions_take_packed_states(rng, n):
+    # the batch form is the stack of the per-state values, to the bit
+    sys = toda.TodaSystem(n, rng.uniform(0.3, 1.5, n - 1))
+    cases = [
+        (lambda s: toda.invariants(sys, s, n), 2 * n, lambda row: toda.unpack_state(sys, row)),
+        (lambda s: eisenhart.lifted_invariants(sys, s, n), 2 * n + 2, lambda row: eisenhart.unpack_state(sys, row)),
+        (lambda s: oplift.generalized_invariants(s, n), 4 * n - 2,
+         lambda row: oplift.unpack_state(sys, row, centered=False)),
+    ]
+    for invariants, dim, unpack in cases:
+        states = rng.uniform(-1.0, 1.0, (SAMPLES, dim))
+        got = invariants(states)
+        assert got.shape == (n, SAMPLES)
+        assert np.array_equal(got, np.array([invariants(unpack(row)) for row in states]).T)
+        with pytest.raises(DomainError, match="packed states"):
+            invariants(states[:, 1:])
+        with pytest.raises(DomainError, match="packed states"):
+            invariants(states[0])
+    with pytest.raises(DomainError, match="packed states"):
+        oplift.generalized_invariants(np.zeros((3, 2)), 1)  # 4n - 2 = 2 would be n = 1
+
+
+def test_monitors_evaluate_through_the_public_invariant_functions(rng, monkeypatch):
+    # one call of the picture's invariants function per I_k monitor per run
+    sys, st = random_chain(rng, 3)
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=2.0, stride=1)
+    runs = [
+        (toda, "invariants", lambda: toda.run(sys, st, cfg)),
+        (eisenhart, "lifted_invariants", lambda: eisenhart.run_geodesic(sys, eisenhart.lift_from_toda(st), cfg)),
+        (oplift, "generalized_invariants", lambda: oplift.run_geodesic_generalized(
+            sys, oplift.OPState(q=st.q, omega=np.zeros(2), p_q=st.p, p_omega=sys.g), cfg)),
+    ]
+    for module, name, run in runs:
+        calls = []
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real: calls.append(args) or real(*args))
+        traj = run()
+        assert [args[-1] for args in calls] == [1, 2, 3]
+        assert all(np.shape(args[-2]) == traj.states.shape for args in calls)
+
+
+def test_lax_charts_read_the_packed_layouts():
+    sys = toda.TodaSystem(3, [0.7, 1.3])
+    x = np.arange(8.0)[:, None]
+    q, p, c = eisenhart.lax_chart(sys)(x)
+    assert np.array_equal(q[:, 0], [0, 1, 2]) and np.array_equal(p[:, 0], [4, 5, 6])
+    assert np.array_equal(c[:, 0], 7.0 * sys.g)
+    x = np.arange(10.0)[:, None]
+    q, p, c = oplift.lax_chart(3)(x)
+    assert np.array_equal(q[:, 0], [0, 1, 2]) and np.array_equal(p[:, 0], [5, 6, 7])
+    assert np.array_equal(c[:, 0], [8, 9])
