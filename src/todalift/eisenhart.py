@@ -226,8 +226,9 @@ def flow_field(sys: TodaSystem):
         out = np.zeros(vec.shape)
         out[:n] = p
         out[n] = 2.0 * p_y * w.sum(axis=0)
-        out[n + 1 : 2 * n] -= 2.0 * p_y**2 * w
-        out[n + 2 : 2 * n + 1] += 2.0 * p_y**2 * w
+        force = 2.0 * p_y**2 * w
+        out[n + 1 : 2 * n] -= force
+        out[n + 2 : 2 * n + 1] += force
         return out
 
     return rhs

@@ -134,11 +134,20 @@ def lax_pair(sys: TodaSystem, state: PhaseState) -> tuple[np.ndarray, np.ndarray
 
     L carries p on the diagonal, g on the subdiagonal and g_i e^{2(q_i -
     q_{i+1})} on the superdiagonal; M is twice the superdiagonal part of L.
+    state is a PhaseState or a packed float vector [q, p] of length 2n, whose
+    entries are not validated (for integrator callbacks).
     """
-    _check_dims(sys, state)
     n = sys.n
-    w = sys.g * np.exp(2.0 * (state.q[:-1] - state.q[1:]))
-    lmat = np.diag(state.p.astype(float))
+    if isinstance(state, PhaseState):
+        _check_dims(sys, state)
+        q, p = state.q, state.p
+    else:
+        y = np.asarray(state, dtype=float)
+        if y.shape != (2 * n,):
+            raise DomainError(f"packed state must have shape ({2 * n},), got {y.shape}")
+        q, p = y[:n], y[n:]
+    w = sys.g * np.exp(2.0 * (q[:-1] - q[1:]))
+    lmat = np.diag(p)
     mmat = np.zeros((n, n))
     idx = np.arange(n - 1)
     lmat[idx + 1, idx] = sys.g
@@ -286,16 +295,16 @@ def state_labels(sys: TodaSystem) -> tuple[str, ...]:
 def flow_field(sys: TodaSystem):
     """Vector field over the packed state [q, p] for the integrator."""
     n = sys.n
-    gsq = sys.g**2
+    two_gsq = 2.0 * sys.g**2
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         q = y[:n]
-        w = gsq * np.exp(2.0 * (q[:-1] - q[1:]))
+        force = two_gsq * np.exp(2.0 * (q[:-1] - q[1:]))
         out = np.empty(2 * n)
         out[:n] = y[n:]
         out[n:] = 0.0
-        out[n : 2 * n - 1] -= 2.0 * w
-        out[n + 1 :] += 2.0 * w
+        out[n : 2 * n - 1] -= force
+        out[n + 1 :] += force
         return out
 
     return rhs
@@ -330,22 +339,29 @@ def evolve_A(
 
     The chain state and A are co-integrated from the trajectory's initial
     state and sampled exactly at the trajectory times, so that
-    A(t) L(0) A(t)^-1 reproduces L(t).
+    A(t) L(0) A(t)^-1 reproduces L(t).  The default cfg is order-12
+    extrapolation at rtol 1e-12, which suits the usual few sample times.  It
+    starts from dt = 0.1, because roundoff dominates that method's error
+    estimate at small steps and the controller then grows dt only about 2x
+    per step.
     """
     if len(traj) == 0:
         raise DomainError("cannot evolve A along an empty trajectory")
     n = sys.n
     if traj.states.shape[1] != 2 * n:
         raise DomainError("trajectory was not produced by this system")
+    unpack_state(sys, traj.states[0])  # validates the start; rhs reads packed states unchecked
     if cfg is None:
-        cfg = IntegratorConfig(method="adaptive", rtol=1e-12, atol=1e-14, t_final=max(traj.times[-1], 1e-6))
+        cfg = IntegratorConfig(
+            method="extrapolation", dt=0.1, rtol=1e-12, atol=1e-14, t_final=max(traj.times[-1], 1e-6)
+        )
 
     base = flow_field(sys)
 
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
         y = z[: 2 * n]
         amat = z[2 * n :].reshape(n, n)
-        _, mmat = lax_pair(sys, unpack_state(sys, y))
+        _, mmat = lax_pair(sys, y)
         return np.concatenate([base(t, y), (-mmat @ amat).ravel()])
 
     z0 = np.concatenate([traj.states[0], np.eye(n).ravel()])

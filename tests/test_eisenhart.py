@@ -192,3 +192,27 @@ class TestProjection:
             toda.flow_field(scaled), toda.pack_state(st), traj.times, cfg
         )
         assert np.max(np.abs(traj.states[:, :4] - ref.states[:, :4])) < 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_flow_field_bits_match_the_unfolded_force(rng, n):
+    # the field computes 2 p_y^2 w once; it must equal the formula with the
+    # force written out per use, for single states and (d, B) batches,
+    # zero coupling included
+    for trial in range(4):
+        g = rng.uniform(0.5, 2.0, n - 1)
+        if trial == 0:
+            g[0] = 0.0
+        sys = toda.TodaSystem(n, g)
+        field = eisenhart.flow_field(sys)
+        batch = rng.uniform(-2.0, 2.0, (2 * n + 2, 5))
+        for vec in (batch[:, 0], batch):
+            q, p, p_y = vec[:n], vec[n + 1 : 2 * n + 1], vec[2 * n + 1]
+            gsq = g**2 if vec.ndim == 1 else (g**2)[:, None]
+            w = gsq * np.exp(2.0 * (q[:-1] - q[1:]))
+            want = np.zeros(vec.shape)
+            want[:n] = p
+            want[n] = 2.0 * p_y * w.sum(axis=0)
+            want[n + 1 : 2 * n] -= 2.0 * p_y**2 * w
+            want[n + 2 : 2 * n + 1] += 2.0 * p_y**2 * w
+            assert field(0.0, vec).tobytes() == want.tobytes()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,6 +149,7 @@ def test_non_finite_initial_raises_divergence():
 def test_config_validation():
     with pytest.raises(DomainError):
         IntegratorConfig(method="euler")
+    assert IntegratorConfig(method="extrapolation").method == "extrapolation"
     with pytest.raises(DomainError):
         IntegratorConfig(dt=-0.1)
     with pytest.raises(DomainError):
@@ -181,6 +183,67 @@ def test_stats_count_every_rhs_evaluation():
         assert stats["rejected"] > 0
         assert stats["nfev"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
         assert stats["nfev"] == len(calls)
+
+
+class TestExtrapolation:
+    """Gragg-Bulirsch-Stoer stepping: order 12, true substep times, batches."""
+
+    @staticmethod
+    def one_step_error(rhs, exact, big_step):
+        # atol = rtol = 1 accepts the first trial step, which spans the run
+        cfg = IntegratorConfig(method="extrapolation", dt=big_step, rtol=1.0, atol=1.0, t_final=big_step)
+        traj = integrate(rhs, [1.0], cfg)
+        assert traj.stats == {"nfev": 38, "accepted": 1, "rejected": 0}
+        return abs(traj.states[-1][0] - exact(big_step))
+
+    @pytest.mark.parametrize(
+        "rhs, exact",
+        [
+            (lambda t, y: y, math.exp),
+            # non-autonomous: only the true substep times give order 12
+            (lambda t, y: math.cos(t) * y, lambda t: math.exp(math.sin(t))),
+        ],
+        ids=["exponential", "cos-modulated"],
+    )
+    def test_observed_order_is_twelve(self, rhs, exact):
+        ratio = self.one_step_error(rhs, exact, 2.0) / self.one_step_error(rhs, exact, 1.0)
+        # a local error of order dt^13 halves by 2^13
+        assert 12.0 <= math.log2(ratio) <= 14.5
+
+    def test_two_body_closed_form(self):
+        sys = toda.TodaSystem(2, [1.0])
+        st = toda.PhaseState([0.0, 0.0], [0.0, 0.0])
+        cfg = IntegratorConfig(method="extrapolation", rtol=1e-12, atol=1e-14, t_final=10.0, stride=10**9)
+        traj = toda.run(sys, st, cfg)
+        assert traj.times[-1] == 10.0
+        assert abs((traj.states[-1][0] - traj.states[-1][1]) - closed_form_q(10.0)) < 1e-11
+
+    def test_stats_count_every_rhs_evaluation(self):
+        calls = []
+
+        def counted(t, y):
+            calls.append(t)
+            return one_dof_rhs(t, y)
+
+        cfg = IntegratorConfig(method="extrapolation", dt=1.0, rtol=1e-10, atol=1e-12, t_final=3.0, stride=4)
+        for run in (
+            lambda: integrate(counted, [0.0, 0.0], cfg),
+            lambda: integrate_at_times(counted, [0.0, 0.0], [0.0, 0.3, 3.0], cfg),
+        ):
+            calls.clear()
+            stats = run().stats
+            assert stats["rejected"] > 0
+            trials = stats["accepted"] + stats["rejected"]
+            assert stats["nfev"] == 1 + 36 * trials + stats["accepted"]
+            assert stats["nfev"] == len(calls)
+
+    def test_matches_adaptive_method(self):
+        cfg = IntegratorConfig(rtol=1e-12, atol=1e-14, t_final=1.0)
+        times = np.linspace(0.0, 1.0, 6)
+        ref = integrate_at_times(one_dof_rhs, [0.0, 0.0], times, cfg)
+        gbs = integrate_at_times(one_dof_rhs, [0.0, 0.0], times, replace(cfg, method="extrapolation"))
+        assert np.max(np.abs(gbs.states - ref.states)) < 1e-10
+        assert gbs.stats["nfev"] < ref.stats["nfev"]
 
 
 def test_rk4_stats():
@@ -236,7 +299,7 @@ class TestBatch:
         return sys, np.stack(cols, axis=1)
 
     @pytest.mark.parametrize("n", [3, 10])
-    @pytest.mark.parametrize("method", ["adaptive", "rk4"])
+    @pytest.mark.parametrize("method", ["adaptive", "rk4", "extrapolation"])
     def test_single_column_is_bit_identical(self, rng, n, method):
         sys, y0 = self.starts(rng, n, 1)
         rhs = eisenhart.flow_field(sys)
@@ -285,6 +348,6 @@ class TestBatch:
     def test_non_finite_column_raises(self, rng):
         sys, y0 = self.starts(rng, 3, 3)
         y0[2, 1] = float("nan")
-        for method in ("adaptive", "rk4"):
+        for method in ("adaptive", "rk4", "extrapolation"):
             with pytest.raises(DivergenceError):
                 integrate(eisenhart.flow_field(sys), y0, IntegratorConfig(method=method, t_final=1.0))

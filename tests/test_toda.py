@@ -68,6 +68,23 @@ class TestEquationsOfMotion:
             _, dp = toda.eom_rhs(sys, st)
             assert abs(dp.sum()) < 1e-13
 
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_field_bits_match_the_unfolded_force(self, rng, n):
+        # the field computes 2 g^2 e^{2(q_i - q_{i+1})} once; it must equal
+        # the formula with the factor 2 applied per use, zero coupling included
+        for trial in range(5):
+            sys, st = random_chain(rng, n, scale=2.0)
+            if trial == 0:
+                sys = toda.TodaSystem(n, np.concatenate([[0.0], sys.g[1:]]))
+            y = toda.pack_state(st)
+            w = sys.g**2 * np.exp(2.0 * (y[: n - 1] - y[1:n]))
+            want = np.empty(2 * n)
+            want[:n] = y[n:]
+            want[n:] = 0.0
+            want[n : 2 * n - 1] -= 2.0 * w
+            want[n + 1 :] += 2.0 * w
+            assert toda.flow_field(sys)(0.0, y).tobytes() == want.tobytes()
+
     def test_matches_hamiltonian_gradient(self, rng):
         sys, st = random_chain(rng, 4)
         _, dp = toda.eom_rhs(sys, st)
@@ -105,6 +122,14 @@ class TestLaxPair:
         _, mmat = toda.lax_pair(sys, st)
         assert np.array_equal(np.tril(mmat), np.zeros((5, 5)))
         assert np.array_equal(np.triu(mmat, 2), np.zeros((5, 5)))
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_packed_state_gives_the_same_bits(self, rng, n):
+        sys, st = random_chain(rng, n)
+        for got, want in zip(toda.lax_pair(sys, toda.pack_state(st)), toda.lax_pair(sys, st)):
+            assert got.tobytes() == want.tobytes()
+        with pytest.raises(DomainError):
+            toda.lax_pair(sys, np.zeros(2 * n + 1))
 
     def test_lax_equation_residual(self, rng):
         # central difference of L along the flow against the commutator
@@ -221,6 +246,41 @@ class TestEvolutionMatrix:
             residual = amat @ l0 @ np.linalg.inv(amat) - lt
             worst = max(worst, float(np.max(np.abs(residual))))
         assert worst < 1e-6
+
+    @staticmethod
+    def lax_matrix(g, vec):
+        # L built here from its definition, independent of toda.lax_pair
+        n = len(g) + 1
+        q, p = vec[:n], vec[n:]
+        return np.diag(p) + np.diag(g, -1) + np.diag(g * np.exp(2.0 * (q[:-1] - q[1:])), 1)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("stride", [10**9, 3], ids=["sparse", "dense"])
+    def test_unit_upper_triangular_and_conjugating(self, rng, n, stride):
+        # dA/dt = -M A with M strictly upper triangular keeps A exactly unit
+        # upper triangular: every product feeding the lower triangle or the
+        # diagonal's derivative has an exact zero factor
+        sys, st = random_chain(rng, n)
+        cfg = IntegratorConfig(rtol=1e-12, atol=1e-14, t_final=4.0, stride=stride)
+        traj = toda.run(sys, st, cfg)
+        mats = toda.evolve_A(sys, traj)
+        assert len(mats) == len(traj) >= (2 if stride > 1000 else 10)
+        l0 = self.lax_matrix(sys.g, traj.states[0])
+        for amat, vec in zip(mats, traj.states):
+            assert np.all(np.tril(amat, -1) == 0.0)
+            assert np.all(np.diag(amat) == 1.0)
+            # A L(0) A^-1 = L(t), written as A L(0) = L(t) A: the roundoff of
+            # A^-1 grows with the condition of A, which is not under test
+            lt = self.lax_matrix(sys.g, vec)
+            residual = np.max(np.abs(amat @ l0 - lt @ amat)) / np.max(np.abs(amat))
+            assert residual <= 1e-10 * max(1.0, float(np.max(np.abs(lt))))
+
+    def test_non_finite_start_rejected(self, rng):
+        sys, st = random_chain(rng, 3)
+        traj = toda.run(sys, st, IntegratorConfig(t_final=1.0))
+        traj.states[0, 0] = float("nan")
+        with pytest.raises(DomainError):
+            toda.evolve_A(sys, traj)
 
     def test_empty_trajectory_rejected(self, rng):
         sys, _ = random_chain(rng, 3)
