@@ -124,7 +124,7 @@ def parse_config(text: str) -> ExperimentConfig:
         return val
 
     method = doc.get("method", "adaptive")
-    if method not in ("adaptive", "extrapolation", "rk4"):
+    if method not in ("adaptive", "rk4"):
         raise ConfigError(f"key 'method': unknown method {method!r}")
     stride = doc.get("stride", 10)
     if not isinstance(stride, int) or stride < 1:

@@ -86,13 +86,15 @@ class IntegratorConfig:
 
     method is "adaptive" (Dormand-Prince), "extrapolation" (order-12
     Gragg-Bulirsch-Stoer, for sparse output) or "rk4".  dt is the fixed step
-    for rk4 and the initial trial step for the adaptive methods.  stride
-    decimates the output: every stride-th accepted step is recorded (the
-    endpoints always are).
+    for rk4 and the initial trial step for the adaptive methods; it defaults
+    to 1e-3, or to 0.1 for extrapolation, whose error estimate is roundoff at
+    small steps, so that the controller grows dt only about 2x per step from
+    a small start.  stride decimates the output: every stride-th accepted
+    step is recorded (the endpoints always are).
     """
 
     method: str = "adaptive"
-    dt: float = 1e-3
+    dt: float | None = None
     rtol: float = 1e-10
     atol: float = 1e-12
     t_final: float = 10.0
@@ -101,6 +103,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4", "adaptive", "extrapolation"):
             raise DomainError(f"unknown integration method {self.method!r}")
+        if self.dt is None:
+            object.__setattr__(self, "dt", 0.1 if self.method == "extrapolation" else 1e-3)
         if not (self.dt > 0.0):
             raise DomainError("dt must be positive")
         if not (self.rtol > 0.0 and self.atol > 0.0):

@@ -340,10 +340,7 @@ def evolve_A(
     The chain state and A are co-integrated from the trajectory's initial
     state and sampled exactly at the trajectory times, so that
     A(t) L(0) A(t)^-1 reproduces L(t).  The default cfg is order-12
-    extrapolation at rtol 1e-12, which suits the usual few sample times.  It
-    starts from dt = 0.1, because roundoff dominates that method's error
-    estimate at small steps and the controller then grows dt only about 2x
-    per step.
+    extrapolation at rtol 1e-12, which suits the usual few sample times.
     """
     if len(traj) == 0:
         raise DomainError("cannot evolve A along an empty trajectory")
@@ -353,7 +350,7 @@ def evolve_A(
     unpack_state(sys, traj.states[0])  # validates the start; rhs reads packed states unchecked
     if cfg is None:
         cfg = IntegratorConfig(
-            method="extrapolation", dt=0.1, rtol=1e-12, atol=1e-14, t_final=max(traj.times[-1], 1e-6)
+            method="extrapolation", rtol=1e-12, atol=1e-14, t_final=max(traj.times[-1], 1e-6)
         )
 
     base = flow_field(sys)

@@ -183,12 +183,6 @@ class TestCommands:
     def test_unknown_subcommand_usage_error(self, capsys):
         assert cli.run_command(["frobnicate"]) == 2
 
-    def test_extrapolation_method_runs(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
-        cfgp = write_cfg(tmp_path, dict(CALM, method="extrapolation", rtol=1e-12, atol=1e-14))
-        assert cli.run_command(["toda", "run", "-c", cfgp]) == 0
-        assert capsys.readouterr().out.startswith("PASS ")
-
     def test_unknown_method_exits_two(self, tmp_path):
         with pytest.raises(ConfigError, match="'method'"):
             cli.parse_config(json.dumps(dict(MINIMAL, method="euler")))

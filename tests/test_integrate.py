@@ -150,6 +150,10 @@ def test_config_validation():
     with pytest.raises(DomainError):
         IntegratorConfig(method="euler")
     assert IntegratorConfig(method="extrapolation").method == "extrapolation"
+    # the start step is per method unless given
+    assert IntegratorConfig().dt == IntegratorConfig(method="rk4").dt == 1e-3
+    assert IntegratorConfig(method="extrapolation").dt == 0.1
+    assert IntegratorConfig(method="extrapolation", dt=1e-3).dt == 1e-3
     with pytest.raises(DomainError):
         IntegratorConfig(dt=-0.1)
     with pytest.raises(DomainError):
