@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -71,6 +72,24 @@ class ExperimentConfig:
         )
 
 
+def _number(key: str, val) -> float:
+    """A JSON or command-line scalar as a float; anything but a finite number is a ConfigError."""
+    try:
+        ok = not isinstance(val, bool) and math.isfinite(val)
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ConfigError(f"key {key!r}: need a finite number, got {val!r}")
+    return float(val)
+
+
+def _positive(key: str, val) -> float:
+    val = _number(key, val)
+    if not (val > 0.0):
+        raise ConfigError(f"key {key!r}: must be positive, got {val}")
+    return val
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment document.
 
@@ -104,7 +123,10 @@ def parse_config(text: str) -> ExperimentConfig:
     def vector(key, length, default=None):
         if key not in doc:
             return default
-        val = np.asarray(doc[key], dtype=float)
+        try:
+            val = np.asarray(doc[key], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"key {key!r}: need a list of numbers: {exc}") from exc
         if val.shape != (length,):
             raise ConfigError(f"key {key!r}: expected {length} entries, got shape {val.shape}")
         if not np.all(np.isfinite(val)):
@@ -118,10 +140,7 @@ def parse_config(text: str) -> ExperimentConfig:
     p_omega = vector("p_omega", n - 1, default=g.copy())
 
     def positive(key, default):
-        val = float(doc.get(key, default))
-        if not (val > 0.0):
-            raise ConfigError(f"key {key!r}: must be positive, got {val}")
-        return val
+        return _positive(key, doc.get(key, default))
 
     method = doc.get("method", "adaptive")
     if method not in ("adaptive", "rk4"):
@@ -142,8 +161,8 @@ def parse_config(text: str) -> ExperimentConfig:
         q=q,
         p=p,
         t_final=positive("t_final", None),
-        y=float(doc.get("y", 0.0)),
-        p_y=float(doc.get("p_y", 1.0)),
+        y=_number("y", doc.get("y", 0.0)),
+        p_y=_number("p_y", doc.get("p_y", 1.0)),
         omega=omega,
         p_omega=p_omega,
         method=method,
@@ -161,6 +180,12 @@ def _resolve_path(path: str) -> str:
     if os.path.isabs(path):
         return path
     return os.path.join(os.environ.get("TODALIFT_OUTDIR", "."), path)
+
+
+def _write_json(path: str, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def write_trajectory(traj: Trajectory, fmt: str, path: str) -> None:
@@ -184,9 +209,7 @@ def write_trajectory(traj: Trajectory, fmt: str, path: str) -> None:
             "monitors": {m: [float(v) for v in traj.monitors[m]] for m in mon_names},
             "drift": {m: float(traj.drift[m]) for m in traj.drift},
         }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(path, doc)
     else:
         raise ConfigError(f"unknown output format {fmt!r}")
 
@@ -208,10 +231,9 @@ def _report(tag: str, ok: bool, detail: str, path: str | None) -> int:
 def _load_config(args) -> ExperimentConfig:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
-    if getattr(args, "t_final", None) is not None:
-        cfg.t_final = args.t_final
-    if getattr(args, "rtol", None) is not None:
-        cfg.rtol = args.rtol
+    for key in ("t_final", "rtol"):
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, _positive(key, getattr(args, key)))
     if getattr(args, "seed", None) is not None:
         cfg.seed = args.seed
     if getattr(args, "out", None) is not None:
@@ -289,10 +311,7 @@ def _cmd_oplift_run(args) -> int:
             for row in rows:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     else:
-        doc = {lab: [float(r[j]) for r in rows] for j, lab in enumerate(labels)}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(path, {lab: [float(r[j]) for r in rows] for j, lab in enumerate(labels)})
     return _report("oplift-exact", det_drift < _GATE_DRIFT, f"raw_det_drift={det_drift:.3e} (gate {_GATE_DRIFT:g})", path)
 
 
@@ -325,9 +344,7 @@ def _cmd_oplift_compare(args) -> int:
             for k, v in pairs.items():
                 fh.write(f"{k},{v:.17g}\n")
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(pairs, fh, indent=2)
-            fh.write("\n")
+        _write_json(path, pairs)
     worst = max(pairs.values())
     return _report("oplift-compare", worst < _GATE_TRAJ, f"max_sup_dq={worst:.3e} (gate {_GATE_TRAJ:g})", path)
 
@@ -374,9 +391,7 @@ def _cmd_reduce_check(args) -> int:
         "eisenhart_sup_dq": sup_dq,
         "n_samples": report.n_samples,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, doc)
     worst = max(report.max_ydot_residual, report.max_kinetic_residual, report.max_block_residual)
     ok = worst < _GATE_DRIFT and sup_dq < _GATE_TRAJ
     return _report(
@@ -412,9 +427,8 @@ def _cmd_killing_extract(args) -> int:
         want = inv(position, mom)
         resid = max(resid, abs(killing.contract_table(table, args.k, mom) - want) / max(1.0, abs(want)))
     path = _out_path(cfg, f"killing_k{args.k}_{args.lift}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"lift": args.lift, "k": args.k, "components": {" ".join(map(str, idx)): val for idx, val in table.items()}, "contraction_residual": resid}, fh, indent=2)
-        fh.write("\n")
+    components = {" ".join(map(str, idx)): val for idx, val in table.items()}
+    _write_json(path, {"lift": args.lift, "k": args.k, "components": components, "contraction_residual": resid})
     return _report("killing-extract", resid < _GATE_EXTRACT, f"contraction_residual={resid:.3e} (gate {_GATE_EXTRACT:g})", path)
 
 
@@ -424,9 +438,7 @@ def _cmd_killing_verify(args) -> int:
     ks = [args.k] if args.k is not None else list(range(1, sys_.n + 1))
     reports = [killing.verify_killing(sys_, args.lift, k, seed=cfg.seed) for k in ks]
     path = _out_path(cfg, f"killing_verify_{args.lift}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2)
-        fh.write("\n")
+    _write_json(path, [r.to_dict() for r in reports])
     worst_b = max(r.bracket_max for r in reports)
     worst_d = max(r.drift_max for r in reports)
     ok = all(r.passed for r in reports)
@@ -461,9 +473,7 @@ def _cmd_identities_check(args) -> int:
         scale = max(1.0, float(np.max(np.abs(x))))
         out["udu_round_trip"] = max(out["udu_round_trip"], float(np.max(np.abs(recomposed - x))) / scale)
     path = _resolve_path(args.out or "identities.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(out, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, out)
     ok = (
         worst_products == 0.0
         and out["z_closed_form"] < 1e-13

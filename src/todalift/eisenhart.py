@@ -23,21 +23,17 @@ import numpy as np
 
 from .errors import DegenerateMetricError, DomainError
 from .integrate import IntegratorConfig, Trajectory, integrate
-from .toda import PhaseState, TodaSystem, lax_trace_monitors, packed_lax_traces, potential, potential_gradient, power_traces
+from .toda import PhaseState, TodaSystem, lax_pair, lax_trace_monitors, packed_lax_traces, potential, power_traces
 
 __all__ = [
     "EisenhartState",
-    "GeneralizedMomenta",
     "metric_eisenhart",
     "metric_eisenhart_inverse",
     "hamiltonian_eisenhart",
-    "geodesic_rhs",
     "lifted_lax",
     "lifted_invariants",
     "lax_chart",
-    "hamiltonian_generalized_couplings",
     "lift_from_toda",
-    "project_to_toda",
     "pack_state",
     "unpack_state",
     "state_labels",
@@ -74,19 +70,6 @@ class EisenhartState:
         return len(self.q)
 
 
-@dataclass(frozen=True)
-class GeneralizedMomenta:
-    """One momentum per coupling, replacing each g_i by ptilde_i g_i."""
-
-    ptilde: np.ndarray
-
-    def __post_init__(self):
-        pt = np.atleast_1d(np.asarray(self.ptilde, dtype=float))
-        if pt.ndim != 1 or not np.all(np.isfinite(pt)):
-            raise DomainError("ptilde must be a finite vector")
-        object.__setattr__(self, "ptilde", pt)
-
-
 def _check_dims(sys: TodaSystem, state: EisenhartState):
     if state.n != sys.n:
         raise DomainError(f"state has {state.n} particles, system has {sys.n}")
@@ -117,21 +100,6 @@ def hamiltonian_eisenhart(sys: TodaSystem, state: EisenhartState) -> float:
     return float(0.5 * np.dot(state.p, state.p) + state.p_y**2 * potential(sys, state.q))
 
 
-def geodesic_rhs(
-    sys: TodaSystem, state: EisenhartState
-) -> tuple[np.ndarray, float, np.ndarray, float]:
-    """Canonical flow of the lift Hamiltonian: (dq, dy, dp, dp_y)/dt.
-
-    dy/dt = 2 p_y V(q) and p_y is constant; at p_y = 1 the (q, p) block is
-    exactly the chain's own flow.
-    """
-    _check_dims(sys, state)
-    dq = state.p.copy()
-    dy = 2.0 * state.p_y * potential(sys, state.q)
-    dp = -(state.p_y**2) * potential_gradient(sys, state.q)
-    return dq, dy, dp, 0.0
-
-
 def lifted_lax(sys: TodaSystem, state: EisenhartState) -> tuple[np.ndarray, np.ndarray]:
     """Lax pair with every coupling multiplied by p_y.
 
@@ -139,10 +107,7 @@ def lifted_lax(sys: TodaSystem, state: EisenhartState) -> tuple[np.ndarray, np.n
     degree-k momentum polynomial.
     """
     _check_dims(sys, state)
-    scaled = TodaSystem(n=sys.n, g=state.p_y * sys.g)
-    from .toda import lax_pair
-
-    return lax_pair(scaled, PhaseState(q=state.q, p=state.p))
+    return lax_pair(TodaSystem(n=sys.n, g=state.p_y * sys.g), np.concatenate([state.q, state.p]))
 
 
 def lifted_invariants(sys: TodaSystem, state: EisenhartState, kmax: int) -> np.ndarray:
@@ -160,31 +125,8 @@ def lax_chart(sys: TodaSystem):
     return lambda x: (x[:n], x[n + 1 : 2 * n + 1], x[2 * n + 1] * g)
 
 
-def hamiltonian_generalized_couplings(
-    sys: TodaSystem, state: PhaseState, momenta: GeneralizedMomenta
-) -> float:
-    """Energy with each coupling g_i promoted to the momentum ptilde_i g_i:
-
-        sum(p^2)/2 + sum_i ptilde_i^2 g_i^2 exp(2 (q_i - q_{i+1})).
-
-    Constant ptilde = 1 recovers the chain energy; constant ptilde = c the
-    chain with couplings c g.
-    """
-    if state.n != sys.n:
-        raise DomainError(f"state has {state.n} particles, system has {sys.n}")
-    if momenta.ptilde.shape != (sys.n - 1,):
-        raise DomainError(f"ptilde must have length n-1={sys.n - 1}")
-    w = (momenta.ptilde * sys.g) ** 2 * np.exp(2.0 * (state.q[:-1] - state.q[1:]))
-    return float(0.5 * np.dot(state.p, state.p) + np.sum(w))
-
-
 def lift_from_toda(state: PhaseState, p_y: float = 1.0, y: float = 0.0) -> EisenhartState:
     return EisenhartState(q=state.q, y=y, p=state.p, p_y=p_y)
-
-
-def project_to_toda(state: EisenhartState) -> PhaseState:
-    """Drop the fibre coordinate and its momentum."""
-    return PhaseState(q=state.q, p=state.p)
 
 
 def pack_state(state: EisenhartState) -> np.ndarray:

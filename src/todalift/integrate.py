@@ -105,12 +105,14 @@ class IntegratorConfig:
             raise DomainError(f"unknown integration method {self.method!r}")
         if self.dt is None:
             object.__setattr__(self, "dt", 0.1 if self.method == "extrapolation" else 1e-3)
-        if not (self.dt > 0.0):
-            raise DomainError("dt must be positive")
+        if not (0.0 < self.dt < math.inf):
+            raise DomainError(f"dt must be positive and finite, got {self.dt}")
         if not (self.rtol > 0.0 and self.atol > 0.0):
             raise DomainError("rtol and atol must be positive")
-        if not (self.t_final > 0.0):
-            raise DomainError("t_final must be positive")
+        if not (0.0 < self.t_final < math.inf):
+            raise DomainError(f"t_final must be positive and finite, got {self.t_final}")
+        if not math.isfinite(self.t_final / self.dt):
+            raise DomainError(f"t_final / dt overflows: {self.t_final} / {self.dt}")
         if self.stride < 1:
             raise DomainError("stride must be >= 1")
 
@@ -291,10 +293,30 @@ class _ExtrapolationStepper(_AdaptiveStepper):
         return (*_gbs_step(self.rhs, self.t, self.y, dt, self.k1), None)
 
 
-def _stepper(rhs: Rhs, y0: np.ndarray, cfg: IntegratorConfig) -> _AdaptiveStepper:
-    """The adaptive stepper that cfg.method names."""
-    cls = _ExtrapolationStepper if cfg.method == "extrapolation" else _AdaptiveStepper
-    return cls(rhs, y0, cfg)
+class _RK4Stepper:
+    """Advances fixed-step RK4 to requested target times, on the grid
+    t + i*dt of each segment (see _rk4_grid)."""
+
+    def __init__(self, rhs: Rhs, y0: np.ndarray, cfg: IntegratorConfig):
+        self.rhs = rhs
+        self.t = 0.0
+        self.y = np.asarray(y0, dtype=float)
+        self.dt = cfg.dt
+        self.accepted = 0
+
+    def stats(self) -> dict[str, int]:
+        return {"nfev": 4 * self.accepted, "accepted": self.accepted, "rejected": 0}
+
+    def advance_to(self, t_target: float, on_accept=None) -> None:
+        for t_next in _rk4_grid(self.t, t_target, self.dt):
+            self.y = rk4_step(self.rhs, self.y, self.t, t_next - self.t)
+            self.t = t_next
+            self.accepted += 1
+            if on_accept is not None:
+                on_accept(self.t, self.y)
+
+
+_STEPPERS = {"rk4": _RK4Stepper, "adaptive": _AdaptiveStepper, "extrapolation": _ExtrapolationStepper}
 
 
 def _finish(times, states, monitors_spec, labels, stats):
@@ -331,33 +353,18 @@ def integrate(
     y0 = np.asarray(y0, dtype=float)
     times = [0.0]
     states = [y0.copy()]
+    stepper = _STEPPERS[cfg.method](rhs, y0, cfg)
 
-    if cfg.method == "rk4":
-        t, y = 0.0, y0
-        steps = 0
-        for t_next in _rk4_grid(0.0, cfg.t_final, cfg.dt):
-            y = rk4_step(rhs, y, t, t_next - t)
-            t = t_next
-            steps += 1
-            if steps % cfg.stride == 0 or t == cfg.t_final:
-                times.append(t)
-                states.append(y.copy())
-        stats = {"nfev": 4 * steps, "accepted": steps, "rejected": 0}
-    else:
-        stepper = _stepper(rhs, y0, cfg)
+    def record(t, y):
+        if stepper.accepted % cfg.stride == 0:
+            times.append(t)
+            states.append(y.copy())
 
-        def record(t, y):
-            if stepper.accepted % cfg.stride == 0:
-                times.append(t)
-                states.append(y.copy())
-
-        stepper.advance_to(cfg.t_final, on_accept=record)
-        if times[-1] != stepper.t:
-            times.append(stepper.t)
-            states.append(stepper.y.copy())
-        stats = stepper.stats()
-
-    return _finish(times, states, monitors, labels, stats)
+    stepper.advance_to(cfg.t_final, on_accept=record)
+    if times[-1] != stepper.t:
+        times.append(stepper.t)
+        states.append(stepper.y.copy())
+    return _finish(times, states, monitors, labels, stepper.stats())
 
 
 def integrate_at_times(
@@ -384,21 +391,8 @@ def integrate_at_times(
 
     y0 = np.asarray(y0, dtype=float)
     states = [y0.copy()]
-    if cfg.method == "rk4":
-        t, y = 0.0, y0
-        steps = 0
-        for target in sample_times[1:]:
-            for t_next in _rk4_grid(t, float(target), cfg.dt):
-                y = rk4_step(rhs, y, t, t_next - t)
-                t = t_next
-                steps += 1
-            states.append(y.copy())
-        stats = {"nfev": 4 * steps, "accepted": steps, "rejected": 0}
-    else:
-        stepper = _stepper(rhs, y0, cfg)
-        for target in sample_times[1:]:
-            stepper.advance_to(target)
-            states.append(stepper.y.copy())
-        stats = stepper.stats()
-
-    return _finish(sample_times, states, monitors, labels, stats)
+    stepper = _STEPPERS[cfg.method](rhs, y0, cfg)
+    for target in sample_times[1:]:
+        stepper.advance_to(target)
+        states.append(stepper.y.copy())
+    return _finish(sample_times, states, monitors, labels, stepper.stats())

@@ -37,11 +37,9 @@ from .integrate import IntegratorConfig, integrate_at_times, monitor_drift
 from .toda import TodaSystem, lax_energy, lax_trace_gradient, lax_traces
 
 __all__ = [
-    "SymmetricTensorField",
     "KillingReport",
     "extract_tensor",
     "contract_table",
-    "tensor_from_invariant",
     "poisson_bracket_fd",
     "verify_killing",
     "isometry_flow",
@@ -134,46 +132,6 @@ def extract_tensor(
                 f"extracted tensor fails its contraction gate: |{got} - {want}|"
             )
     return table
-
-
-@dataclass
-class SymmetricTensorField:
-    """Rank-k symmetric contravariant tensor with position-dependent entries.
-
-    Components are stored for sorted multi-indices only; queries with any
-    index order return the same value.
-    """
-
-    rank: int
-    dim: int
-    components: dict[tuple[int, ...], Callable[[np.ndarray], float]]
-
-    def component(self, idx, position) -> float:
-        key = tuple(sorted(int(i) for i in idx))
-        if len(key) != self.rank or not all(1 <= i <= self.dim for i in key):
-            raise DomainError(f"multi-index {idx} invalid for rank {self.rank}, dim {self.dim}")
-        return self.components[key](np.asarray(position, dtype=float))
-
-    def contract(self, position, momenta) -> float:
-        pos = np.asarray(position, dtype=float)
-        table = {idx: fn(pos) for idx, fn in self.components.items()}
-        return contract_table(table, self.rank, momenta)
-
-
-def tensor_from_invariant(invariant: Invariant, rank: int, dim: int) -> SymmetricTensorField:
-    """Wrap an invariant as a tensor field; extraction is cached per position."""
-    cache: dict[bytes, dict[tuple[int, ...], float]] = {}
-
-    def table_at(pos: np.ndarray) -> dict[tuple[int, ...], float]:
-        key = pos.tobytes()
-        if key not in cache:
-            cache[key] = extract_tensor(invariant, rank, dim, pos)
-        return cache[key]
-
-    components = {
-        idx: (lambda pos, idx=idx: table_at(pos)[idx]) for idx in _multi_indices(rank, dim)
-    }
-    return SymmetricTensorField(rank=rank, dim=dim, components=components)
 
 
 def poisson_bracket_fd(

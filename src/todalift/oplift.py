@@ -31,7 +31,7 @@ import numpy as np
 from .errors import ConstraintError, DefinitenessError, DomainError
 from .integrate import IntegratorConfig, Trajectory, integrate, integrate_at_times
 from .linalg import mat_exp, udu_decompose, unitriangular_inverse
-from .toda import TodaSystem, lax_trace_monitors, packed_lax_traces, power_traces
+from .toda import TodaSystem, lax_trace_monitors, lax_traces, packed_lax_traces
 
 __all__ = [
     "OPState",
@@ -46,15 +46,12 @@ __all__ = [
     "generalized_hamiltonian",
     "metric_generalized",
     "metric_generalized_inverse",
-    "geodesic_rhs_generalized",
-    "generalized_lax",
     "generalized_invariants",
     "lax_chart",
     "exact_geodesic",
     "exact_geodesic_raw",
     "initial_xdot",
     "xdot_xinv",
-    "form_decomposition",
     "monitors_general",
     "monitors_n2",
     "adjoint_expansion",
@@ -267,47 +264,11 @@ def metric_generalized_inverse(q) -> np.ndarray:
     return np.diag(diag)
 
 
-def geodesic_rhs_generalized(
-    sys: TodaSystem, state: OPState
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical flow: (dq, domega, dp_q, dp_omega)/dt.
-
-    p_omega is exactly conserved and the total momentum sum(p_q) as well, so
-    centered initial data stays centered.
-    """
-    if state.n != sys.n:
-        raise DomainError(f"state has {state.n} particles, system has {sys.n}")
-    w = state.p_omega**2 * np.exp(2.0 * (state.q[:-1] - state.q[1:]))
-    dq = state.p_q.copy()
-    domega = state.omega_dot()
-    dp_q = np.zeros(sys.n)
-    dp_q[:-1] -= 2.0 * w
-    dp_q[1:] += 2.0 * w
-    return dq, domega, dp_q, np.zeros(sys.n - 1)
-
-
-def generalized_lax(state: OPState) -> tuple[np.ndarray, np.ndarray]:
-    """Lax pair with every coupling promoted to its omega momentum.
-
-    Entries are homogeneous of degree one in (p_q, p_omega) and
-    Tr(L^2)/2 equals the generalised Hamiltonian.
-    """
-    n = state.n
-    w = state.p_omega * np.exp(2.0 * (state.q[:-1] - state.q[1:]))
-    lmat = np.diag(state.p_q.astype(float))
-    mmat = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    lmat[idx + 1, idx] = state.p_omega
-    lmat[idx, idx + 1] = w
-    mmat[idx, idx + 1] = 2.0 * w
-    return lmat, mmat
-
-
 def generalized_invariants(state: OPState, kmax: int) -> np.ndarray:
     """Tr(L^k)/k for the momentum-promoted Lax matrix, k = 1..kmax: shape (kmax,) for
     one OPState, (kmax, S) for packed states [q, omega, p_q, p_omega] of shape (S, 4n-2)."""
     if isinstance(state, OPState):
-        return power_traces(generalized_lax(state)[0], kmax)
+        return lax_traces(state.q[:, None], state.p_q[:, None], state.p_omega[:, None], kmax)[:, 0]
     n = max(2, (np.shape(state)[-1] + 2) // 4)
     return packed_lax_traces(state, 4 * n - 2, lax_chart(n), kmax)
 
@@ -396,17 +357,6 @@ def xdot_xinv(state) -> np.ndarray:
     term2 = (z * (2.0 * qdot)) @ zinv
     term3 = ((z * h2) @ np.swapaxes(zd, -1, -2)) @ (np.swapaxes(zinv, -1, -2) * (1.0 / h2)) @ zinv
     return term1 + term2 + term3
-
-
-def form_decomposition(state: OPState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split xdot x^{-1} into (diagonal, strictly-upper, strictly-lower) parts.
-
-    The diagonal entries 1..n-1 are the coefficients along the traceless
-    basis M_a; the last diagonal entry is dependent (the trace vanishes on
-    the centered slice).
-    """
-    v = xdot_xinv(state)
-    return np.diag(v).copy(), np.triu(v, 1), np.tril(v, -1)
 
 
 def monitors_general(sys: TodaSystem, n: int) -> list[FormMonitor]:

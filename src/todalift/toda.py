@@ -25,9 +25,7 @@ __all__ = [
     "TodaSystem",
     "PhaseState",
     "potential",
-    "potential_gradient",
     "hamiltonian",
-    "eom_rhs",
     "lax_pair",
     "invariants",
     "power_traces",
@@ -37,7 +35,6 @@ __all__ = [
     "lax_trace_gradient",
     "lax_energy",
     "lax_trace_monitors",
-    "com_split",
     "pack_state",
     "unpack_state",
     "state_labels",
@@ -96,37 +93,16 @@ def _check_dims(sys: TodaSystem, state: PhaseState):
         raise DomainError(f"state has {state.n} particles, system has {sys.n}")
 
 
-def _pair_weights(sys: TodaSystem, q: np.ndarray) -> np.ndarray:
-    """g_i^2 exp(2 (q_i - q_{i+1})) for each neighbour pair."""
-    return sys.g**2 * np.exp(2.0 * (q[:-1] - q[1:]))
-
-
 def potential(sys: TodaSystem, q) -> float:
     q = np.asarray(q, dtype=float)
     if q.shape != (sys.n,):
         raise DomainError(f"position vector must have length {sys.n}")
-    return float(np.sum(_pair_weights(sys, q)))
-
-
-def potential_gradient(sys: TodaSystem, q) -> np.ndarray:
-    """dV/dq_i; each pair weight pulls its left particle and pushes its right."""
-    q = np.asarray(q, dtype=float)
-    w = _pair_weights(sys, q)
-    grad = np.zeros(sys.n)
-    grad[:-1] += 2.0 * w
-    grad[1:] -= 2.0 * w
-    return grad
+    return float(np.sum(sys.g**2 * np.exp(2.0 * (q[:-1] - q[1:]))))
 
 
 def hamiltonian(sys: TodaSystem, state: PhaseState) -> float:
     _check_dims(sys, state)
     return float(0.5 * np.dot(state.p, state.p) + potential(sys, state.q))
-
-
-def eom_rhs(sys: TodaSystem, state: PhaseState) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical flow: dq/dt = p, dp/dt = -dV/dq."""
-    _check_dims(sys, state)
-    return state.p.copy(), -potential_gradient(sys, state.q)
 
 
 def lax_pair(sys: TodaSystem, state: PhaseState) -> tuple[np.ndarray, np.ndarray]:
@@ -146,14 +122,8 @@ def lax_pair(sys: TodaSystem, state: PhaseState) -> tuple[np.ndarray, np.ndarray
         if y.shape != (2 * n,):
             raise DomainError(f"packed state must have shape ({2 * n},), got {y.shape}")
         q, p = y[:n], y[n:]
-    w = sys.g * np.exp(2.0 * (q[:-1] - q[1:]))
-    lmat = np.diag(p)
-    mmat = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    lmat[idx + 1, idx] = sys.g
-    lmat[idx, idx + 1] = w
-    mmat[idx, idx + 1] = 2.0 * w
-    return lmat, mmat
+    lmat, _, upper = _lax_stack(q[:, None], p[:, None], sys.g[:, None])
+    return lmat[0], np.diag(2.0 * upper[:, 0], 1)
 
 
 def power_traces(lmat: np.ndarray, kmax: int) -> np.ndarray:
@@ -187,18 +157,20 @@ def lax_chart(sys: TodaSystem):
 def _lax_stack(q, p, couplings):
     """Lax matrices (M, n, n) of q, p (n, M) and couplings (n-1, M) or (n-1, 1).
 
-    As in lax_pair, L has p on the diagonal, c_i below it and c_i gap_i above
-    it, gap_i = exp(2 (q_i - q_{i+1})).  Returns (L, gap, upper = c gap).
+    The one place that writes entries of L, for every picture: p on the
+    diagonal, c_i below it and c_i gap_i above it, gap_i = exp(2 (q_i -
+    q_{i+1})).  Returns (L, gap, upper = c gap).
     """
     n, m = p.shape
-    diag = np.arange(n)
-    sub = np.arange(n - 1)
     gap = np.exp(2.0 * (q[:-1] - q[1:]))
     upper = couplings * gap
     lmat = np.zeros((m, n, n))
-    lmat[:, diag, diag] = p.T
-    lmat[:, sub + 1, sub] = couplings.T
-    lmat[:, sub, sub + 1] = upper.T
+    # entry (i, j) sits at i n + j of each flattened matrix: the diagonal is
+    # every (n+1)-th entry from 0, the subdiagonal from n, the superdiagonal from 1
+    flat = lmat.reshape(m, n * n)
+    flat[:, :: n + 1] = p.T
+    flat[:, n :: n + 1] = couplings.T
+    flat[:, 1 :: n + 1] = upper.T
     return lmat, gap, upper
 
 
@@ -261,19 +233,6 @@ def lax_trace_monitors(n: int, kmax: int | None, traces, chart):
     mons = {f"I_{k}": (lambda states, k=k: traces(states, k)[k - 1]) for k in range(1, kmax + 1)}
     mons["H"] = lambda states: lax_energy(*chart(states.T))
     return mons
-
-
-def com_split(sys: TodaSystem, state: PhaseState) -> tuple[PhaseState, float, float]:
-    """Remove the centre-of-mass motion.
-
-    Returns (centered state, Q, P) with Q = sum(q), P = sum(p).  The
-    potential only sees differences of positions, so it is unchanged.
-    """
-    _check_dims(sys, state)
-    big_q = float(np.sum(state.q))
-    big_p = float(np.sum(state.p))
-    centered = PhaseState(q=state.q - big_q / sys.n, p=state.p - big_p / sys.n)
-    return centered, big_q, big_p
 
 
 def pack_state(state: PhaseState) -> np.ndarray:

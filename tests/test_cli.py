@@ -193,6 +193,29 @@ class TestCommands:
         bad.write_text("{}")
         assert cli.run_command(["toda", "run", "-c", str(bad)]) == 2
 
+    @pytest.mark.parametrize(
+        "changes, flags",
+        [
+            ({"t_final": None}, []),
+            ({"p_y": [1, 2]}, []),
+            ({"rtol": {}}, []),
+            ({"y": "0.5"}, []),
+            ({"g": {}}, []),
+            ({"t_final": 10**400}, []),
+            ({"t_final": float("inf"), "method": "rk4"}, []),
+            ({"method": "rk4"}, ["--t-final", "inf"]),
+            ({}, ["--rtol", "nan"]),
+            ({"t_final": 1e300, "dt": 1e-300, "method": "rk4"}, []),
+        ],
+        ids=["null", "list", "object", "string", "object-vector", "huge-int", "inf", "inf-flag", "nan-flag", "step-overflow"],
+    )
+    def test_non_numeric_or_non_finite_scalars_exit_two(self, tmp_path, monkeypatch, capsys, changes, flags):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        cfgp = write_cfg(tmp_path, dict(MINIMAL, **changes))
+        assert cli.run_command(["toda", "run", "-c", cfgp] + flags) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err or "invalid experiment" in err
+
     def test_gate_failure_exits_one_with_report(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
         sloppy = dict(MINIMAL, rtol=1e-3, atol=1e-3, q=[0.5, -0.5], p=[0.4, -0.4])

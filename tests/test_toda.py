@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_chain
-from todalift import toda
+from todalift import eisenhart, oplift, toda
 from todalift.errors import DomainError
 from todalift.integrate import IntegratorConfig, rk4_step
 
@@ -48,24 +48,30 @@ class TestHamiltonian:
             toda.hamiltonian(sys, toda.PhaseState([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]))
 
 
+def chain_field(sys, st):
+    """(dq/dt, dp/dt) of the chain's flow field at one state."""
+    out = toda.flow_field(sys)(0.0, toda.pack_state(st))
+    return out[: sys.n], out[sys.n :]
+
+
 class TestEquationsOfMotion:
     def test_resting_pair_force(self):
         sys = toda.TodaSystem(2, [1.0])
-        dq, dp = toda.eom_rhs(sys, toda.PhaseState([0.0, 0.0], [0.0, 0.0]))
+        dq, dp = chain_field(sys, toda.PhaseState([0.0, 0.0], [0.0, 0.0]))
         assert np.array_equal(dq, [0.0, 0.0])
         assert np.allclose(dp, [-2.0, 2.0], atol=1e-15)
 
     def test_free_motion(self):
         sys = toda.TodaSystem(3, [0.0, 0.0])
         st = toda.PhaseState([0.3, -0.1, 0.4], [1.0, -0.5, 0.25])
-        dq, dp = toda.eom_rhs(sys, st)
+        dq, dp = chain_field(sys, st)
         assert np.array_equal(dq, st.p)
         assert np.array_equal(dp, np.zeros(3))
 
     def test_total_momentum_conserved_by_field(self, rng):
         for n in (2, 4, 6):
             sys, st = random_chain(rng, n)
-            _, dp = toda.eom_rhs(sys, st)
+            _, dp = chain_field(sys, st)
             assert abs(dp.sum()) < 1e-13
 
     @pytest.mark.parametrize("n", [2, 3, 6])
@@ -87,7 +93,7 @@ class TestEquationsOfMotion:
 
     def test_matches_hamiltonian_gradient(self, rng):
         sys, st = random_chain(rng, 4)
-        _, dp = toda.eom_rhs(sys, st)
+        _, dp = chain_field(sys, st)
         h = 1e-5
         for i in range(4):
             qp, qm = st.q.copy(), st.q.copy()
@@ -98,6 +104,18 @@ class TestEquationsOfMotion:
                 - toda.hamiltonian(sys, toda.PhaseState(qm, st.p))
             ) / (2.0 * h)
             assert abs(dp[i] + fd) < 1e-6
+
+    def test_reduced_two_body_hamiltonian(self, rng):
+        # relative motion is canonical in (q1 - q2, p1 - p2) with
+        # H = p^2/2 + 2 g^2 exp(2q): check the induced equation of motion
+        g1 = 1.3
+        sys = toda.TodaSystem(2, [g1])
+        for _ in range(10):
+            st = toda.PhaseState(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
+            dq, dp = chain_field(sys, st)
+            q_rel = st.q[0] - st.q[1]
+            assert abs((dq[0] - dq[1]) - (st.p[0] - st.p[1])) < 1e-14
+            assert abs((dp[0] - dp[1]) + 4.0 * g1**2 * math.exp(2.0 * q_rel)) < 1e-12
 
 
 class TestLaxPair:
@@ -151,6 +169,41 @@ class TestLaxPair:
         assert worst < 1e-6
 
 
+class TestOneLaxCore:
+    """Every picture's per-state Lax matrix and invariants are a column of the batched core."""
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_per_state_results_are_batch_slices(self, rng, n):
+        m, j = 4, 2
+        g = rng.uniform(-2.0, 2.0, n - 1)
+        g[0] = 0.0
+        sys = toda.TodaSystem(n, g)
+        q, p = rng.uniform(-1.0, 1.0, (n, m)), rng.uniform(-1.0, 1.0, (n, m))
+        st = toda.PhaseState(q[:, j], p[:, j])
+
+        lmat, gap, upper = toda._lax_stack(q, p, g[:, None])
+        for got in (toda.lax_pair(sys, st), toda.lax_pair(sys, toda.pack_state(st))):
+            assert got[0].tobytes() == lmat[j].tobytes()
+            assert got[1].tobytes() == np.diag(2.0 * upper[:, j], 1).tobytes()
+        chain = toda.lax_traces(q, p, g[:, None], n)
+        assert toda.invariants(sys, st, n).tobytes() == chain[:, j].tobytes()
+
+        p_y = rng.uniform(-2.0, 2.0, m)
+        lifted = eisenhart.EisenhartState(q=q[:, j], y=0.3, p=p[:, j], p_y=p_y[j])
+        couplings = p_y * g[:, None]
+        lifted_batch = toda._lax_stack(q, p, couplings)[0]
+        assert eisenhart.lifted_lax(sys, lifted)[0].tobytes() == lifted_batch[j].tobytes()
+        traces = toda.lax_traces(q, p, couplings, n)
+        assert eisenhart.lifted_invariants(sys, lifted, n).tobytes() == traces[:, j].tobytes()
+
+        p_omega = rng.uniform(-2.0, 2.0, (n - 1, m))
+        general = oplift.OPState(
+            q=q[:, j], omega=np.zeros(n - 1), p_q=p[:, j], p_omega=p_omega[:, j], centered=False
+        )
+        traces = toda.lax_traces(q, p, p_omega, n)
+        assert oplift.generalized_invariants(general, n).tobytes() == traces[:, j].tobytes()
+
+
 class TestInvariants:
     def test_first_is_total_momentum(self, rng):
         sys, st = random_chain(rng, 4)
@@ -194,34 +247,6 @@ class TestInvariants:
             cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=20.0, stride=10)
             traj = toda.run(sys, st, cfg)
             assert max(traj.drift.values()) < 1e-8
-
-
-class TestComSplit:
-    def test_uniform_state(self):
-        sys = toda.TodaSystem(2, [1.0])
-        centered, big_q, big_p = toda.com_split(sys, toda.PhaseState([1.0, 1.0], [2.0, 2.0]))
-        assert np.array_equal(centered.q, [0.0, 0.0])
-        assert np.array_equal(centered.p, [0.0, 0.0])
-        assert big_q == 2.0
-        assert big_p == 4.0
-
-    def test_potential_invariant(self, rng):
-        sys, st = random_chain(rng, 4)
-        shifted = toda.PhaseState(st.q + 3.7, st.p)
-        centered, _, _ = toda.com_split(sys, shifted)
-        assert abs(toda.potential(sys, centered.q) - toda.potential(sys, shifted.q)) < 1e-12
-
-    def test_reduced_two_body_hamiltonian(self, rng):
-        # relative motion is canonical in (q1 - q2, p1 - p2) with
-        # H = p^2/2 + 2 g^2 exp(2q): check the induced equation of motion
-        g1 = 1.3
-        sys = toda.TodaSystem(2, [g1])
-        for _ in range(10):
-            st = toda.PhaseState(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
-            dq, dp = toda.eom_rhs(sys, st)
-            q_rel = st.q[0] - st.q[1]
-            assert abs((dq[0] - dq[1]) - (st.p[0] - st.p[1])) < 1e-14
-            assert abs((dp[0] - dp[1]) + 4.0 * g1**2 * math.exp(2.0 * q_rel)) < 1e-12
 
 
 class TestEvolutionMatrix:
