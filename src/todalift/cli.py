@@ -117,7 +117,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"missing required configuration key {key!r}")
 
     n = doc["n"]
-    if not isinstance(n, int) or n < 2:
+    if type(n) is not int or n < 2:
         raise ConfigError("key 'n': need an integer >= 2")
 
     def vector(key, length, default=None):
@@ -146,13 +146,13 @@ def parse_config(text: str) -> ExperimentConfig:
     if method not in ("adaptive", "rk4"):
         raise ConfigError(f"key 'method': unknown method {method!r}")
     stride = doc.get("stride", 10)
-    if not isinstance(stride, int) or stride < 1:
+    if type(stride) is not int or stride < 1:
         raise ConfigError("key 'stride': need an integer >= 1")
     fmt = doc.get("output_format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"key 'output_format': must be csv or json, got {fmt!r}")
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ConfigError("key 'seed': need an integer")
 
     return ExperimentConfig(

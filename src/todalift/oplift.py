@@ -266,7 +266,11 @@ def metric_generalized_inverse(q) -> np.ndarray:
 
 def generalized_invariants(state: OPState, kmax: int) -> np.ndarray:
     """Tr(L^k)/k for the momentum-promoted Lax matrix, k = 1..kmax: shape (kmax,) for
-    one OPState, (kmax, S) for packed states [q, omega, p_q, p_omega] of shape (S, 4n-2)."""
+    one OPState, (kmax, S) for packed states [q, omega, p_q, p_omega] of shape (S, 4n-2).
+
+    L is the chain's Lax matrix with each coupling g_a replaced by p_omega_a, so
+    its entries are homogeneous of degree one in the momenta and I_2 is the
+    generalised Hamiltonian."""
     if isinstance(state, OPState):
         return lax_traces(state.q[:, None], state.p_q[:, None], state.p_omega[:, None], kmax)[:, 0]
     n = max(2, (np.shape(state)[-1] + 2) // 4)

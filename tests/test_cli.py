@@ -206,8 +206,13 @@ class TestCommands:
             ({"method": "rk4"}, ["--t-final", "inf"]),
             ({}, ["--rtol", "nan"]),
             ({"t_final": 1e300, "dt": 1e-300, "method": "rk4"}, []),
+            ({"stride": True}, []),
+            ({"seed": False}, []),
         ],
-        ids=["null", "list", "object", "string", "object-vector", "huge-int", "inf", "inf-flag", "nan-flag", "step-overflow"],
+        ids=[
+            "null", "list", "object", "string", "object-vector", "huge-int",
+            "inf", "inf-flag", "nan-flag", "step-overflow", "bool-stride", "bool-seed",
+        ],
     )
     def test_non_numeric_or_non_finite_scalars_exit_two(self, tmp_path, monkeypatch, capsys, changes, flags):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))

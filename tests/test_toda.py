@@ -181,7 +181,7 @@ class TestOneLaxCore:
         q, p = rng.uniform(-1.0, 1.0, (n, m)), rng.uniform(-1.0, 1.0, (n, m))
         st = toda.PhaseState(q[:, j], p[:, j])
 
-        lmat, gap, upper = toda._lax_stack(q, p, g[:, None])
+        lmat, _, upper = toda._lax_stack(q, p, g[:, None])
         for got in (toda.lax_pair(sys, st), toda.lax_pair(sys, toda.pack_state(st))):
             assert got[0].tobytes() == lmat[j].tobytes()
             assert got[1].tobytes() == np.diag(2.0 * upper[:, j], 1).tobytes()
