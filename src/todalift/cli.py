@@ -221,6 +221,15 @@ def _worst_drift(traj: Trajectory, names=None) -> tuple[float, str]:
     return traj.drift[name], f"max_drift={traj.drift[name]:.3e} at {name} t={at:.6g}"
 
 
+def _worst_sample(name: str, series: np.ndarray, times: np.ndarray, gate: float, what: str = "") -> tuple[bool, str]:
+    """Gate the largest entry of a per-sample residual; the detail names its sample, time and margin (gate/value)."""
+    i = int(np.argmax(series))
+    value = float(series[i])
+    margin = gate / value if value else math.inf
+    detail = f"{name}={value:.3e}{what} at sample {i} t={times[i]:.6g} (gate {gate:g}, margin {margin:.3g})"
+    return value < gate, detail
+
+
 def _report(tag: str, ok: bool, detail: str, path: str | None) -> int:
     status = "PASS" if ok else "FAIL"
     suffix = f" -> {path}" if path else ""
@@ -291,28 +300,27 @@ def _cmd_oplift_run(args) -> int:
         write_trajectory(traj, cfg.output_format, path)
         worst, where = _worst_drift(traj)
         return _report("oplift-run", worst < _GATE_DRIFT, f"{where} (gate {_GATE_DRIFT:g})", path)
-    # exact auto-parallel mode: sample the closed-form curve, report det drift
-    x0 = oplift.build_x(state.q, state.omega)
-    xd0 = oplift.initial_xdot(state, sys_)
+    # exact mode: the closed-form geodesic at 201 samples, gated on det x(t) and,
+    # where its q-projection is a Toda chain with couplings p_omega (omega = 0), on I_1..I_n
     times = np.linspace(0.0, cfg.t_final, 201)
-    rows = []
-    det_drift = 0.0
-    for t in times:
-        raw = oplift.exact_geodesic_raw(x0, xd0, float(t))
-        q, omega = oplift.project_to_coordinates(raw)
-        logdet = float(np.sum(np.log(linalg.udu_decompose(raw).hsq)))
-        det_drift = max(det_drift, abs(np.expm1(logdet)))
-        rows.append(np.concatenate([[t], q, omega]))
+    q, omega, qdot = oplift.exact_coordinates(state, sys_, times)
     path = _out_path(cfg, f"oplift_exact.{cfg.output_format}")
     labels = ["t"] + [f"q_{i}" for i in range(1, sys_.n + 1)] + [f"omega_{i}" for i in range(1, sys_.n)]
+    rows = np.column_stack([times, q, omega])
     if cfg.output_format == "csv":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(labels) + "\n")
             for row in rows:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
     else:
-        _write_json(path, {lab: [float(r[j]) for r in rows] for j, lab in enumerate(labels)})
-    return _report("oplift-exact", det_drift < _GATE_DRIFT, f"raw_det_drift={det_drift:.3e} (gate {_GATE_DRIFT:g})", path)
+        _write_json(path, {lab: rows[:, j].tolist() for j, lab in enumerate(labels)})
+    gates = [_worst_sample("det_drift", np.abs(np.expm1(2.0 * q.sum(axis=1))), times, _GATE_DRIFT)]
+    if not np.any(state.omega):
+        invs = toda.lax_traces(q.T, qdot.T, state.p_omega[:, None], sys_.n)
+        drift = np.abs(invs - invs[:, :1]) / np.maximum(1.0, np.abs(invs[:, :1]))
+        k = int(np.argmax(np.max(drift, axis=1)))
+        gates.append(_worst_sample("I_drift", drift[k], times, _GATE_DRIFT, f" in I_{k + 1}"))
+    return _report("oplift-exact", all(ok for ok, _ in gates), " ".join(d for _, d in gates), path)
 
 
 def _cmd_oplift_compare(args) -> int:
@@ -324,19 +332,16 @@ def _cmd_oplift_compare(args) -> int:
     otraj = integrate_at_times(
         oplift.flow_field_generalized(sys_), oplift.pack_state(state), ttraj.times, icfg
     )
-    x0 = oplift.build_x(state.q, state.omega)
-    xd0 = oplift.initial_xdot(state, sys_)
     n = sys_.n
     q_toda = ttraj.states[:, :n]
     q_ham = otraj.states[:, :n]
-    q_exact = np.array(
-        [oplift.project_to_coordinates(oplift.exact_geodesic(x0, xd0, float(t)))[0] for t in ttraj.times]
-    )
-    pairs = {
-        "toda_vs_hamiltonian": float(np.max(np.abs(q_toda - q_ham))),
-        "toda_vs_exact": float(np.max(np.abs(q_toda - q_exact))),
-        "hamiltonian_vs_exact": float(np.max(np.abs(q_ham - q_exact))),
+    q_exact = oplift.exact_coordinates(state, sys_, ttraj.times)[0]
+    per_sample = {
+        "toda_vs_hamiltonian": np.max(np.abs(q_toda - q_ham), axis=1),
+        "toda_vs_exact": np.max(np.abs(q_toda - q_exact), axis=1),
+        "hamiltonian_vs_exact": np.max(np.abs(q_ham - q_exact), axis=1),
     }
+    pairs = {k: float(np.max(v)) for k, v in per_sample.items()}
     path = _out_path(cfg, "oplift_compare.csv" if cfg.output_format == "csv" else "oplift_compare.json")
     if cfg.output_format == "csv":
         with open(path, "w", encoding="utf-8") as fh:
@@ -345,8 +350,9 @@ def _cmd_oplift_compare(args) -> int:
                 fh.write(f"{k},{v:.17g}\n")
     else:
         _write_json(path, pairs)
-    worst = max(pairs.values())
-    return _report("oplift-compare", worst < _GATE_TRAJ, f"max_sup_dq={worst:.3e} (gate {_GATE_TRAJ:g})", path)
+    worst = max(pairs, key=pairs.__getitem__)
+    ok, detail = _worst_sample("max_sup_dq", per_sample[worst], ttraj.times, _GATE_TRAJ, f" {worst}")
+    return _report("oplift-compare", ok, detail, path)
 
 
 def _cmd_forms_monitor(args) -> int:

@@ -11,7 +11,9 @@ parameterisation Z = exp(sum_a omega_a M_{a,a+1}) gives coordinates
 a multi-particle Eisenhart lift: one omega per coupling, and p_omega = g on
 the trajectories that reproduce the chain.  Auto-parallel curves are exact,
 x(t) = exp(B t) x0 with B = xdot0 x0^{-1}, which gives an integrator-free
-route to the same dynamics through the UDU projection.
+route to the same dynamics through the UDU projection.  exact_coordinates
+reads that projection at all sample times off one graded QR factorisation
+of the trailing minors of x(t), the chain's tau-functions, never forming x(t).
 
 Right-invariant one-forms contracted with the velocity supply conserved
 monitors.  Where a closed form for them admits more than one reading, the
@@ -28,9 +30,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConstraintError, DefinitenessError, DomainError
+from .errors import ConditioningError, ConstraintError, DefinitenessError, DomainError
 from .integrate import IntegratorConfig, Trajectory, integrate, integrate_at_times
-from .linalg import mat_exp, udu_decompose, unitriangular_inverse
+from .linalg import udu_decompose, unitriangular_inverse
 from .toda import TodaSystem, lax_trace_monitors, lax_traces, packed_lax_traces
 
 __all__ = [
@@ -48,6 +50,7 @@ __all__ = [
     "metric_generalized_inverse",
     "generalized_invariants",
     "lax_chart",
+    "exact_coordinates",
     "exact_geodesic",
     "exact_geodesic_raw",
     "initial_xdot",
@@ -66,11 +69,6 @@ __all__ = [
 ]
 
 _CENTER_TOL = 1e-10
-
-
-def _spd_logdet(arr: np.ndarray) -> float:
-    """log det of a symmetric positive definite matrix via the UDU pivots."""
-    return float(np.sum(np.log(udu_decompose(arr).hsq)))
 
 
 @dataclass(frozen=True)
@@ -282,6 +280,15 @@ def lax_chart(n: int):
     return lambda x: (x[:n], x[2 * n - 1 : 3 * n - 1], x[3 * n - 1 :])
 
 
+def _require_velocity_state(state: OPState, sys: TodaSystem) -> None:
+    """The start of an exact geodesic: n matches the system and sum(p_q) = 0."""
+    if state.n != sys.n:
+        raise DomainError(f"state has {state.n} particles, system has {sys.n}")
+    total_p = float(np.sum(state.p_q))
+    if abs(total_p) > _CENTER_TOL * max(1.0, float(np.max(np.abs(state.p_q)))):
+        raise ConstraintError(f"sum of q-momenta must vanish, got {total_p}")
+
+
 def initial_xdot(state: OPState, sys: TodaSystem) -> np.ndarray:
     """Velocity matrix xdot = Zdot h2 Z^T + Z d(h2)/dt Z^T + Z h2 Zdot^T.
 
@@ -289,11 +296,7 @@ def initial_xdot(state: OPState, sys: TodaSystem) -> np.ndarray:
     so that the motion stays on the unit-determinant slice
     (Tr(xdot x^{-1}) = 2 sum(qdot) = 0).
     """
-    if state.n != sys.n:
-        raise DomainError(f"state has {state.n} particles, system has {sys.n}")
-    total_p = float(np.sum(state.p_q))
-    if abs(total_p) > _CENTER_TOL * max(1.0, float(np.max(np.abs(state.p_q)))):
-        raise ConstraintError(f"sum of q-momenta must vanish, got {total_p}")
+    _require_velocity_state(state, sys)
     z = z_from_omega(state.omega, state.n)
     zd = z_dot_from_omega(state.omega, state.omega_dot())
     h2 = np.exp(2.0 * state.q)
@@ -337,10 +340,56 @@ def exact_geodesic_raw(x0: XPoint, xdot0, t: float) -> np.ndarray:
     return (m * np.exp(lam * t)) @ m.T
 
 
+def exact_coordinates(state: OPState, sys: TodaSystem, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """UDU coordinates (q, omega, qdot) of the exact geodesic through state, at every time.
+
+    With w = Z(omega) e^q (so x0 = w w^T) and S = w^{-1} xdot0 w^{-T} = Q Lam Q^T,
+    the curve is x(t) = M e^{Lam t} M^T for M = w Q.  Its UDU coordinates
+    follow from the trailing minors D_a = det x[a:, a:] (the tau-functions of
+    the chain) without forming x(t).  Let G = (M e^{Lam t/2})^T with its
+    columns in reverse order, and G = Q_t R_t by one batched QR over all
+    times.  The leading k columns of G belong to the trailing k x k block of
+    x(t), so each D_a is a product of squared R_ii.  For particles a = 1..n
+    and j = n - a (counted from 0):
+
+        q_a     = (log D_a - log D_{a+1}) / 2 = log|R_jj|,
+        qdot_a  = d/dt q_a = sum_i lam_i (Q_t)_ij^2 / 2,
+        omega_a = Z(t)_{a,a+1} = R_{j-1,j} / R_{j-1,j-1}     (a < n),
+
+    the last by Cramer's rule on the UDU factorisation of x[a:, a:].  Lam is
+    sorted in descending order and shifted by its largest entry, so the rows
+    of G are graded, which keeps Householder QR accurate, and long times do
+    not overflow.  Once the grading e^{(lam_max - lam_min) t/2} leaves the
+    double-precision range a ConditioningError is raised.  Shapes (T, n),
+    (T, n-1), (T, n) for T times.
+    """
+    _require_velocity_state(state, sys)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.ndim != 1 or not np.all((times >= 0.0) & np.isfinite(times)):
+        raise DomainError("times must be a 1-d array of finite non-negative values")
+    z, zd = _chain_z(state.omega, state.omega_dot())
+    # w^{-1} xdot0 w^{-T} = 2 diag(p_q) + h^{-1} K h + (h^{-1} K h)^T with K = Z^{-1} Zdot
+    wing = (_chain_z(-state.omega)[0] @ zd) * np.exp(state.q[None, :] - state.q[:, None])
+    lam, qmat = np.linalg.eigh(np.diag(2.0 * state.p_q) + wing + wing.T)
+    lam, qmat = lam[::-1], qmat[:, ::-1]
+    grading = 0.5 * (lam[0] - lam[-1]) * float(np.max(times, initial=0.0))
+    if grading > -math.log(np.finfo(float).tiny):
+        raise ConditioningError(f"x(t) spans exp({2.0 * grading:.4g}), beyond the double-precision range")
+    m = (z * np.exp(state.q)) @ qmat
+    # graded[t, i, j] = M[n-1-j, i] e^{(lam_i - lam_max) t / 2}
+    graded = m[::-1].T * np.exp(0.5 * np.multiply.outer(times, lam - lam[0]))[:, :, None]
+    qt, rt = np.linalg.qr(graded)
+    diag = np.diagonal(rt, axis1=1, axis2=2)
+    q = np.log(np.abs(diag[:, ::-1])) + 0.5 * lam[0] * times[:, None]
+    omega = (np.diagonal(rt, 1, axis1=1, axis2=2) / diag[:, :-1])[:, ::-1]
+    qdot = 0.5 * (lam @ qt**2)[:, ::-1]
+    return q, omega, qdot
+
+
 def exact_geodesic(x0: XPoint, xdot0, t: float) -> XPoint:
     """Auto-parallel curve through x0, renormalised back to det = 1."""
     raw = exact_geodesic_raw(x0, xdot0, t)
-    logdet = _spd_logdet(0.5 * (raw + raw.T))
+    logdet = float(np.sum(np.log(udu_decompose(0.5 * (raw + raw.T)).hsq)))
     return XPoint(x=raw * math.exp(-logdet / x0.dim))
 
 

@@ -291,3 +291,71 @@ class TestDriftGateLine:
         status, got_tag, _, name, _ = self.PATTERN.match(capsys.readouterr().out).groups()
         assert (status, got_tag) == (("PASS", "FAIL")[rc], tag)
         assert name in json.loads((tmp_path / "o.json").read_text())["monitors"]
+
+
+# Starts on which the materialised exp(Bt) x0 path lost its UDU pivots or its
+# unit determinant: criterion 6's two-body start, an n = 5 start shaped like
+# the README example, and a generic-omega start (n = 2, where the chain
+# coordinates cover the whole symmetric space, so all three pictures agree).
+EXACT_PATH_STARTS = {
+    "two-body": dict(MINIMAL, stride=1),
+    "n5": {
+        "n": 5,
+        "g": [0.8189619398993373, 0.3727827751770909, 1.129180610472243, 1.1645576448400665],
+        "q": [-0.5256220162409653, -0.4673642534550191, -0.3195292836312007, 0.15273105121166775, 0.9645992191846162],
+        "p": [0.4273713764353094, -0.1068329020934512, 0.24352895081269643, -0.18697606786538945, 0.1876357252371974],
+        "t_final": 10.0,
+        "p_y": 1.406125682371509,
+        "stride": 1,
+    },
+    "generic-omega": {"n": 2, "g": [0.8], "q": [-0.4, 0.3], "p": [0.3, -0.2], "omega": [0.6], "t_final": 10.0, "stride": 1},
+}
+
+
+class TestExactPath:
+    LINE = re.compile(
+        r"^(PASS|FAIL) (\S+) (\w+)=(\S+)( \S+)?( in I_\d+)? at sample (\d+) t=(\S+) \(gate (\S+), margin (\S+)\)"
+    )
+
+    @pytest.mark.parametrize("name", sorted(EXACT_PATH_STARTS))
+    def test_exact_mode_samples_every_start(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        cfgp = write_cfg(tmp_path, EXACT_PATH_STARTS[name])
+        assert cli.run_command(["oplift", "run", "--mode", "exact", "-c", cfgp]) == 0
+        line = capsys.readouterr().out
+        assert line.startswith("PASS oplift-exact det_drift=")
+        # omega = 0: the q-projection is a chain, so its invariants are gated too
+        assert ("I_drift=" in line) == (name != "generic-omega")
+        rows = np.loadtxt(tmp_path / "oplift_exact.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (201, 2 * EXACT_PATH_STARTS[name]["n"])
+        assert np.all(np.isfinite(rows))
+        assert np.array_equal(rows[:, 0], np.linspace(0.0, 10.0, 201))
+
+    @pytest.mark.parametrize("name", sorted(EXACT_PATH_STARTS))
+    def test_compare_agrees_on_every_start(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        cfgp = write_cfg(tmp_path, dict(EXACT_PATH_STARTS[name], output_format="json"))
+        assert cli.run_command(["oplift", "compare", "-c", cfgp]) == 0
+        status, tag, quantity, value, pair, _, _, _, gate, margin = self.LINE.match(capsys.readouterr().out).groups()
+        assert (status, tag, quantity, gate) == ("PASS", "oplift-compare", "max_sup_dq", "1e-06")
+        pairs = json.loads((tmp_path / "oplift_compare.json").read_text())
+        assert len(pairs) == 3 and max(pairs.values()) < 1e-6
+        assert pair.strip() == max(pairs, key=pairs.get)
+        assert float(value) == pytest.approx(max(pairs.values()), rel=1e-3)
+        assert float(margin) == pytest.approx(1e-6 / float(value), rel=1e-2)
+
+    def test_failing_compare_names_pair_sample_and_time(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        sloppy = dict(CALM, rtol=1e-4, atol=1e-4, output_format="json")
+        assert cli.run_command(["oplift", "compare", "-c", write_cfg(tmp_path, sloppy)]) == 1
+        status, _, _, value, pair, _, sample, at, _, margin = self.LINE.match(capsys.readouterr().out).groups()
+        pairs = json.loads((tmp_path / "oplift_compare.json").read_text())
+        assert status == "FAIL" and pair.strip() == max(pairs, key=pairs.get)
+        assert float(value) == pytest.approx(pairs[pair.strip()], rel=1e-3) and float(margin) < 1.0
+        assert int(sample) >= 1 and float(at) > 0.0
+
+    def test_exact_mode_beyond_double_range_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        cfgp = write_cfg(tmp_path, dict(MINIMAL, t_final=400.0))
+        assert cli.run_command(["oplift", "run", "--mode", "exact", "-c", cfgp]) == 1
+        assert "experiment failed" in capsys.readouterr().err

@@ -1,0 +1,162 @@
+"""Oracles for oplift.exact_coordinates, the closed-form exact geodesic.
+
+Each reference is computed here independently of the graded-QR evaluation:
+an rtol-1e-13 Dormand-Prince run of the generalised flow, a Cauchy-Binet
+sum over column subsets, the materialised exp(Bt) x0 path, the two-body
+closed form, Moser's scattering limit and the conserved fibre momenta.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from todalift import eisenhart, oplift, toda
+from todalift.errors import ConditioningError, ConstraintError, DomainError
+from todalift.integrate import IntegratorConfig, integrate_at_times
+
+
+def start(rng, n, generic_omega=False):
+    """Ascending positions, small momenta, couplings p_omega unrelated to any g."""
+    q = np.sort(rng.uniform(-1.0, 1.0, n))
+    q -= q.mean()
+    p = rng.uniform(-0.5, 0.5, n)
+    p -= p.mean()
+    p_omega = rng.uniform(0.3, 1.2, n - 1)
+    omega = rng.uniform(-0.7, 0.7, n - 1) if generic_omega else np.zeros(n - 1)
+    sys = toda.TodaSystem(n=n, g=rng.uniform(0.3, 1.2, n - 1))
+    return sys, oplift.OPState(q=q, omega=omega, p_q=p, p_omega=p_omega)
+
+
+@pytest.mark.parametrize("n", [2, 4, 5, 8])
+def test_matches_high_accuracy_flow(rng, n):
+    # from omega = 0 the exact geodesic's UDU coordinates follow the 2n-1 flow
+    sys, state = start(rng, n)
+    times = np.linspace(0.0, 40.0, 161)
+    q, omega, qdot = oplift.exact_coordinates(state, sys, times)
+    cfg = IntegratorConfig(rtol=1e-13, atol=1e-15, t_final=40.0)
+    ref = integrate_at_times(oplift.flow_field_generalized(sys), oplift.pack_state(state), times, cfg).states
+    assert np.max(np.abs(q - ref[:, :n])) < 1e-10
+    assert np.max(np.abs(qdot - ref[:, 2 * n - 1 : 3 * n - 1])) < 1e-10
+    ref_omega = ref[:, n : 2 * n - 1]
+    assert np.max(np.abs(omega - ref_omega)) < 1e-10 * max(1.0, float(np.max(np.abs(ref_omega))))
+
+
+def cauchy_binet(state, sys, times):
+    """log D_a(t) = log sum_S det(M[a:, S])^2 exp(t sum lam_S) and its time derivative."""
+    n = state.n
+    w = oplift.z_from_omega(state.omega, n) * np.exp(state.q)
+    s = np.linalg.solve(w, np.linalg.solve(w, oplift.initial_xdot(state, sys)).T)
+    lam, qmat = np.linalg.eigh(0.5 * (s + s.T))
+    m = w @ qmat
+    logd = np.zeros((n + 1, len(times)))
+    dlogd = np.zeros((n + 1, len(times)))
+    for a in range(n):
+        subsets = [list(c) for c in itertools.combinations(range(n), n - a)]
+        expo = np.array([math.log(np.linalg.det(m[a:, c]) ** 2) + times * lam[c].sum() for c in subsets])
+        top = expo.max(axis=0)
+        weights = np.exp(expo - top)
+        logd[a] = top + np.log(weights.sum(axis=0))
+        dlogd[a] = np.array([lam[c].sum() for c in subsets]) @ weights / weights.sum(axis=0)
+    return 0.5 * (logd[:-1] - logd[1:]).T, 0.5 * (dlogd[:-1] - dlogd[1:]).T
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 6])
+@pytest.mark.parametrize("generic_omega", [False, True])
+def test_matches_cauchy_binet_minor_sum(rng, n, generic_omega):
+    sys, state = start(rng, n, generic_omega)
+    times = np.linspace(0.0, 10.0, 41)
+    q, _, qdot = oplift.exact_coordinates(state, sys, times)
+    q_ref, qdot_ref = cauchy_binet(state, sys, times)
+    assert np.max(np.abs(q - q_ref)) < 1e-12
+    assert np.max(np.abs(qdot - qdot_ref)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_matches_materialised_path_at_generic_omega(rng, n):
+    sys, state = start(rng, n, generic_omega=True)
+    times = np.linspace(0.0, 2.0, 9)
+    q, omega, _ = oplift.exact_coordinates(state, sys, times)
+    x0 = oplift.build_x(state.q, state.omega)
+    xd0 = oplift.initial_xdot(state, sys)
+    for i, t in enumerate(times):
+        q_ref, omega_ref = oplift.project_to_coordinates(oplift.exact_geodesic_raw(x0, xd0, float(t)))
+        assert np.max(np.abs(q[i] - q_ref)) < 1e-11
+        assert np.max(np.abs(omega[i] - omega_ref)) < 1e-11
+
+
+def test_starts_at_the_state(rng):
+    sys, state = start(rng, 6, generic_omega=True)
+    q, omega, qdot = oplift.exact_coordinates(state, sys, [0.0])
+    assert np.max(np.abs(q[0] - state.q)) < 1e-14
+    assert np.max(np.abs(omega[0] - state.omega)) < 1e-14
+    assert np.max(np.abs(qdot[0] - state.p_q)) < 1e-14
+
+
+@pytest.mark.parametrize("t", [1.0, 10.0])
+def test_two_body_closed_form(t):
+    sys = toda.TodaSystem(2, [1.0])
+    state = oplift.OPState(q=[0.0, 0.0], omega=[0.0], p_q=[0.0, 0.0], p_omega=[1.0])
+    q, _, _ = oplift.exact_coordinates(state, sys, [t])
+    # ln cosh 2t without overflow or cancellation
+    ln_cosh = 2.0 * t - math.log(2.0) + math.log1p(math.exp(-4.0 * t))
+    assert abs(q[0, 0] - q[0, 1] + ln_cosh) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_momenta_tend_to_the_spectrum_of_L(rng, n):
+    # Moser (1975): qdot(t) -> sorted eigenvalues of L(0) as t -> infinity
+    sys, state = start(rng, n)
+    chain = toda.TodaSystem(n=n, g=state.p_omega)
+    lmat, _ = toda.lax_pair(chain, toda.PhaseState(q=state.q, p=state.p_q))
+    eig = np.sort(np.linalg.eigvals(lmat).real)
+    t_final = 40.0 / float(np.min(np.diff(eig)))
+    _, _, qdot = oplift.exact_coordinates(state, sys, [t_final])
+    assert np.max(np.abs(np.sort(qdot[0]) - eig)) < 1e-10
+
+
+def test_omega_fibre_from_the_momenta(rng):
+    # along the 2n-1 flow, p_omega_a omega_a + sum_{b<=a} p_b is conserved
+    sys, state = start(rng, 5)
+    times = np.linspace(0.0, 12.0, 49)
+    _, omega, qdot = oplift.exact_coordinates(state, sys, times)
+    fibre = state.omega - np.cumsum(qdot - state.p_q, axis=1)[:, :-1] / state.p_omega
+    assert np.max(np.abs(omega - fibre)) < 1e-10 * max(1.0, float(np.max(np.abs(omega))))
+
+
+@pytest.mark.parametrize("p_y", [1.3, 0.0])
+def test_eisenhart_fibre_from_the_momenta(rng, p_y):
+    # y(t) = y0 + (sum_a a p_a(t) - sum_a a p_a(0)) / p_y; y and p stay put at p_y = 0
+    sys, chain = toda.TodaSystem(n=4, g=rng.uniform(0.3, 1.2, 3)), start(rng, 4)[1]
+    state = eisenhart.EisenhartState(q=chain.q, y=0.4, p=chain.p_q, p_y=p_y)
+    traj = eisenhart.run_geodesic(sys, state, IntegratorConfig(rtol=1e-12, atol=1e-14, t_final=8.0, stride=5))
+    y, p = traj.states[:, 4], traj.states[:, 5:9]
+    if p_y:
+        weighted = p @ np.arange(1.0, 5.0)
+        assert np.max(np.abs(y - (0.4 + (weighted - weighted[0]) / p_y))) < 1e-9
+    else:
+        assert np.all(y == 0.4)
+        assert np.all(p == chain.p_q)
+
+
+def test_validates_the_start():
+    sys = toda.TodaSystem(3, [1.0, 1.0])
+    moving = oplift.OPState(q=[-0.5, 0.0, 0.5], omega=[0.0, 0.0], p_q=[0.1, 0.0, 0.0], p_omega=[1.0, 1.0])
+    with pytest.raises(ConstraintError, match="q-momenta"):
+        oplift.exact_coordinates(moving, sys, [1.0])
+    with pytest.raises(DomainError, match="particles"):
+        oplift.exact_coordinates(moving, toda.TodaSystem(2, [1.0]), [1.0])
+
+
+def test_long_times_stay_finite_up_to_the_double_precision_range():
+    # two-body start: lam = (2, -2), so the rows of the graded factor span exp(-2t)
+    sys = toda.TodaSystem(2, [1.0])
+    state = oplift.OPState(q=[0.0, 0.0], omega=[0.0], p_q=[0.0, 0.0], p_omega=[1.0])
+    q, omega, qdot = oplift.exact_coordinates(state, sys, [300.0])
+    assert abs(q[0, 0] - q[0, 1] + 600.0 - math.log(2.0)) <= 1e-12 * 600.0
+    assert np.all(np.isfinite(omega)) and np.max(np.abs(np.sort(qdot[0]) - [-1.0, 1.0])) < 1e-14
+    with pytest.raises(ConditioningError, match="double-precision"):
+        oplift.exact_coordinates(state, sys, [400.0])
+    with pytest.raises(DomainError, match="non-negative"):
+        oplift.exact_coordinates(state, sys, [-1.0])
