@@ -329,9 +329,7 @@ def _cmd_oplift_compare(args) -> int:
     state = _op_initial_state(cfg)
     icfg = cfg.integrator()
     ttraj = toda.run(sys_, toda.PhaseState(q=state.q, p=state.p_q), icfg, kmax=1)
-    otraj = integrate_at_times(
-        oplift.flow_field_generalized(sys_), oplift.pack_state(state), ttraj.times, icfg
-    )
+    otraj = integrate_at_times(oplift.flow_field_generalized(sys_), oplift.GENERALIZED.pack(state), ttraj.times, icfg)
     n = sys_.n
     q_toda = ttraj.states[:, :n]
     q_ham = otraj.states[:, :n]
@@ -407,24 +405,12 @@ def _cmd_reduce_check(args) -> int:
 
 def _cmd_killing_extract(args) -> int:
     cfg = _load_config(args)
-    sys_ = cfg.system()
-    n = sys_.n
-    if args.lift == "eisenhart":
-        position = np.concatenate([cfg.q, [cfg.y]])
-        dim = n + 1
-
-        def inv(pos, mom):
-            st = eisenhart.EisenhartState(q=pos[:n], y=pos[n], p=mom[:n], p_y=mom[n])
-            return float(eisenhart.lifted_invariants(sys_, st, args.k)[args.k - 1])
-
-    else:
-        position = np.concatenate([cfg.q - cfg.q.mean(), cfg.omega])
-        dim = 2 * n - 1
-
-        def inv(pos, mom):
-            st = oplift.OPState(q=pos[:n], omega=pos[n:], p_q=mom[:n], p_omega=mom[n:], centered=False)
-            return float(oplift.generalized_invariants(st, args.k)[args.k - 1])
-
+    picture = killing.LIFTS[args.lift]
+    q = cfg.q - cfg.q.mean() if picture.centred else cfg.q
+    # the configuration names the fibre like the state field: y or omega
+    position = np.concatenate([q, np.atleast_1d(getattr(cfg, picture.fields[1]))])
+    dim = len(position)
+    inv = picture.invariant(cfg.system(), args.k)
     table = killing.extract_tensor(inv, args.k, dim, position)
     rng = np.random.default_rng(cfg.seed)
     resid = 0.0
@@ -506,14 +492,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="todalift", description=__doc__)
     sub = parser.add_subparsers(dest="group", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("-c", "--config", required=True, help="JSON experiment configuration")
-        p.add_argument("--t-final", type=float, dest="t_final")
-        p.add_argument("--rtol", type=float)
+    def add_common(p, overrides=True):
+        p.add_argument("-c", "--config", required=True, help="JSON experiment configuration")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output file path")
-        p.add_argument("--format", choices=("csv", "json"))
+        if overrides:  # the Killing commands integrate and write at fixed settings
+            p.add_argument("--t-final", type=float, dest="t_final")
+            p.add_argument("--rtol", type=float)
+            p.add_argument("--format", choices=("csv", "json"))
 
     toda_p = sub.add_parser("toda", help="Toda chain runs").add_subparsers(dest="action", required=True)
     add_common(toda_p.add_parser("run", help="integrate the chain, monitor invariants"))
@@ -538,12 +524,12 @@ def _build_parser() -> argparse.ArgumentParser:
     kil = sub.add_parser("killing", help="Killing tensors").add_subparsers(dest="action", required=True)
     ext_p = kil.add_parser("extract", help="extract tensor components from an invariant")
     ext_p.add_argument("-k", type=int, required=True)
-    ext_p.add_argument("--lift", choices=("eisenhart", "generalized"), default="eisenhart")
-    add_common(ext_p)
+    ext_p.add_argument("--lift", choices=tuple(killing.LIFTS), default="eisenhart")
+    add_common(ext_p, overrides=False)
     ver_p = kil.add_parser("verify", help="bracket and drift verification")
-    ver_p.add_argument("--lift", choices=("eisenhart", "generalized"), required=True)
+    ver_p.add_argument("--lift", choices=tuple(killing.LIFTS), required=True)
     ver_p.add_argument("-k", type=int, default=None)
-    add_common(ver_p)
+    add_common(ver_p, overrides=False)
 
     idn = sub.add_parser("identities", help="structural identity sweep").add_subparsers(dest="action", required=True)
     chk = idn.add_parser("check", help="basis products, Z closed form, UDU round trip")

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetricError, DomainError
+from .errors import DegenerateMetricError
 from .integrate import IntegratorConfig, Trajectory, integrate
-from .toda import PhaseState, TodaSystem, lax_pair, lax_trace_monitors, packed_lax_traces, potential, power_traces
+from .toda import Picture, PictureState, TodaSystem, check_dims, lax_pair, potential, power_traces
 
 __all__ = [
     "EisenhartState",
@@ -32,20 +32,16 @@ __all__ = [
     "hamiltonian_eisenhart",
     "lifted_lax",
     "lifted_invariants",
-    "lax_chart",
-    "lift_from_toda",
-    "pack_state",
-    "unpack_state",
-    "state_labels",
     "flow_field",
-    "geodesic_monitors",
+    "EISENHART",
     "run_geodesic",
 ]
 
 
 @dataclass(frozen=True)
-class EisenhartState:
-    """Point of the lifted phase space: (q, y; p, p_y)."""
+class EisenhartState(PictureState):
+    """Point of the lifted phase space: (q, y; p, p_y).  y and p_y are floats,
+    given as scalars or, from a packed vector, as length-1 arrays."""
 
     q: np.ndarray
     y: float
@@ -53,36 +49,15 @@ class EisenhartState:
     p_y: float
 
     def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if q.shape != p.shape or q.ndim != 1:
-            raise DomainError("q and p must be equal-length vectors")
-        vals = [float(self.y), float(self.p_y)]
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p)) and np.all(np.isfinite(vals))):
-            raise DomainError("state entries must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "y", float(self.y))
-        object.__setattr__(self, "p_y", float(self.p_y))
-
-    @property
-    def n(self) -> int:
-        return len(self.q)
-
-
-def _check_dims(sys: TodaSystem, state: EisenhartState):
-    if state.n != sys.n:
-        raise DomainError(f"state has {state.n} particles, system has {sys.n}")
+        n = np.size(self.q)
+        self._store(q=n, y=1, p=n, p_y=1)
+        object.__setattr__(self, "y", float(self.y[0]))
+        object.__setattr__(self, "p_y", float(self.p_y[0]))
 
 
 def metric_eisenhart(sys: TodaSystem, q) -> np.ndarray:
     """Lift metric diag(1, ..., 1, 1/(2V(q))) over positions (q, y)."""
-    v = potential(sys, q)
-    if v <= 0.0:
-        raise DegenerateMetricError("lift metric degenerates where the potential vanishes")
-    diag = np.ones(sys.n + 1)
-    diag[-1] = 1.0 / (2.0 * v)
-    return np.diag(diag)
+    return np.diag(1.0 / np.diag(metric_eisenhart_inverse(sys, q)))
 
 
 def metric_eisenhart_inverse(sys: TodaSystem, q) -> np.ndarray:
@@ -96,7 +71,7 @@ def metric_eisenhart_inverse(sys: TodaSystem, q) -> np.ndarray:
 
 def hamiltonian_eisenhart(sys: TodaSystem, state: EisenhartState) -> float:
     """Geodesic energy sum(p^2)/2 + p_y^2 V(q)."""
-    _check_dims(sys, state)
+    check_dims(sys, state)
     return float(0.5 * np.dot(state.p, state.p) + state.p_y**2 * potential(sys, state.q))
 
 
@@ -106,7 +81,7 @@ def lifted_lax(sys: TodaSystem, state: EisenhartState) -> tuple[np.ndarray, np.n
     Each entry is homogeneous of degree one in (p, p_y), so Tr(L^k) is a
     degree-k momentum polynomial.
     """
-    _check_dims(sys, state)
+    check_dims(sys, state)
     return lax_pair(TodaSystem(n=sys.n, g=state.p_y * sys.g), np.concatenate([state.q, state.p]))
 
 
@@ -115,39 +90,7 @@ def lifted_invariants(sys: TodaSystem, state: EisenhartState, kmax: int) -> np.n
     one EisenhartState, (kmax, S) for packed states [q, y, p, p_y] of shape (S, 2n+2)."""
     if isinstance(state, EisenhartState):
         return power_traces(lifted_lax(sys, state)[0], kmax)
-    return packed_lax_traces(state, 2 * sys.n + 2, lax_chart(sys), kmax)
-
-
-def lax_chart(sys: TodaSystem):
-    """Map component-first packed states [q, y, p, p_y] (2n+2, M) to the Lax data (q, p, p_y g)."""
-    n = sys.n
-    g = sys.g[:, None]
-    return lambda x: (x[:n], x[n + 1 : 2 * n + 1], x[2 * n + 1] * g)
-
-
-def lift_from_toda(state: PhaseState, p_y: float = 1.0, y: float = 0.0) -> EisenhartState:
-    return EisenhartState(q=state.q, y=y, p=state.p, p_y=p_y)
-
-
-def pack_state(state: EisenhartState) -> np.ndarray:
-    return np.concatenate([state.q, [state.y], state.p, [state.p_y]])
-
-
-def unpack_state(sys: TodaSystem, vec: np.ndarray) -> EisenhartState:
-    n = sys.n
-    if len(vec) != 2 * n + 2:
-        raise DomainError(f"packed state must have length {2 * n + 2}")
-    return EisenhartState(q=vec[:n], y=float(vec[n]), p=vec[n + 1 : 2 * n + 1], p_y=float(vec[2 * n + 1]))
-
-
-def state_labels(sys: TodaSystem) -> tuple[str, ...]:
-    n = sys.n
-    return (
-        tuple(f"q_{i}" for i in range(1, n + 1))
-        + ("y",)
-        + tuple(f"p_{i}" for i in range(1, n + 1))
-        + ("p_y",)
-    )
+    return EISENHART.traces(sys.n, sys.g, state, kmax)
 
 
 def flow_field(sys: TodaSystem):
@@ -176,13 +119,18 @@ def flow_field(sys: TodaSystem):
     return rhs
 
 
-def geodesic_monitors(sys: TodaSystem, kmax: int | None = None):
-    """Monitors p_y, lifted I_1..I_kmax and the lift energy over recorded states."""
-    mons = {"p_y": lambda states: states[:, 2 * sys.n + 1]}
-    mons.update(
-        lax_trace_monitors(sys.n, kmax, lambda states, k: lifted_invariants(sys, states, k), lax_chart(sys))
-    )
-    return mons
+EISENHART = Picture(
+    name="eisenhart",
+    state=EisenhartState,
+    fields=("q", "y", "p", "p_y"),
+    fibre_labels=lambda n: ("y",),
+    couplings=lambda p_y, g: p_y * g,
+    # dI/dp_y = g . dI/dc
+    coupling_grad=lambda d_c, g: np.sum(g * d_c, axis=0, keepdims=True),
+    flow_field=flow_field,
+    invariants=lambda sys, states, k: lifted_invariants(sys, states, k),
+    extra_monitors=lambda n: {"p_y": lambda states: states[:, 2 * n + 1]},
+)
 
 
 def run_geodesic(
@@ -191,11 +139,4 @@ def run_geodesic(
     cfg: IntegratorConfig,
     kmax: int | None = None,
 ) -> Trajectory:
-    _check_dims(sys, state)
-    return integrate(
-        flow_field(sys),
-        pack_state(state),
-        cfg,
-        monitors=geodesic_monitors(sys, kmax),
-        labels=state_labels(sys),
-    )
+    return integrate(**EISENHART.run_args(sys, state, cfg, kmax))

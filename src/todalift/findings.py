@@ -93,15 +93,16 @@ def lambda_factor_finding(seed: int = 0, n: int = 4) -> dict:
     """
     sys, _, traj = _reference_trajectory(seed, n)
     g = sys.g
+    _, omega, qdots, _ = oplift.GENERALIZED.split(traj.states.T, n)
     fitted = {}
     drift = {"alpha=1": {}, "alpha=2": {}}
     for a in range(1, n + 1):
-        qdot = traj.states[:, 2 * n - 1 + (a - 1)]
+        qdot = qdots[a - 1]
         coupling_part = np.zeros(len(traj.times))
         if a <= n - 1:
-            coupling_part += g[a - 1] * traj.states[:, n + (a - 1)]
+            coupling_part += g[a - 1] * omega[a - 1]
         if a >= 2:
-            coupling_part -= g[a - 2] * traj.states[:, n + (a - 2)]
+            coupling_part -= g[a - 2] * omega[a - 2]
         var = float(np.var(qdot))
         if var > 1e-18:
             alpha = -float(np.mean((qdot - qdot.mean()) * (coupling_part - coupling_part.mean()))) / var
@@ -136,7 +137,7 @@ def zdot_orientation_finding(seed: int = 0, n: int = 3) -> dict:
     sup_superdiag = 0.0
     sup_anomaly = 0.0
     for vec in traj.states:
-        s = oplift.unpack_state(sys, vec, centered=False)
+        s = oplift.GENERALIZED.unpack(sys, vec, centered=False)
         z = oplift.z_from_omega(s.omega, n)
         zd = oplift.z_dot_from_omega(s.omega, s.omega_dot())
         zinv = unitriangular_inverse(z)
@@ -161,9 +162,7 @@ def zdot_orientation_finding(seed: int = 0, n: int = 3) -> dict:
     for tag, omega0 in (("omega0=0", np.zeros(n - 1)), ("omega0 generic", rng.uniform(-0.7, 0.7, n - 1))):
         s0 = oplift.OPState(q=state0.q, omega=omega0, p_q=state0.p_q, p_omega=state0.p_omega)
         times = np.linspace(0.0, 5.0, 6)
-        htraj = integrate_at_times(
-            oplift.flow_field_generalized(sys), oplift.pack_state(s0), times, cfg
-        )
+        htraj = integrate_at_times(oplift.flow_field_generalized(sys), oplift.GENERALIZED.pack(s0), times, cfg)
         q_exact = oplift.exact_coordinates(s0, sys, times)[0]
         tracking[tag] = float(np.max(np.abs(q_exact - htraj.states[:, :n])))
 

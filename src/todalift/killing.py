@@ -38,6 +38,7 @@ from .toda import TodaSystem, lax_energy, lax_trace_gradient, lax_traces
 
 __all__ = [
     "KillingReport",
+    "LIFTS",
     "extract_tensor",
     "contract_table",
     "poisson_bracket_fd",
@@ -188,42 +189,8 @@ class KillingReport:
         return json.dumps(self.to_dict())
 
 
-def _eisenhart_phase(sys: TodaSystem):
-    """Packed layout [q, y, p, p_y]; the couplings are p_y g."""
-    n = sys.n
-    g = sys.g[:, None]
-
-    def gradient(d_q, d_p, d_c):
-        # I does not depend on y, and dI/dp_y = g . dI/dc
-        d_y = np.zeros((1, d_q.shape[1]))
-        return np.concatenate([d_q, d_y, d_p, np.sum(g * d_c, axis=0, keepdims=True)])
-
-    def random_packed(rng):
-        q = rng.uniform(-1.0, 1.0, n)
-        p = rng.uniform(-1.0, 1.0, n)
-        return np.concatenate([q, rng.uniform(-1.0, 1.0, 1), p, rng.uniform(-1.0, 1.0, 1)])
-
-    return eisenhart.lax_chart(sys), gradient, random_packed, eisenhart.flow_field(sys)
-
-
-def _generalized_phase(sys: TodaSystem):
-    """Packed layout [q, omega, p_q, p_omega]; the couplings are p_omega."""
-    n = sys.n
-
-    def gradient(d_q, d_p, d_c):
-        # I does not depend on omega
-        return np.concatenate([d_q, np.zeros_like(d_c), d_p, d_c])
-
-    def random_packed(rng):
-        q = rng.uniform(-1.0, 1.0, n)
-        q -= q.mean()
-        p = rng.uniform(-1.0, 1.0, n)
-        p -= p.mean()
-        return np.concatenate(
-            [q, rng.uniform(-1.0, 1.0, n - 1), p, rng.uniform(-1.0, 1.0, n - 1)]
-        )
-
-    return oplift.lax_chart(n), gradient, random_packed, oplift.flow_field_generalized(sys)
+# the lifts whose I_k verify_killing checks, by name
+LIFTS = {picture.name: picture for picture in (eisenhart.EISENHART, oplift.GENERALIZED)}
 
 
 def verify_killing(
@@ -250,11 +217,8 @@ def verify_killing(
     drawn first and the geodesic starts after them, from one seeded
     generator, so a seed always selects the same points.
     """
-    if lift == "eisenhart":
-        chart, gradient, random_packed, field = _eisenhart_phase(sys)
-    elif lift == "generalized":
-        chart, gradient, random_packed, field = _generalized_phase(sys)
-    else:
+    picture = LIFTS.get(lift) if isinstance(lift, str) else None
+    if picture is None:
         raise DomainError(f"unknown lift {lift!r}")
     if not (1 <= k <= sys.n):
         raise DomainError(f"k must satisfy 1 <= k <= {sys.n}, got {k}")
@@ -262,12 +226,13 @@ def verify_killing(
         raise DomainError("samples and geodesics must be positive")
 
     rng = np.random.default_rng(seed)
-    points = np.stack([random_packed(rng) for _ in range(samples)], axis=1)
-    starts = np.stack([random_packed(rng) for _ in range(geodesics)], axis=1)
+    points = np.stack([picture.random_state(rng, sys.n) for _ in range(samples)], axis=1)
+    starts = np.stack([picture.random_state(rng, sys.n) for _ in range(geodesics)], axis=1)
+    chart, field = picture.chart(sys.n, sys.g), picture.flow_field(sys)
 
     q, p, c = chart(points)
     value, d_q, d_p, d_c = lax_trace_gradient(q, p, c, k)
-    bracket = np.sum(gradient(d_q, d_p, d_c) * field(0.0, points), axis=0)
+    bracket = np.sum(picture.gradient(sys.g, d_q, d_p, d_c) * field(0.0, points), axis=0)
     scale = np.maximum(1.0, np.abs(value) * np.abs(lax_energy(q, p, c)))
     bracket_max = float(np.max(np.abs(bracket) / scale))
 

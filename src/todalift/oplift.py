@@ -26,14 +26,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .errors import ConditioningError, ConstraintError, DefinitenessError, DomainError
 from .integrate import IntegratorConfig, Trajectory, integrate, integrate_at_times
 from .linalg import udu_decompose, unitriangular_inverse
-from .toda import TodaSystem, lax_trace_monitors, lax_traces, packed_lax_traces
+from .toda import Picture, PictureState, TodaSystem, check_dims, lax_traces
 
 __all__ = [
     "OPState",
@@ -49,7 +49,6 @@ __all__ = [
     "metric_generalized",
     "metric_generalized_inverse",
     "generalized_invariants",
-    "lax_chart",
     "exact_coordinates",
     "exact_geodesic",
     "exact_geodesic_raw",
@@ -60,11 +59,8 @@ __all__ = [
     "adjoint_expansion",
     "reduction_check",
     "compare_reduced_eisenhart",
-    "pack_state",
-    "unpack_state",
-    "state_labels",
     "flow_field_generalized",
-    "generalized_monitors",
+    "GENERALIZED",
     "run_geodesic_generalized",
 ]
 
@@ -72,7 +68,7 @@ _CENTER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class OPState:
+class OPState(PictureState):
     """Point of the lifted phase space: (q, omega; p_q, p_omega).
 
     q is centered (sum q = 0) because the unit-determinant constraint pins
@@ -87,26 +83,11 @@ class OPState:
     centered: bool = True
 
     def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        om = np.atleast_1d(np.asarray(self.omega, dtype=float))
-        pq = np.atleast_1d(np.asarray(self.p_q, dtype=float))
-        pw = np.atleast_1d(np.asarray(self.p_omega, dtype=float))
-        n = len(q)
-        if pq.shape != (n,) or om.shape != (n - 1,) or pw.shape != (n - 1,):
-            raise DomainError("inconsistent component lengths for an n-particle state")
-        for arr in (q, om, pq, pw):
-            if not np.all(np.isfinite(arr)):
-                raise DomainError("state entries must be finite")
+        n = np.size(self.q)
+        self._store(q=n, omega=n - 1, p_q=n, p_omega=n - 1)
+        q = self.q
         if self.centered and abs(float(np.sum(q))) > _CENTER_TOL * max(1.0, float(np.max(np.abs(q)))):
             raise ConstraintError(f"positions must be centered, sum q = {float(np.sum(q))}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "omega", om)
-        object.__setattr__(self, "p_q", pq)
-        object.__setattr__(self, "p_omega", pw)
-
-    @property
-    def n(self) -> int:
-        return len(self.q)
 
     def omega_dot(self) -> np.ndarray:
         """Velocities 2 p_omega_a exp(2 (q_a - q_{a+1})) implied by the momenta."""
@@ -150,12 +131,13 @@ class XPoint:
 class FormMonitor:
     """Named quantity conserved along geodesics.
 
-    evaluate takes one OPState, or a component-first batch of states (see
-    generalized_monitors) and then returns one value per state.
+    evaluate takes one OPState, or an unvalidated OPState whose fields are
+    component-first batches (see toda.Picture.view) and then returns one
+    value per state.
     """
 
     name: str
-    evaluate: Callable[[OPState | _StateBatch], float | np.ndarray]
+    evaluate: Callable[[OPState], float | np.ndarray]
 
 
 def _chain_z(omega, omega_dot=None) -> tuple[np.ndarray, np.ndarray]:
@@ -239,19 +221,14 @@ def generalized_hamiltonian(sys: TodaSystem, state: OPState) -> float:
     The couplings appear nowhere: they return as the conserved values of
     p_omega.  At p_omega = g this equals the chain energy of (q, p_q).
     """
-    if state.n != sys.n:
-        raise DomainError(f"state has {state.n} particles, system has {sys.n}")
+    check_dims(sys, state)
     w = state.p_omega**2 * np.exp(2.0 * (state.q[:-1] - state.q[1:]))
     return float(0.5 * np.dot(state.p_q, state.p_q) + np.sum(w))
 
 
 def metric_generalized(q) -> np.ndarray:
     """Block metric: identity over q, diag(exp(-2(q_a - q_{a+1}))/2) over omega."""
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    n = len(q)
-    diag = np.ones(2 * n - 1)
-    diag[n:] = 0.5 * np.exp(-2.0 * (q[:-1] - q[1:]))
-    return np.diag(diag)
+    return np.diag(1.0 / np.diag(metric_generalized_inverse(q)))
 
 
 def metric_generalized_inverse(q) -> np.ndarray:
@@ -271,19 +248,12 @@ def generalized_invariants(state: OPState, kmax: int) -> np.ndarray:
     generalised Hamiltonian."""
     if isinstance(state, OPState):
         return lax_traces(state.q[:, None], state.p_q[:, None], state.p_omega[:, None], kmax)[:, 0]
-    n = max(2, (np.shape(state)[-1] + 2) // 4)
-    return packed_lax_traces(state, 4 * n - 2, lax_chart(n), kmax)
-
-
-def lax_chart(n: int):
-    """Map component-first packed states [q, omega, p_q, p_omega] (4n-2, M) to the Lax data (q, p_q, p_omega)."""
-    return lambda x: (x[:n], x[2 * n - 1 : 3 * n - 1], x[3 * n - 1 :])
+    return GENERALIZED.traces(max(2, (np.shape(state)[-1] + 2) // 4), None, state, kmax)
 
 
 def _require_velocity_state(state: OPState, sys: TodaSystem) -> None:
     """The start of an exact geodesic: n matches the system and sum(p_q) = 0."""
-    if state.n != sys.n:
-        raise DomainError(f"state has {state.n} particles, system has {sys.n}")
+    check_dims(sys, state)
     total_p = float(np.sum(state.p_q))
     if abs(total_p) > _CENTER_TOL * max(1.0, float(np.max(np.abs(state.p_q)))):
         raise ConstraintError(f"sum of q-momenta must vanish, got {total_p}")
@@ -577,34 +547,7 @@ def adjoint_expansion(q, omega, generator) -> AdjointExpansion:
 
 
 # ---------------------------------------------------------------------------
-# Packed-state plumbing for the integrator
-
-
-def pack_state(state: OPState) -> np.ndarray:
-    return np.concatenate([state.q, state.omega, state.p_q, state.p_omega])
-
-
-def unpack_state(sys: TodaSystem, vec: np.ndarray, centered: bool = True) -> OPState:
-    n = sys.n
-    if len(vec) != 4 * n - 2:
-        raise DomainError(f"packed state must have length {4 * n - 2}")
-    return OPState(
-        q=vec[:n],
-        omega=vec[n : 2 * n - 1],
-        p_q=vec[2 * n - 1 : 3 * n - 1],
-        p_omega=vec[3 * n - 1 :],
-        centered=centered,
-    )
-
-
-def state_labels(sys: TodaSystem) -> tuple[str, ...]:
-    n = sys.n
-    return (
-        tuple(f"q_{i}" for i in range(1, n + 1))
-        + tuple(f"omega_{i}" for i in range(1, n))
-        + tuple(f"p_{i}" for i in range(1, n + 1))
-        + tuple(f"p_omega_{i}" for i in range(1, n))
-    )
+# The Hamiltonian flow and the picture record
 
 
 def flow_field_generalized(sys: TodaSystem):
@@ -631,31 +574,17 @@ def flow_field_generalized(sys: TodaSystem):
     return rhs
 
 
-class _StateBatch(NamedTuple):
-    """Unvalidated component-first view of recorded states, (len, S) per field."""
-
-    q: np.ndarray
-    omega: np.ndarray
-    p_q: np.ndarray
-    p_omega: np.ndarray
-    omega_dot = OPState.omega_dot
-
-
-def generalized_monitors(
-    sys: TodaSystem, kmax: int | None = None, extra_monitors: list[FormMonitor] | None = None
-):
-    """Monitors for the generalised geodesic run over recorded states.
-
-    The invariants I_1..I_kmax and the energy come first, then each form
-    monitor, evaluated once on the component-first batch of all samples.
-    """
-    n = sys.n
-    mons = lax_trace_monitors(n, kmax, lambda states, k: generalized_invariants(states, k), lax_chart(n))
-    for fm in extra_monitors or []:
-        mons[fm.name] = lambda states, fm=fm: fm.evaluate(
-            _StateBatch(*np.split(states.T, [n, 2 * n - 1, 3 * n - 1]))
-        )
-    return mons
+GENERALIZED = Picture(
+    name="generalized",
+    state=OPState,
+    fields=("q", "omega", "p_q", "p_omega"),
+    fibre_labels=lambda n: tuple(f"omega_{i}" for i in range(1, n)),
+    couplings=lambda p_omega, g: p_omega,
+    coupling_grad=lambda d_c, g: d_c,
+    flow_field=flow_field_generalized,
+    invariants=lambda sys, states, k: generalized_invariants(states, k),
+    centred=True,
+)
 
 
 def run_geodesic_generalized(
@@ -665,13 +594,7 @@ def run_geodesic_generalized(
     kmax: int | None = None,
     extra_monitors: list[FormMonitor] | None = None,
 ) -> Trajectory:
-    return integrate(
-        flow_field_generalized(sys),
-        pack_state(state),
-        cfg,
-        monitors=generalized_monitors(sys, kmax, extra_monitors),
-        labels=state_labels(sys),
-    )
+    return integrate(**GENERALIZED.run_args(sys, state, cfg, kmax, extra_monitors or ()))
 
 
 # ---------------------------------------------------------------------------
@@ -696,10 +619,10 @@ class ReductionReport:
 
 def reduction_check(sys: TodaSystem, traj: Trajectory) -> ReductionReport:
     n = sys.n
-    if traj.states.ndim != 2 or traj.states.shape[1] != 4 * n - 2:
+    if traj.states.ndim != 2 or traj.states.shape[1] != GENERALIZED.dim(n):
         raise DomainError("trajectory was not produced by the generalised lift")
-    x, g = traj.states.T, sys.g[:, None]
-    q, p_omega = x[:n], x[3 * n - 1 :]
+    q, _, _, p_omega = GENERALIZED.split(traj.states.T, n)
+    g = sys.g[:, None]
     if float(np.max(np.abs(p_omega - g))) > 1e-8 * max(1.0, float(np.max(np.abs(sys.g)))):
         raise DomainError("reduction identities need a trajectory with p_omega = g")
     gap = np.exp(2.0 * (q[:-1] - q[1:]))
@@ -735,8 +658,6 @@ def compare_reduced_eisenhart(
         p=state.p_q,
         p_y=1.0,
     )
-    etraj = integrate_at_times(
-        eisenhart.flow_field(sys), eisenhart.pack_state(e0), traj.times, cfg
-    )
+    etraj = integrate_at_times(eisenhart.flow_field(sys), eisenhart.EISENHART.pack(e0), traj.times, cfg)
     sup = float(np.max(np.abs(traj.states[:, : sys.n] - etraj.states[:, : sys.n])))
     return sup, traj

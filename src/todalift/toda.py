@@ -15,6 +15,7 @@ momentum and I_2 the Hamiltonian.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,23 +24,20 @@ from .integrate import IntegratorConfig, Trajectory, integrate, integrate_at_tim
 
 __all__ = [
     "TodaSystem",
+    "PictureState",
     "PhaseState",
     "potential",
     "hamiltonian",
     "lax_pair",
     "invariants",
     "power_traces",
-    "lax_chart",
     "lax_traces",
-    "packed_lax_traces",
     "lax_trace_gradient",
     "lax_energy",
-    "lax_trace_monitors",
-    "pack_state",
-    "unpack_state",
-    "state_labels",
+    "check_dims",
+    "Picture",
+    "CHAIN",
     "flow_field",
-    "invariant_monitors",
     "run",
     "evolve_A",
 ]
@@ -68,27 +66,39 @@ class TodaSystem:
         object.__setattr__(self, "g", g)
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    q: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if q.shape != p.shape or q.ndim != 1:
-            raise DomainError(f"q and p must be equal-length vectors, got {q.shape} and {p.shape}")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise DomainError("phase-space entries must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+class PictureState:
+    """Base of the state dataclasses of every picture: the particle count and field validation."""
 
     @property
     def n(self) -> int:
         return len(self.q)
 
+    def _store(self, **lengths) -> None:
+        """Store each named field as a finite float vector of the given length."""
+        for name, length in lengths.items():
+            value = np.asarray(getattr(self, name), dtype=float)
+            if value.ndim == 0:
+                value = value.reshape(1)
+            if value.shape != (length,):
+                raise DomainError(f"{name} must be a vector of length {length}, got shape {value.shape}")
+            # half the cost of np.all(np.isfinite(v)); extraction builds a state per evaluation
+            if not np.isfinite(value).all():
+                raise DomainError(f"state entries must be finite, got {name} = {value}")
+            object.__setattr__(self, name, value)
 
-def _check_dims(sys: TodaSystem, state: PhaseState):
+
+@dataclass(frozen=True)
+class PhaseState(PictureState):
+    q: np.ndarray
+    p: np.ndarray
+
+    def __post_init__(self):
+        n = np.size(self.q)
+        self._store(q=n, p=n)
+
+
+def check_dims(sys: TodaSystem, state) -> None:
+    """Raise unless a state of any picture has the system's particle count."""
     if state.n != sys.n:
         raise DomainError(f"state has {state.n} particles, system has {sys.n}")
 
@@ -101,7 +111,7 @@ def potential(sys: TodaSystem, q) -> float:
 
 
 def hamiltonian(sys: TodaSystem, state: PhaseState) -> float:
-    _check_dims(sys, state)
+    check_dims(sys, state)
     return float(0.5 * np.dot(state.p, state.p) + potential(sys, state.q))
 
 
@@ -115,7 +125,7 @@ def lax_pair(sys: TodaSystem, state: PhaseState) -> tuple[np.ndarray, np.ndarray
     """
     n = sys.n
     if isinstance(state, PhaseState):
-        _check_dims(sys, state)
+        check_dims(sys, state)
         q, p = state.q, state.p
     else:
         y = np.asarray(state, dtype=float)
@@ -145,13 +155,7 @@ def invariants(sys: TodaSystem, state: PhaseState, kmax: int) -> np.ndarray:
     for one PhaseState, (kmax, S) for packed states [q, p] of shape (S, 2n)."""
     if isinstance(state, PhaseState):
         return power_traces(lax_pair(sys, state)[0], kmax)
-    return packed_lax_traces(state, 2 * sys.n, lax_chart(sys), kmax)
-
-
-def lax_chart(sys: TodaSystem):
-    """Map component-first packed states [q, p] (2n, M) to the Lax data (q, p, g)."""
-    n = sys.n
-    return lambda x: (x[:n], x[n:], sys.g[:, None])
+    return CHAIN.traces(sys.n, sys.g, state, kmax)
 
 
 def _lax_stack(q, p, couplings):
@@ -177,13 +181,6 @@ def _lax_stack(q, p, couplings):
 def lax_traces(q, p, couplings, kmax: int) -> np.ndarray:
     """Tr(L^k)/k for k = 1..kmax of component-first batches, shape (kmax, M)."""
     return power_traces(_lax_stack(q, p, couplings)[0], kmax)
-
-
-def packed_lax_traces(states, dim: int, chart, kmax: int) -> np.ndarray:
-    """lax_traces of recorded packed states (S, dim), read through a picture's Lax chart."""
-    if np.ndim(states) != 2 or np.shape(states)[1] != dim:
-        raise DomainError(f"packed states must have shape (samples, {dim}), got {np.shape(states)}")
-    return lax_traces(*chart(np.asarray(states, dtype=float).T), kmax)
 
 
 def lax_trace_gradient(q, p, couplings, k: int):
@@ -220,35 +217,117 @@ def lax_energy(q, p, couplings) -> np.ndarray:
     return 0.5 * np.sum(p * p, axis=0) + np.sum(couplings**2 * np.exp(2.0 * (q[:-1] - q[1:])), axis=0)
 
 
-def lax_trace_monitors(n: int, kmax: int | None, traces, chart):
-    """Monitors I_1..I_kmax and H over recorded states of shape (S, d).
+@dataclass(frozen=True)
+class Picture:
+    """One picture of the chain over the shared packed layout [q, fibre, p, p_fibre].
 
-    traces(states, k) is the picture's invariants function on recorded
-    states, shape (k, S); chart maps the component-first states (d, S) to
-    (q, p, couplings).  Each monitor returns one value per sample.
+    The chain and its two lifts differ in their fibre and in where the Lax
+    couplings come from: g, p_y g or p_omega.  Each picture module holds one
+    record; everything else is written here once.
     """
-    kmax = n if kmax is None else kmax
-    if not (1 <= kmax <= n):
-        raise DomainError(f"kmax must satisfy 1 <= kmax <= {n}, got {kmax}")
-    mons = {f"I_{k}": (lambda states, k=k: traces(states, k)[k - 1]) for k in range(1, kmax + 1)}
-    mons["H"] = lambda states: lax_energy(*chart(states.T))
-    return mons
 
+    name: str
+    state: type  # the state dataclass
+    fields: tuple  # its attributes in packed order, None where there is no fibre
+    fibre_labels: Callable[[int], tuple]  # fibre coordinates of n particles; each momentum is "p_" + label
+    couplings: Callable  # (p_fibre (f, M), g (n-1, 1)) -> the Lax couplings (n-1, M)
+    coupling_grad: Callable  # (dI/dc (n-1, M), g) -> dI/dp_fibre (f, M), the chain rule of couplings
+    flow_field: Callable  # sys -> the vector field over packed states
+    # (sys, states, k) -> the public invariants function, looked up when called
+    invariants: Callable
+    extra_monitors: Callable[[int], dict] = lambda n: {}  # listed before I_k and H
+    centred: bool = False  # lives on sum q = 0; random starts centre q and p
 
-def pack_state(state: PhaseState) -> np.ndarray:
-    return np.concatenate([state.q, state.p])
+    def fibres(self, n: int) -> int:
+        """Fibre count: 0, 1 or n-1."""
+        return len(self.fibre_labels(n))
 
+    def dim(self, n: int) -> int:
+        return 2 * (n + self.fibres(n))
 
-def unpack_state(sys: TodaSystem, y: np.ndarray) -> PhaseState:
-    n = sys.n
-    if len(y) != 2 * n:
-        raise DomainError(f"packed state must have length {2 * n}")
-    return PhaseState(q=y[:n], p=y[n : 2 * n])
+    def split(self, x, n: int):
+        """(q, fibre, p, p_fibre) of packed states, along the first axis of x."""
+        f = self.fibres(n)
+        return x[:n], x[n : n + f], x[n + f : 2 * n + f], x[2 * n + f :]
 
+    def pack(self, state) -> np.ndarray:
+        return np.concatenate([np.atleast_1d(getattr(state, name)) for name in self.fields if name])
 
-def state_labels(sys: TodaSystem) -> tuple[str, ...]:
-    n = sys.n
-    return tuple(f"q_{i}" for i in range(1, n + 1)) + tuple(f"p_{i}" for i in range(1, n + 1))
+    def unpack(self, sys: TodaSystem, vec, **options):
+        """The validated state of one packed vector; options go to the state dataclass."""
+        if len(vec) != self.dim(sys.n):
+            raise DomainError(f"packed state must have length {self.dim(sys.n)}")
+        parts = self.split(np.asarray(vec, dtype=float), sys.n)
+        return self.state(**{name: v for name, v in zip(self.fields, parts) if name}, **options)
+
+    def view(self, x, n: int):
+        """Unvalidated state whose fields are rows of component-first packed states (dim, S)."""
+        state = object.__new__(self.state)
+        for name, v in zip(self.fields, self.split(x, n)):
+            if name:
+                object.__setattr__(state, name, v)
+        return state
+
+    def labels(self, n: int) -> tuple[str, ...]:
+        fibre = self.fibre_labels(n)
+        q, p = (tuple(f"{c}_{i}" for i in range(1, n + 1)) for c in "qp")
+        return q + fibre + p + tuple("p_" + name for name in fibre)
+
+    def chart(self, n: int, g=None):
+        """Map component-first packed states (dim, M) to the Lax data (q, p, couplings)."""
+        g = None if g is None else np.asarray(g)[:, None]
+
+        def chart(x):
+            q, _, p, p_fibre = self.split(x, n)
+            return q, p, self.couplings(p_fibre, g)
+
+        return chart
+
+    def traces(self, n: int, g, states, kmax: int) -> np.ndarray:
+        """Tr(L^k)/k, k = 1..kmax, of recorded packed states (S, dim); shape (kmax, S)."""
+        if np.ndim(states) != 2 or np.shape(states)[1] != self.dim(n):
+            raise DomainError(f"packed states must have shape (samples, {self.dim(n)}), got {np.shape(states)}")
+        return lax_traces(*self.chart(n, g)(np.asarray(states, dtype=float).T), kmax)
+
+    def monitors(self, sys: TodaSystem, kmax: int | None = None, forms=()):
+        """Monitors over recorded packed states (S, dim), one value per sample: the
+        extra monitors, I_1..I_kmax, H, then each form monitor on a view of all samples."""
+        n = sys.n
+        kmax = n if kmax is None else kmax
+        if not (1 <= kmax <= n):
+            raise DomainError(f"kmax must satisfy 1 <= kmax <= {n}, got {kmax}")
+        chart = self.chart(n, sys.g)
+        mons = dict(self.extra_monitors(n))
+        for k in range(1, kmax + 1):
+            mons[f"I_{k}"] = lambda states, k=k: self.invariants(sys, states, k)[k - 1]
+        mons["H"] = lambda states: lax_energy(*chart(states.T))
+        for fm in forms:
+            mons[fm.name] = lambda states, fm=fm: fm.evaluate(self.view(states.T, n))
+        return mons
+
+    def run_args(self, sys: TodaSystem, state, cfg, kmax: int | None = None, forms=()) -> dict:
+        """The arguments of integrate for a monitored run from one state."""
+        check_dims(sys, state)
+        return dict(rhs=self.flow_field(sys), y0=self.pack(state), cfg=cfg,
+                    monitors=self.monitors(sys, kmax, forms), labels=self.labels(sys.n))
+
+    def gradient(self, g, d_q, d_p, d_c) -> np.ndarray:
+        """Packed gradient (dim, M) of I_k from its Lax-data gradient; I does not depend on the fibre."""
+        fibre = np.zeros((self.fibres(len(d_q)), d_q.shape[1]))
+        return np.concatenate([d_q, fibre, d_p, self.coupling_grad(d_c, np.asarray(g)[:, None])])
+
+    def random_state(self, rng, n: int) -> np.ndarray:
+        """Packed phase point, uniform in [-1, 1], drawn in the order q, p, fibre, fibre momenta."""
+        q, p = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+        if self.centred:
+            q -= q.mean()
+            p -= p.mean()
+        f = self.fibres(n)
+        return np.concatenate([q, rng.uniform(-1.0, 1.0, f), p, rng.uniform(-1.0, 1.0, f)])
+
+    def invariant(self, sys: TodaSystem, k: int):
+        """I_k(position, momenta) of one phase point, as killing.extract_tensor takes it."""
+        return lambda pos, mom: float(self.invariants(sys, np.concatenate([pos, mom])[None, :], k)[k - 1, 0])
 
 
 def flow_field(sys: TodaSystem):
@@ -269,9 +348,16 @@ def flow_field(sys: TodaSystem):
     return rhs
 
 
-def invariant_monitors(sys: TodaSystem, kmax: int | None = None):
-    """Monitors I_1..I_kmax and H over recorded packed states [q, p]."""
-    return lax_trace_monitors(sys.n, kmax, lambda states, k: invariants(sys, states, k), lax_chart(sys))
+CHAIN = Picture(
+    name="chain",
+    state=PhaseState,
+    fields=("q", None, "p", None),
+    fibre_labels=lambda n: (),
+    couplings=lambda p_fibre, g: g,
+    coupling_grad=lambda d_c, g: np.zeros((0, d_c.shape[1])),
+    flow_field=flow_field,
+    invariants=lambda sys, states, k: invariants(sys, states, k),
+)
 
 
 def run(
@@ -281,14 +367,7 @@ def run(
     kmax: int | None = None,
 ) -> Trajectory:
     """Integrate the chain, monitoring the trace invariants and the energy."""
-    _check_dims(sys, state)
-    return integrate(
-        flow_field(sys),
-        pack_state(state),
-        cfg,
-        monitors=invariant_monitors(sys, kmax),
-        labels=state_labels(sys),
-    )
+    return integrate(**CHAIN.run_args(sys, state, cfg, kmax))
 
 
 def evolve_A(
@@ -306,7 +385,7 @@ def evolve_A(
     n = sys.n
     if traj.states.shape[1] != 2 * n:
         raise DomainError("trajectory was not produced by this system")
-    unpack_state(sys, traj.states[0])  # validates the start; rhs reads packed states unchecked
+    CHAIN.unpack(sys, traj.states[0])  # validates the start; rhs reads packed states unchecked
     if cfg is None:
         cfg = IntegratorConfig(
             method="extrapolation", rtol=1e-12, atol=1e-14, t_final=max(traj.times[-1], 1e-6)

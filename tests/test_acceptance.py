@@ -56,14 +56,14 @@ def test_criterion_2_lax_equation_residuals():
         traj = toda.run(sys, st, cfg, kmax=1)
         worst_base = max(
             worst_base,
-            _fd_lax_residual(sys, traj, toda.lax_pair, toda.unpack_state, toda.flow_field(sys)),
+            _fd_lax_residual(sys, traj, toda.lax_pair, toda.CHAIN.unpack, toda.flow_field(sys)),
         )
-        lifted = eisenhart.lift_from_toda(st, p_y=0.8)
+        lifted = eisenhart.EisenhartState(q=st.q, y=0.0, p=st.p, p_y=0.8)
         ltraj = eisenhart.run_geodesic(sys, lifted, cfg, kmax=1)
         worst_lift = max(
             worst_lift,
             _fd_lax_residual(
-                sys, ltraj, eisenhart.lifted_lax, eisenhart.unpack_state, eisenhart.flow_field(sys)
+                sys, ltraj, eisenhart.lifted_lax, eisenhart.EISENHART.unpack, eisenhart.flow_field(sys)
             ),
         )
     ok = worst_base < 1e-6 and worst_lift < 1e-6
@@ -79,7 +79,7 @@ def test_criterion_3_evolution_matrix_conjugation():
     l0, _ = toda.lax_pair(sys, st)
     worst = 0.0
     for amat, vec in zip(mats, traj.states):
-        lt, _ = toda.lax_pair(sys, toda.unpack_state(sys, vec))
+        lt, _ = toda.lax_pair(sys, toda.CHAIN.unpack(sys, vec))
         worst = max(worst, float(np.max(np.abs(amat @ l0 @ np.linalg.inv(amat) - lt))))
     _line(3, worst < 1e-6, f"max |A L(0) A^-1 - L(t)| = {worst:.3e} over t in [0,20], n=3 (tol 1e-06)")
 
@@ -90,9 +90,9 @@ def test_criterion_4_eisenhart_equivalence():
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=20.0, stride=10)
     sups = []
     for p_y in (1.0, 1.7):
-        traj = eisenhart.run_geodesic(sys, eisenhart.lift_from_toda(st, p_y=p_y), cfg, kmax=1)
+        traj = eisenhart.run_geodesic(sys, eisenhart.EisenhartState(q=st.q, y=0.0, p=st.p, p_y=p_y), cfg, kmax=1)
         scaled = toda.TodaSystem(4, p_y * sys.g)
-        ref = integrate_at_times(toda.flow_field(scaled), toda.pack_state(st), traj.times, cfg)
+        ref = integrate_at_times(toda.flow_field(scaled), toda.CHAIN.pack(st), traj.times, cfg)
         sups.append(float(np.max(np.abs(traj.states[:, :4] - ref.states[:, :4]))))
     ok = max(sups) < 1e-6
     _line(4, ok, f"sup|dq| p_y=1: {sups[0]:.3e}, p_y=1.7 vs couplings 1.7g: {sups[1]:.3e} (tol 1e-06)")
@@ -108,7 +108,7 @@ def test_criterion_5_three_way_agreement():
         state = oplift.OPState(q=st.q, omega=np.zeros(n - 1), p_q=st.p, p_omega=sys.g)
         ttraj = toda.run(sys, st, cfg, kmax=1)
         otraj = integrate_at_times(
-            oplift.flow_field_generalized(sys), oplift.pack_state(state), ttraj.times, cfg
+            oplift.flow_field_generalized(sys), oplift.GENERALIZED.pack(state), ttraj.times, cfg
         )
         x0 = oplift.build_x(state.q, state.omega)
         xd0 = oplift.initial_xdot(state, sys)
@@ -141,7 +141,7 @@ def test_criterion_6_two_body_closed_form():
     traj = toda.run(sys, st, cfg, kmax=1)
     errs["toda"] = abs((traj.states[-1][0] - traj.states[-1][1]) - target)
 
-    etraj = eisenhart.run_geodesic(sys, eisenhart.lift_from_toda(st, 1.0), cfg, kmax=1)
+    etraj = eisenhart.run_geodesic(sys, eisenhart.EisenhartState(q=st.q, y=0.0, p=st.p, p_y=1.0), cfg, kmax=1)
     errs["eisenhart"] = abs((etraj.states[-1][0] - etraj.states[-1][1]) - target)
 
     state = oplift.OPState(q=[0.0, 0.0], omega=[0.0], p_q=[0.0, 0.0], p_omega=[1.0])

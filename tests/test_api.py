@@ -1,9 +1,15 @@
 import importlib
+import importlib.util
+import inspect
+import pathlib
 import pkgutil
 
+import numpy as np
 import pytest
 
 import todalift
+from todalift import eisenhart, oplift, toda
+from todalift.integrate import IntegratorConfig
 
 MODULES = ["todalift"] + [f"todalift.{info.name}" for info in pkgutil.iter_modules(todalift.__path__)]
 
@@ -13,3 +19,46 @@ def test_every_exported_name_exists(name):
     module = importlib.import_module(name)
     missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
     assert missing == []
+
+
+def _benchmark_tracer():
+    """perfbench/tracer.py, imported by path and only read: the layers the benchmark wraps."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_layers_exist():
+    tracer = _benchmark_tracer()
+    for modname, funcs in tracer.LAYERS.items():
+        module = importlib.import_module(f"todalift.{modname}")
+        assert [f for f in funcs if not callable(getattr(module, f, None))] == [], modname
+    for fname in ("integrate", "integrate_at_times"):
+        params = inspect.signature(getattr(todalift.integrate, fname)).parameters
+        assert {"rhs", "monitors"} <= set(params), fname
+
+
+def test_benchmark_spans_are_recorded():
+    # the per-layer metrics of the benchmark read these spans; a route that
+    # bypasses a module-global lookup would leave them empty
+    tracer = _benchmark_tracer()
+    sys = toda.TodaSystem(3, [0.8, 1.1])
+    q, p = np.array([-0.5, 0.1, 0.4]), np.array([0.2, -0.3, 0.1])
+    cfg = IntegratorConfig(t_final=0.5)
+    log = tracer.SpanLog()
+    with tracer.Tracer(log):
+        traj = toda.run(sys, toda.PhaseState(q=q, p=p), cfg)
+        toda.evolve_A(sys, traj)
+        eisenhart.run_geodesic(sys, eisenhart.EisenhartState(q=q, y=0.0, p=p, p_y=0.9), cfg)
+        oplift.run_geodesic_generalized(sys, oplift.OPState(q=q, omega=[0.1, 0.2], p_q=p, p_omega=sys.g), cfg)
+        one = tracer.pass_counts(log)
+        eisenhart.lifted_invariants(sys, eisenhart.EisenhartState(q=q, y=0.0, p=p, p_y=0.9), 3)
+    counts = tracer.pass_counts(log)
+    for name in ("toda.lax_pair", "toda.invariants", "toda.evolve_A", "eisenhart.lifted_invariants",
+                 "oplift.generalized_invariants", "integrate.rhs", "integrate.monitor"):
+        assert one.get(name, 0) >= 1, name
+    # the one-state lifted invariants reach toda.lax_pair through eisenhart.lifted_lax
+    assert counts["eisenhart.lifted_invariants"] == one["eisenhart.lifted_invariants"] + 1
+    assert counts["toda.lax_pair"] == one["toda.lax_pair"] + 1

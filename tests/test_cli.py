@@ -160,6 +160,18 @@ class TestCommands:
         reports = json.loads((tmp_path / "killing_verify_eisenhart.json").read_text())
         assert reports[0]["pass"] is True
 
+    @pytest.mark.parametrize("flag", [["--t-final", "0.5"], ["--rtol", "1e-3"], ["--format", "csv"]], ids=lambda f: f[0])
+    @pytest.mark.parametrize("action", [["extract", "-k", "2"], ["verify", "--lift", "eisenhart", "-k", "2"]], ids=lambda a: a[0])
+    def test_killing_commands_reject_run_flags(self, tmp_path, monkeypatch, capsys, action, flag):
+        # the Killing commands integrate and write at fixed settings, so these flags are usage errors
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        cfgp = write_cfg(tmp_path, CALM)
+        assert cli.run_command(["killing", *action, "-c", cfgp, *flag]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not list(tmp_path.glob("killing_*"))
+        assert cli.run_command(["killing", *action, "-c", cfgp, "--seed", "3", "--out", "k.json"]) == 0
+        assert (tmp_path / "k.json").exists()
+
     def test_identities_check(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
         assert cli.run_command(["identities", "check", "-n", "5"]) == 0

@@ -36,11 +36,42 @@ def test_matches_high_accuracy_flow(rng, n):
     times = np.linspace(0.0, 40.0, 161)
     q, omega, qdot = oplift.exact_coordinates(state, sys, times)
     cfg = IntegratorConfig(rtol=1e-13, atol=1e-15, t_final=40.0)
-    ref = integrate_at_times(oplift.flow_field_generalized(sys), oplift.pack_state(state), times, cfg).states
+    ref = integrate_at_times(oplift.flow_field_generalized(sys), oplift.GENERALIZED.pack(state), times, cfg).states
     assert np.max(np.abs(q - ref[:, :n])) < 1e-10
     assert np.max(np.abs(qdot - ref[:, 2 * n - 1 : 3 * n - 1])) < 1e-10
     ref_omega = ref[:, n : 2 * n - 1]
     assert np.max(np.abs(omega - ref_omega)) < 1e-10 * max(1.0, float(np.max(np.abs(ref_omega))))
+
+
+# each picture's runner, and its system couplings and fibre momenta for chain couplings g
+P_Y = 0.7
+RUNNERS = {
+    "chain": (toda.run, lambda g: (g, [])),
+    "eisenhart": (eisenhart.run_geodesic, lambda g: (g / P_Y, [P_Y])),
+    "generalized": (oplift.run_geodesic_generalized, lambda g: (g, g)),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("picture", [toda.CHAIN, eisenhart.EISENHART, oplift.GENERALIZED], ids=lambda p: p.name)
+def test_runners_match_the_closed_form(rng, picture, n):
+    # every picture's run at the CLI tolerance, read through its record, against
+    # the exact geodesic from omega = 0 with p_omega = g, at the run's own times
+    sys, state = start(rng, n)
+    g = state.p_omega
+    runner, couplings = RUNNERS[picture.name]
+    g_run, p_fibre = couplings(g)
+    system = toda.TodaSystem(n=n, g=g_run)
+    f = picture.fibres(n)
+    start_run = picture.unpack(system, np.concatenate([state.q, np.zeros(f), state.p_q, p_fibre]))
+    traj = runner(system, start_run, IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=10.0))
+    q, omega, qdot = oplift.exact_coordinates(state, sys, traj.times)
+    q_run, fibre, p_run, _ = picture.split(traj.states.T, n)
+    assert len(traj) > 10 and traj.times[-1] == 10.0
+    assert np.max(np.abs(q_run.T - q)) < 1e-8
+    assert np.max(np.abs(p_run.T - qdot)) < 1e-8
+    if picture is oplift.GENERALIZED:
+        assert np.max(np.abs(fibre.T - omega)) < 1e-8
 
 
 def cauchy_binet(state, sys, times):

@@ -8,7 +8,7 @@ from todalift.integrate import IntegratorConfig, integrate_at_times, rk4_step
 
 
 def lift(state, p_y=1.0):
-    return eisenhart.lift_from_toda(state, p_y=p_y)
+    return eisenhart.EisenhartState(q=state.q, y=0.0, p=state.p, p_y=p_y)
 
 
 class TestMetric:
@@ -70,7 +70,7 @@ class TestGeodesicFlow:
     def field(sys, state):
         """(dq, dy, dp, dp_y)/dt of the lift's flow field at one state."""
         n = sys.n
-        out = eisenhart.flow_field(sys)(0.0, eisenhart.pack_state(state))
+        out = eisenhart.flow_field(sys)(0.0, eisenhart.EISENHART.pack(state))
         return out[:n], out[n], out[n + 1 : 2 * n + 1], out[2 * n + 1]
 
     def test_fibre_momentum_is_constant(self, rng):
@@ -81,7 +81,7 @@ class TestGeodesicFlow:
     def test_reduces_to_chain_flow(self, rng):
         sys, st = random_chain(rng, 4)
         dq, _, dp, _ = self.field(sys, lift(st, 1.0))
-        ref = toda.flow_field(sys)(0.0, toda.pack_state(st))
+        ref = toda.flow_field(sys)(0.0, toda.CHAIN.pack(st))
         assert np.array_equal(dq, ref[:4])
         assert np.max(np.abs(dp - ref[4:])) < 1e-15
 
@@ -139,11 +139,11 @@ class TestLiftedLax:
         delta = 1e-4
         worst = 0.0
         for vec in traj.states:
-            plus = eisenhart.unpack_state(sys, rk4_step(rhs, vec, 0.0, delta))
-            minus = eisenhart.unpack_state(sys, rk4_step(lambda t, y: -rhs(t, y), vec, 0.0, delta))
+            plus = eisenhart.EISENHART.unpack(sys, rk4_step(rhs, vec, 0.0, delta))
+            minus = eisenhart.EISENHART.unpack(sys, rk4_step(lambda t, y: -rhs(t, y), vec, 0.0, delta))
             l_plus, _ = eisenhart.lifted_lax(sys, plus)
             l_minus, _ = eisenhart.lifted_lax(sys, minus)
-            lmat, mmat = eisenhart.lifted_lax(sys, eisenhart.unpack_state(sys, vec))
+            lmat, mmat = eisenhart.lifted_lax(sys, eisenhart.EISENHART.unpack(sys, vec))
             residual = (l_plus - l_minus) / (2.0 * delta) - (lmat @ mmat - mmat @ lmat)
             worst = max(worst, float(np.max(np.abs(residual))))
         assert worst < 1e-6
@@ -189,7 +189,7 @@ class TestProjection:
         traj = eisenhart.run_geodesic(sys, lift(st, p_y), cfg, kmax=1)
         scaled = toda.TodaSystem(4, p_y * sys.g)
         ref = integrate_at_times(
-            toda.flow_field(scaled), toda.pack_state(st), traj.times, cfg
+            toda.flow_field(scaled), toda.CHAIN.pack(st), traj.times, cfg
         )
         assert np.max(np.abs(traj.states[:, :4] - ref.states[:, :4])) < 1e-6
 

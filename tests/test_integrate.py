@@ -68,7 +68,7 @@ class TestRK4Step:
         sys = toda.TodaSystem(2, [1.0])
         st = toda.PhaseState([0.2, -0.2], [0.3, -0.3])
         rhs = toda.flow_field(sys)
-        y0 = toda.pack_state(st)
+        y0 = toda.CHAIN.pack(st)
         ref_cfg = IntegratorConfig(rtol=1e-13, atol=1e-15, t_final=0.2)
 
         def one_step_error(dt):
@@ -88,7 +88,7 @@ def test_rk4_global_order(rng):
     sys = toda.TodaSystem(2, [1.0])
     st = toda.PhaseState([0.3, -0.3], [0.1, -0.1])
     rhs = toda.flow_field(sys)
-    y0 = toda.pack_state(st)
+    y0 = toda.CHAIN.pack(st)
     ref = integrate(rhs, y0, IntegratorConfig(rtol=1e-13, atol=1e-15, t_final=2.0)).states[-1]
     dts = np.array([0.1, 0.05, 0.025, 0.0125])
     errs = []
@@ -103,7 +103,7 @@ def test_adaptive_matches_fixed_step():
     sys = toda.TodaSystem(2, [1.0])
     st = toda.PhaseState([0.3, -0.3], [0.1, -0.1])
     rhs = toda.flow_field(sys)
-    y0 = toda.pack_state(st)
+    y0 = toda.CHAIN.pack(st)
     rtol = 1e-10
     adaptive = integrate(rhs, y0, IntegratorConfig(rtol=rtol, atol=1e-12, t_final=2.0)).states[-1]
     fixed = integrate(rhs, y0, IntegratorConfig(method="rk4", dt=2e-4, t_final=2.0)).states[-1]

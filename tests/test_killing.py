@@ -168,9 +168,12 @@ class TestPoissonBracket:
 
 def _lift_pieces(lift, sys):
     """Packed-state chart and gradient pull-back of a lift, as verify_killing uses them."""
-    phase = killing._eisenhart_phase if lift == "eisenhart" else killing._generalized_phase
-    chart, gradient, random_packed, _ = phase(sys)
-    return chart, gradient, random_packed
+    picture = killing.LIFTS[lift]
+    return (
+        picture.chart(sys.n, sys.g),
+        lambda d_q, d_p, d_c: picture.gradient(sys.g, d_q, d_p, d_c),
+        lambda rng: picture.random_state(rng, sys.n),
+    )
 
 
 def _phase_functions(lift, n, k, g, g_other):
@@ -230,10 +233,10 @@ class TestExactBracket:
             value = toda.lax_trace_gradient(*chart(points), k)[0]
             for b in range(points.shape[1]):
                 if lift == "eisenhart":
-                    st_ = eisenhart.unpack_state(sys, points[:, b])
+                    st_ = eisenhart.EISENHART.unpack(sys, points[:, b])
                     want = eisenhart.lifted_invariants(sys, st_, k)[k - 1]
                 else:
-                    st_ = oplift.unpack_state(sys, points[:, b], centered=False)
+                    st_ = oplift.GENERALIZED.unpack(sys, points[:, b], centered=False)
                     want = oplift.generalized_invariants(st_, k)[k - 1]
                 assert abs(value[b] - want) < 1e-13 * max(1.0, abs(want))
 
@@ -306,9 +309,11 @@ class TestVerifyKilling:
             killing.verify_killing(sys, "eisenhart", 4)
 
     def test_unknown_lift(self):
+        # the chain has a picture record but no lift to verify; a list is not a name
         sys = toda.TodaSystem(2, [1.0])
-        with pytest.raises(DomainError):
-            killing.verify_killing(sys, "both", 1)
+        for lift in ("both", "chain", ["eisenhart"]):
+            with pytest.raises(DomainError):
+                killing.verify_killing(sys, lift, 1)
 
     def test_report_serialises(self):
         sys = toda.TodaSystem(2, [1.0])

@@ -39,12 +39,12 @@ def test_chain_monitors(rng, n):
     states = rng.uniform(-1.0, 1.0, (SAMPLES, 2 * n))
 
     def reference(name, row):
-        state = toda.unpack_state(sys, row)
+        state = toda.CHAIN.unpack(sys, row)
         if name == "H":
             return toda.hamiltonian(sys, state)
         return toda.invariants(sys, state, n)[int(name[2:]) - 1]
 
-    mons = toda.invariant_monitors(sys)
+    mons = toda.CHAIN.monitors(sys)
     assert list(mons) == [f"I_{k}" for k in range(1, n + 1)] + ["H"]
     check_monitors(mons, states, reference)
 
@@ -55,14 +55,14 @@ def test_eisenhart_monitors(rng, n):
     states = rng.uniform(-1.0, 1.0, (SAMPLES, 2 * n + 2))
 
     def reference(name, row):
-        state = eisenhart.unpack_state(sys, row)
+        state = eisenhart.EISENHART.unpack(sys, row)
         if name == "p_y":
             return state.p_y
         if name == "H":
             return eisenhart.hamiltonian_eisenhart(sys, state)
         return eisenhart.lifted_invariants(sys, state, n)[int(name[2:]) - 1]
 
-    mons = eisenhart.geodesic_monitors(sys)
+    mons = eisenhart.EISENHART.monitors(sys)
     assert list(mons) == ["p_y"] + [f"I_{k}" for k in range(1, n + 1)] + ["H"]
     assert np.array_equal(mons["p_y"](states), states[:, 2 * n + 1])
     check_monitors(mons, states, reference)
@@ -76,14 +76,14 @@ def test_generalized_and_form_monitors(rng, n):
     by_name = {fm.name: fm for fm in forms}
 
     def reference(name, row):
-        state = oplift.unpack_state(sys, row, centered=False)
+        state = oplift.GENERALIZED.unpack(sys, row, centered=False)
         if name in by_name:
             return by_name[name].evaluate(state)
         if name == "H":
             return oplift.generalized_hamiltonian(sys, state)
         return oplift.generalized_invariants(state, n)[int(name[2:]) - 1]
 
-    mons = oplift.generalized_monitors(sys, extra_monitors=forms)
+    mons = oplift.GENERALIZED.monitors(sys, forms=forms)
     names = [f"I_{k}" for k in range(1, n + 1)] + ["H"] + [fm.name for fm in forms]
     assert list(mons) == names
     check_monitors(mons, states, reference)
@@ -102,17 +102,17 @@ def test_batched_velocity_matrix(rng, n):
             p_omega=rng.uniform(0.3, 1.2, n - 1),
             centered=False,
         )
-        rows.append(oplift.pack_state(s))
+        rows.append(oplift.GENERALIZED.pack(s))
     states = np.array(rows)
-    batch = oplift.generalized_monitors(sys, 1, oplift.monitors_general(sys, n))
+    batch = oplift.GENERALIZED.monitors(sys, 1, oplift.monitors_general(sys, n))
     for row in states:
-        s = oplift.unpack_state(sys, row, centered=False)
+        s = oplift.GENERALIZED.unpack(sys, row, centered=False)
         centered = oplift.OPState(q=s.q - s.q.mean(), omega=s.omega, p_q=s.p_q, p_omega=s.p_omega)
         x = oplift.build_x(centered.q, centered.omega).x
         oracle = oplift.initial_xdot(centered, sys) @ np.linalg.inv(x)
         assert np.max(np.abs(oplift.xdot_xinv(s) - oracle)) < 1e-12 * max(1.0, np.max(np.abs(oracle)))
     for a in range(1, n):
-        want = [oplift.xdot_xinv(oplift.unpack_state(sys, row, centered=False))[a - 1, a] for row in states]
+        want = [oplift.xdot_xinv(oplift.GENERALIZED.unpack(sys, row, centered=False))[a - 1, a] for row in states]
         assert_close(batch[f"rho_{a}_{a + 1}"](states), want)
 
 
@@ -144,7 +144,7 @@ def test_each_monitor_called_once_per_trajectory(rng):
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=3.0, stride=1)
     plain = toda.run(sys, st, cfg)
     calls = {}
-    traj = integrate(toda.flow_field(sys), toda.pack_state(st), cfg, monitors=counted(toda.invariant_monitors(sys), calls))
+    traj = integrate(toda.flow_field(sys), toda.CHAIN.pack(st), cfg, monitors=counted(toda.CHAIN.monitors(sys), calls))
     assert len(traj) > 20
     assert calls == {name: 1 for name in plain.monitors}
     for name, values in plain.monitors.items():
@@ -153,13 +153,13 @@ def test_each_monitor_called_once_per_trajectory(rng):
 
     calls.clear()
     rk4 = IntegratorConfig(method="rk4", dt=0.01, t_final=1.0, stride=3)
-    integrate(toda.flow_field(sys), toda.pack_state(st), rk4, monitors=counted(toda.invariant_monitors(sys), calls))
+    integrate(toda.flow_field(sys), toda.CHAIN.pack(st), rk4, monitors=counted(toda.CHAIN.monitors(sys), calls))
     assert calls == {name: 1 for name in plain.monitors}
 
     calls.clear()
     times = np.linspace(0.0, 2.0, 9)
     at = integrate_at_times(
-        toda.flow_field(sys), toda.pack_state(st), times, cfg, monitors=counted(toda.invariant_monitors(sys), calls)
+        toda.flow_field(sys), toda.CHAIN.pack(st), times, cfg, monitors=counted(toda.CHAIN.monitors(sys), calls)
     )
     assert calls == {name: 1 for name in plain.monitors}
     assert at.monitors["H"].shape == (9,)
@@ -169,8 +169,8 @@ def test_form_monitors_called_once_per_run(rng, monkeypatch):
     sys, st = random_chain(rng, 3)
     s = oplift.OPState(q=st.q, omega=rng.uniform(-0.5, 0.5, 2), p_q=st.p, p_omega=sys.g)
     calls = {}
-    real = oplift.generalized_monitors
-    monkeypatch.setattr(oplift, "generalized_monitors", lambda *args: counted(real(*args), calls))
+    real = oplift.integrate
+    monkeypatch.setattr(oplift, "integrate", lambda *args, monitors, **kw: real(*args, monitors=counted(monitors, calls), **kw))
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=2.0, stride=1)
     traj = oplift.run_geodesic_generalized(sys, s, cfg, kmax=1, extra_monitors=oplift.monitors_general(sys, 3))
     assert len(traj) > 10
@@ -188,10 +188,10 @@ def test_invariant_functions_take_packed_states(rng, n):
     # the batch form is the stack of the per-state values, to the bit
     sys = toda.TodaSystem(n, rng.uniform(0.3, 1.5, n - 1))
     cases = [
-        (lambda s: toda.invariants(sys, s, n), 2 * n, lambda row: toda.unpack_state(sys, row)),
-        (lambda s: eisenhart.lifted_invariants(sys, s, n), 2 * n + 2, lambda row: eisenhart.unpack_state(sys, row)),
+        (lambda s: toda.invariants(sys, s, n), 2 * n, lambda row: toda.CHAIN.unpack(sys, row)),
+        (lambda s: eisenhart.lifted_invariants(sys, s, n), 2 * n + 2, lambda row: eisenhart.EISENHART.unpack(sys, row)),
         (lambda s: oplift.generalized_invariants(s, n), 4 * n - 2,
-         lambda row: oplift.unpack_state(sys, row, centered=False)),
+         lambda row: oplift.GENERALIZED.unpack(sys, row, centered=False)),
     ]
     for invariants, dim, unpack in cases:
         states = rng.uniform(-1.0, 1.0, (SAMPLES, dim))
@@ -212,7 +212,8 @@ def test_monitors_evaluate_through_the_public_invariant_functions(rng, monkeypat
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=2.0, stride=1)
     runs = [
         (toda, "invariants", lambda: toda.run(sys, st, cfg)),
-        (eisenhart, "lifted_invariants", lambda: eisenhart.run_geodesic(sys, eisenhart.lift_from_toda(st), cfg)),
+        (eisenhart, "lifted_invariants", lambda: eisenhart.run_geodesic(
+            sys, eisenhart.EisenhartState(q=st.q, y=0.0, p=st.p, p_y=1.0), cfg)),
         (oplift, "generalized_invariants", lambda: oplift.run_geodesic_generalized(
             sys, oplift.OPState(q=st.q, omega=np.zeros(2), p_q=st.p, p_omega=sys.g), cfg)),
     ]
@@ -228,10 +229,43 @@ def test_monitors_evaluate_through_the_public_invariant_functions(rng, monkeypat
 def test_lax_charts_read_the_packed_layouts():
     sys = toda.TodaSystem(3, [0.7, 1.3])
     x = np.arange(8.0)[:, None]
-    q, p, c = eisenhart.lax_chart(sys)(x)
+    q, p, c = eisenhart.EISENHART.chart(sys.n, sys.g)(x)
     assert np.array_equal(q[:, 0], [0, 1, 2]) and np.array_equal(p[:, 0], [4, 5, 6])
     assert np.array_equal(c[:, 0], 7.0 * sys.g)
     x = np.arange(10.0)[:, None]
-    q, p, c = oplift.lax_chart(3)(x)
+    q, p, c = oplift.GENERALIZED.chart(3)(x)
     assert np.array_equal(q[:, 0], [0, 1, 2]) and np.array_equal(p[:, 0], [5, 6, 7])
     assert np.array_equal(c[:, 0], [8, 9])
+
+
+@pytest.mark.parametrize("picture", [toda.CHAIN, eisenhart.EISENHART, oplift.GENERALIZED], ids=lambda p: p.name)
+def test_records_share_one_packed_layout(rng, picture):
+    # [q, fibre, p, p_fibre]: labels, pack/unpack and the chart agree on it
+    n = 3
+    sys = toda.TodaSystem(n, [0.7, 1.3])
+    f = picture.fibres(n)
+    assert f == {"chain": 0, "eisenhart": 1, "generalized": n - 1}[picture.name]
+    labels = picture.labels(n)
+    assert len(labels) == picture.dim(n) == 2 * (n + f)
+    assert labels[:n] == ("q_1", "q_2", "q_3") and labels[n + f : 2 * n + f] == ("p_1", "p_2", "p_3")
+    assert labels[2 * n + f :] == tuple("p_" + name for name in labels[n : n + f])
+    vec = rng.uniform(-1.0, 1.0, picture.dim(n))
+    assert np.array_equal(picture.pack(picture.unpack(sys, vec, **({"centered": False} if picture is oplift.GENERALIZED else {}))), vec)
+    with pytest.raises(DomainError, match="packed state"):
+        picture.unpack(sys, vec[1:])
+    q, p, _ = picture.chart(n, sys.g)(vec[:, None])
+    assert np.array_equal(q[:, 0], vec[:n]) and np.array_equal(p[:, 0], vec[n + f : 2 * n + f])
+
+
+@pytest.mark.parametrize("picture", [eisenhart.EISENHART, oplift.GENERALIZED], ids=lambda p: p.name)
+def test_random_start_draw_order(picture):
+    # q, p, fibre, fibre momenta; a centred picture centres q and p
+    n, f = 4, picture.fibres(4)
+    got = picture.random_state(np.random.default_rng(3), n)
+    rng = np.random.default_rng(3)
+    q, p = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    if picture.centred:
+        q, p = q - q.mean(), p - p.mean()
+    want = np.concatenate([q, rng.uniform(-1.0, 1.0, f), p, rng.uniform(-1.0, 1.0, f)])
+    assert np.array_equal(got, want)
+    assert picture.centred == (picture is oplift.GENERALIZED)

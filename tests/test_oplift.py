@@ -179,13 +179,13 @@ class TestGeneralizedFlow:
         sys, st = random_chain(rng, 4)
         s = op_state(st, rng.uniform(-1, 1, 3))
         # packed layout [q, omega, p_q, p_omega]: p_omega starts at 3n - 1
-        dp_w = oplift.flow_field_generalized(sys)(0.0, oplift.pack_state(s))[11:]
+        dp_w = oplift.flow_field_generalized(sys)(0.0, oplift.GENERALIZED.pack(s))[11:]
         assert np.array_equal(dp_w, np.zeros(3))
 
     def test_omega_velocity_formula(self, rng):
         sys, st = random_chain(rng, 3)
         s = op_state(st, sys.g)
-        domega = oplift.flow_field_generalized(sys)(0.0, oplift.pack_state(s))[3:5]  # omega follows q
+        domega = oplift.flow_field_generalized(sys)(0.0, oplift.GENERALIZED.pack(s))[3:5]  # omega follows q
         expected = 2.0 * sys.g * np.exp(2.0 * (st.q[:-1] - st.q[1:]))
         assert np.max(np.abs(domega - expected)) < 1e-14
 
@@ -195,7 +195,7 @@ class TestGeneralizedFlow:
         cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=10.0, stride=10)
         ttraj = toda.run(sys, st, cfg, kmax=1)
         otraj = integrate_at_times(
-            oplift.flow_field_generalized(sys), oplift.pack_state(s), ttraj.times, cfg
+            oplift.flow_field_generalized(sys), oplift.GENERALIZED.pack(s), ttraj.times, cfg
         )
         assert np.max(np.abs(ttraj.states[:, :3] - otraj.states[:, :3])) < 1e-6
 
@@ -301,7 +301,7 @@ class TestInitialXdot:
             cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=10.0, stride=20)
             times = np.linspace(0.0, 10.0, 11)
             traj = integrate_at_times(
-                oplift.flow_field_generalized(sys), oplift.pack_state(s), times, cfg
+                oplift.flow_field_generalized(sys), oplift.GENERALIZED.pack(s), times, cfg
             )
             worst = 0.0
             for i, t in enumerate(times):
@@ -361,7 +361,7 @@ class TestMonitors:
         delta = 1e-4
         times = [0.0, 1.0 - delta, 1.0, 1.0 + delta]
         traj = integrate_at_times(
-            oplift.flow_field_generalized(sys), oplift.pack_state(s), times, cfg
+            oplift.flow_field_generalized(sys), oplift.GENERALIZED.pack(s), times, cfg
         )
         qdots = [vec[3] - vec[4] for vec in traj.states[1:]]  # p_q1 - p_q2
         qddot = (qdots[2] - qdots[0]) / (2.0 * delta)
@@ -441,7 +441,7 @@ class TestReduction:
         traj = oplift.run_geodesic_generalized(sys, s, cfg, kmax=1)
         want = [0.0, 0.0, 0.0]
         for vec in traj.states:
-            u = oplift.unpack_state(sys, vec, centered=False)
+            u = oplift.GENERALIZED.unpack(sys, vec, centered=False)
             od = u.omega_dot()
             v = toda.potential(sys, u.q)
             scale = max(1.0, 2.0 * v)

@@ -50,7 +50,7 @@ class TestHamiltonian:
 
 def chain_field(sys, st):
     """(dq/dt, dp/dt) of the chain's flow field at one state."""
-    out = toda.flow_field(sys)(0.0, toda.pack_state(st))
+    out = toda.flow_field(sys)(0.0, toda.CHAIN.pack(st))
     return out[: sys.n], out[sys.n :]
 
 
@@ -82,7 +82,7 @@ class TestEquationsOfMotion:
             sys, st = random_chain(rng, n, scale=2.0)
             if trial == 0:
                 sys = toda.TodaSystem(n, np.concatenate([[0.0], sys.g[1:]]))
-            y = toda.pack_state(st)
+            y = toda.CHAIN.pack(st)
             w = sys.g**2 * np.exp(2.0 * (y[: n - 1] - y[1:n]))
             want = np.empty(2 * n)
             want[:n] = y[n:]
@@ -144,7 +144,7 @@ class TestLaxPair:
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_packed_state_gives_the_same_bits(self, rng, n):
         sys, st = random_chain(rng, n)
-        for got, want in zip(toda.lax_pair(sys, toda.pack_state(st)), toda.lax_pair(sys, st)):
+        for got, want in zip(toda.lax_pair(sys, toda.CHAIN.pack(st)), toda.lax_pair(sys, st)):
             assert got.tobytes() == want.tobytes()
         with pytest.raises(DomainError):
             toda.lax_pair(sys, np.zeros(2 * n + 1))
@@ -158,11 +158,11 @@ class TestLaxPair:
         delta = 1e-4
         worst = 0.0
         for vec in traj.states:
-            plus = toda.unpack_state(sys, rk4_step(rhs, vec, 0.0, delta))
-            minus = toda.unpack_state(sys, rk4_step(lambda t, y: -rhs(t, y), vec, 0.0, delta))
+            plus = toda.CHAIN.unpack(sys, rk4_step(rhs, vec, 0.0, delta))
+            minus = toda.CHAIN.unpack(sys, rk4_step(lambda t, y: -rhs(t, y), vec, 0.0, delta))
             l_plus, _ = toda.lax_pair(sys, plus)
             l_minus, _ = toda.lax_pair(sys, minus)
-            here = toda.unpack_state(sys, vec)
+            here = toda.CHAIN.unpack(sys, vec)
             lmat, mmat = toda.lax_pair(sys, here)
             residual = (l_plus - l_minus) / (2.0 * delta) - (lmat @ mmat - mmat @ lmat)
             worst = max(worst, float(np.max(np.abs(residual))))
@@ -182,7 +182,7 @@ class TestOneLaxCore:
         st = toda.PhaseState(q[:, j], p[:, j])
 
         lmat, _, upper = toda._lax_stack(q, p, g[:, None])
-        for got in (toda.lax_pair(sys, st), toda.lax_pair(sys, toda.pack_state(st))):
+        for got in (toda.lax_pair(sys, st), toda.lax_pair(sys, toda.CHAIN.pack(st))):
             assert got[0].tobytes() == lmat[j].tobytes()
             assert got[1].tobytes() == np.diag(2.0 * upper[:, j], 1).tobytes()
         chain = toda.lax_traces(q, p, g[:, None], n)
@@ -267,7 +267,7 @@ class TestEvolutionMatrix:
         l0, _ = toda.lax_pair(sys, st)
         worst = 0.0
         for amat, vec in zip(mats, traj.states):
-            lt, _ = toda.lax_pair(sys, toda.unpack_state(sys, vec))
+            lt, _ = toda.lax_pair(sys, toda.CHAIN.unpack(sys, vec))
             residual = amat @ l0 @ np.linalg.inv(amat) - lt
             worst = max(worst, float(np.max(np.abs(residual))))
         assert worst < 1e-6
@@ -318,8 +318,8 @@ class TestEvolutionMatrix:
 
 def test_trajectory_write_helpers(rng):
     sys, st = random_chain(rng, 2)
-    assert toda.state_labels(sys) == ("q_1", "q_2", "p_1", "p_2")
-    packed = toda.pack_state(st)
-    back = toda.unpack_state(sys, packed)
+    assert toda.CHAIN.labels(sys.n) == ("q_1", "q_2", "p_1", "p_2")
+    packed = toda.CHAIN.pack(st)
+    back = toda.CHAIN.unpack(sys, packed)
     assert np.array_equal(back.q, st.q)
     assert np.array_equal(back.p, st.p)
