@@ -188,6 +188,15 @@ def _write_json(path: str, doc) -> None:
         fh.write("\n")
 
 
+def _write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
+    """A header line, then each row with 17 significant digits per value."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        # value by value over one row's floats at a time: a whole-array
+        # tolist() or a whole-row format string raised the process's peak RSS
+        fh.writelines(",".join(["%.17g" % v for v in row.tolist()]) + "\n" for row in rows)
+
+
 def write_trajectory(traj: Trajectory, fmt: str, path: str) -> None:
     """Serialise a trajectory with 17 significant digits per value.
 
@@ -197,11 +206,8 @@ def write_trajectory(traj: Trajectory, fmt: str, path: str) -> None:
     labels = list(traj.labels) if traj.labels else [f"x_{i + 1}" for i in range(traj.states.shape[1] if traj.states.ndim == 2 else 0)]
     mon_names = list(traj.monitors)
     if fmt == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(["t"] + labels + mon_names) + "\n")
-            for i, t in enumerate(traj.times):
-                row = [t] + list(traj.states[i]) + [traj.monitors[m][i] for m in mon_names]
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        rows = np.column_stack([traj.times, traj.states] + [traj.monitors[m] for m in mon_names])
+        _write_csv(path, ["t"] + labels + mon_names, rows)
     elif fmt == "json":
         doc = {
             "t": [float(v) for v in traj.times],
@@ -308,10 +314,7 @@ def _cmd_oplift_run(args) -> int:
     labels = ["t"] + [f"q_{i}" for i in range(1, sys_.n + 1)] + [f"omega_{i}" for i in range(1, sys_.n)]
     rows = np.column_stack([times, q, omega])
     if cfg.output_format == "csv":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(labels) + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        _write_csv(path, labels, rows)
     else:
         _write_json(path, {lab: rows[:, j].tolist() for j, lab in enumerate(labels)})
     gates = [_worst_sample("det_drift", np.abs(np.expm1(2.0 * q.sum(axis=1))), times, _GATE_DRIFT)]

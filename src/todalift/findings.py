@@ -156,8 +156,9 @@ def zdot_orientation_finding(seed: int = 0, n: int = 3) -> dict:
             predicted = 0.5 * (s.omega[1] * od[0] - s.omega[0] * od[1])
             sup_anomaly = max(sup_anomaly, abs((zinv @ zd)[0, 2] - predicted))
 
+    # six samples are sparse output, which extrapolation takes in far fewer steps
     tracking = {}
-    cfg = IntegratorConfig(method="adaptive", rtol=1e-11, atol=1e-13, t_final=5.0, stride=1)
+    cfg = IntegratorConfig(method="extrapolation", rtol=1e-11, atol=1e-13, t_final=5.0, stride=1)
     rng = np.random.default_rng(seed + 1)
     for tag, omega0 in (("omega0=0", np.zeros(n - 1)), ("omega0 generic", rng.uniform(-0.7, 0.7, n - 1))):
         s0 = oplift.OPState(q=state0.q, omega=omega0, p_q=state0.p_q, p_omega=state0.p_omega)

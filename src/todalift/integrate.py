@@ -10,7 +10,15 @@ substep, order 12, under the same controller with exponent 1/11.  It takes
 far fewer right-hand-side evaluations than Dormand-Prince at tight
 tolerances, but it has no dense output, so it is meant for sparse output:
 few sample times and a large stride.  The last step is always shortened to
-land exactly on the requested end time.  Conserved
+land exactly on the requested end time.
+
+integrate_at_times samples the solution at given times.  Dormand-Prince
+steps straight through them to the last one and evaluates its order-4
+continuous extension (Hairer, Norsett & Wanner, II.6; the dense output of
+DOPRI5), built from the seven stages of the step that contains each sample,
+at no extra right-hand-side evaluation; a sample on a step end is that
+step's state.  Extrapolation and RK4 have no interpolant: they shorten a
+step to land on every sample time.  Conserved
 quantities are monitored at the recorded samples: each monitor is called
 once, on the (samples, d) array of recorded states, and returns one value
 per sample.  Their relative drift is recorded on the returned trajectory.
@@ -31,6 +39,7 @@ trajectories.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -65,6 +74,12 @@ _DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 
 _DP_ERR = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
+# Stage weights of the fifth coefficient of the continuous extension (the
+# d_i of DOPRI5's dense output).
+_DP_DENSE = np.array([
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+    701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
+])
 
 # Substep counts of the extrapolation tableau's rows, and the Aitken-Neville
 # weights 1 / ((n_j / n_{j-k-1})^2 - 1) of row j, column k.
@@ -113,8 +128,8 @@ class IntegratorConfig:
             raise DomainError(f"t_final must be positive and finite, got {self.t_final}")
         if not math.isfinite(self.t_final / self.dt):
             raise DomainError(f"t_final / dt overflows: {self.t_final} / {self.dt}")
-        if self.stride < 1:
-            raise DomainError("stride must be >= 1")
+        if isinstance(self.stride, bool) or not isinstance(self.stride, numbers.Integral) or self.stride < 1:
+            raise DomainError(f"stride must be an integer >= 1, got {self.stride!r}")
 
 
 @dataclass
@@ -123,7 +138,9 @@ class Trajectory:
 
     drift maps each monitor name to max over samples of
     |m(t) - m(0)| / max(1, |m(0)|).  stats records the integrator's work:
-    nfev right-hand-side evaluations, accepted and rejected steps.
+    nfev right-hand-side evaluations, accepted and rejected steps, and the
+    smallest and largest accepted step, dt_min and dt_max (0.0 when no step
+    was taken).
     """
 
     times: np.ndarray
@@ -131,7 +148,7 @@ class Trajectory:
     monitors: dict[str, np.ndarray] = field(default_factory=dict)
     drift: dict[str, float] = field(default_factory=dict)
     labels: tuple[str, ...] | None = None
-    stats: dict[str, int] = field(default_factory=dict)
+    stats: dict[str, float] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -172,19 +189,27 @@ def _rk4_grid(t0: float, t1: float, dt: float):
 
 
 def _dp54_step(rhs: Rhs, t: float, y: np.ndarray, dt: float, k1: np.ndarray):
-    """One trial Dormand-Prince step: returns (y5, error_estimate, last_stage).
+    """One trial Dormand-Prince step: returns (y5, error_estimate, stages).
 
-    The stages are combined through a flat (7, y.size) view, so a batch of
-    shape (d, B) costs one vector-matrix product per stage like a vector.
+    The stages k have shape (7,) + y.shape; k[6] is rhs at y5.  They are
+    combined through a flat (7, y.size) view, so a batch of shape (d, B)
+    costs one vector-matrix product per stage like a vector.
     """
     k = np.empty((7,) + y.shape)
     flat = k.reshape(7, -1)
+    yflat = y.reshape(-1)
     k[0] = k1
     for i, row in enumerate(_DP_A, 1):
-        k[i] = rhs(t + _DP_C[i] * dt, y + dt * (row @ flat[:i]).reshape(y.shape))
-    y5 = y + dt * (_DP_B5 @ flat).reshape(y.shape)
-    err = dt * (_DP_ERR @ flat).reshape(y.shape)
-    return y5, err, k[6]
+        z = row @ flat[:i]
+        z *= dt
+        z += yflat
+        k[i] = rhs(t + _DP_C[i] * dt, z.reshape(y.shape))
+    y5 = _DP_B5 @ flat
+    y5 *= dt
+    y5 += yflat
+    err = _DP_ERR @ flat
+    err *= dt
+    return y5.reshape(y.shape), err.reshape(y.shape), k
 
 
 def _gbs_step(rhs: Rhs, t: float, y: np.ndarray, dt: float, f0: np.ndarray):
@@ -209,38 +234,90 @@ def _gbs_step(rhs: Rhs, t: float, y: np.ndarray, dt: float, f0: np.ndarray):
     return prev[-1], prev[-1] - prev[-2]
 
 
-class _AdaptiveStepper:
+class _Stepper:
+    """The current (t, y) of an integration and a record of its accepted steps."""
+
+    # whether interpolate() can evaluate the solution inside the last accepted step
+    dense = False
+
+    def __init__(self, rhs: Rhs, y0: np.ndarray, cfg: IntegratorConfig):
+        self.rhs = rhs
+        self.cfg = cfg
+        self.t = 0.0
+        self.y = np.asarray(y0, dtype=float)
+        self.dt = cfg.dt
+        self.accepted = 0
+        self.rejected = 0
+        self.dt_min = math.inf
+        self.dt_max = 0.0
+
+    def nfev(self) -> int:
+        raise NotImplementedError
+
+    def stats(self) -> dict[str, float]:
+        return {
+            "nfev": self.nfev(),
+            "accepted": self.accepted,
+            "rejected": self.rejected,
+            "dt_min": self.dt_min if self.accepted else 0.0,
+            "dt_max": self.dt_max,
+        }
+
+    def _count(self, dt: float) -> None:
+        self.accepted += 1
+        self.dt_min = min(self.dt_min, dt)
+        self.dt_max = max(self.dt_max, dt)
+
+
+class _AdaptiveStepper(_Stepper):
     """Advances a Dormand-Prince integration to requested target times."""
 
     # the step controller scales dt by err ** exponent; the error estimate is O(dt^5)
     exponent = -0.2
+    dense = True
 
     def __init__(self, rhs: Rhs, y0: np.ndarray, cfg: IntegratorConfig):
-        self.rhs = rhs
-        self.t = 0.0
-        self.y = np.asarray(y0, dtype=float)
+        super().__init__(rhs, y0, cfg)
         if not np.all(np.isfinite(self.y)):
             raise DivergenceError("initial state is not finite")
-        self.cfg = cfg
-        self.dt = cfg.dt
         self.k1 = rhs(0.0, self.y)
         if not np.all(np.isfinite(self.k1)):
             raise DivergenceError("derivative is not finite at the initial state")
-        self.accepted = 0
-        self.rejected = 0
+        # the last accepted step: its start, its size and its stages
+        self.t_prev = self.y_prev = self.step = self.stages = None
 
-    def stats(self) -> dict[str, int]:
+    def nfev(self) -> int:
         # one evaluation at the start, then six per trial step (the seventh
         # stage is reused as the next step's first)
-        trials = self.accepted + self.rejected
-        return {"nfev": 1 + 6 * trials, "accepted": self.accepted, "rejected": self.rejected}
+        return 1 + 6 * (self.accepted + self.rejected)
 
     def trial(self, dt: float):
-        """(new state, error estimate, rhs at the new state) of one trial step.
+        """(new state, error estimate, stages) of one trial step.
 
-        The last entry may be None, and rhs is then evaluated on acceptance.
+        The stages may be None; rhs at the new state is then evaluated on
+        acceptance.  Otherwise their last entry is that value.
         """
         return _dp54_step(self.rhs, self.t, self.y, dt, self.k1)
+
+    def interpolate(self, times: np.ndarray) -> np.ndarray:
+        """States at times inside the last accepted step, shape (len(times),) + y.shape.
+
+        The continuous extension of DOPRI5: with theta = (t - t_prev) / h,
+        y(t) = y0 + theta (dy + (1 - theta) (r3 + theta (r4 + (1 - theta) r5))),
+        where dy = y1 - y0, r3 = h k1 - dy, r4 = dy - h k7 - r3 and
+        r5 = h sum_i d_i k_i.
+        """
+        h = self.step
+        flat = self.stages.reshape(7, -1)
+        y0 = self.y_prev.reshape(-1)
+        dy = self.y.reshape(-1) - y0
+        r3 = h * flat[0] - dy
+        r4 = dy - h * flat[6] - r3
+        r5 = h * (_DP_DENSE @ flat)
+        theta = ((times - self.t_prev) / h)[:, None]
+        theta1 = 1.0 - theta
+        out = y0 + theta * (dy + theta1 * (r3 + theta * (r4 + theta1 * r5)))
+        return out.reshape((len(theta),) + self.y.shape)
 
     def advance_to(self, t_target: float, on_accept=None) -> None:
         min_step = _MIN_STEP_FRACTION * max(t_target, self.cfg.t_final)
@@ -249,7 +326,7 @@ class _AdaptiveStepper:
             dt = min(self.dt, t_target - self.t)
             if dt < min_step:
                 raise StiffnessError(f"step underflow at t={self.t}: dt={dt}")
-            y_new, err_vec, k_last = self.trial(dt)
+            y_new, err_vec, stages = self.trial(dt)
             if not np.isfinite(y_new).all():
                 # treat an overflowing trial step as rejected and retry smaller
                 self.rejected += 1
@@ -261,10 +338,11 @@ class _AdaptiveStepper:
             # RMS over each column's components; a batch steps by its worst column
             err = math.sqrt(float(np.add.reduce(scaled, axis=0).max()) / len(scaled))
             if err <= 1.0:
+                self.t_prev, self.y_prev, self.step, self.stages = self.t, self.y, dt, stages
                 self.t = self.t + dt
                 self.y = y_new
-                self.k1 = self.rhs(self.t, y_new) if k_last is None else k_last
-                self.accepted += 1
+                self.k1 = self.rhs(self.t, y_new) if stages is None else stages[6]
+                self._count(dt)
                 if on_accept is not None:
                     on_accept(self.t, self.y)
                 if landing:
@@ -282,36 +360,30 @@ class _ExtrapolationStepper(_AdaptiveStepper):
 
     # the error estimate is the order-10 value's, O(dt^11)
     exponent = -1.0 / 11.0
+    dense = False
 
-    def stats(self) -> dict[str, int]:
+    def nfev(self) -> int:
         # one evaluation at the start, 36 per trial step (rhs at the step's
         # start is shared by the six rows) and one at each accepted state
-        trials = self.accepted + self.rejected
-        return {"nfev": 1 + 36 * trials + self.accepted, "accepted": self.accepted, "rejected": self.rejected}
+        return 1 + 36 * (self.accepted + self.rejected) + self.accepted
 
     def trial(self, dt: float):
         return (*_gbs_step(self.rhs, self.t, self.y, dt, self.k1), None)
 
 
-class _RK4Stepper:
+class _RK4Stepper(_Stepper):
     """Advances fixed-step RK4 to requested target times, on the grid
     t + i*dt of each segment (see _rk4_grid)."""
 
-    def __init__(self, rhs: Rhs, y0: np.ndarray, cfg: IntegratorConfig):
-        self.rhs = rhs
-        self.t = 0.0
-        self.y = np.asarray(y0, dtype=float)
-        self.dt = cfg.dt
-        self.accepted = 0
-
-    def stats(self) -> dict[str, int]:
-        return {"nfev": 4 * self.accepted, "accepted": self.accepted, "rejected": 0}
+    def nfev(self) -> int:
+        return 4 * self.accepted
 
     def advance_to(self, t_target: float, on_accept=None) -> None:
         for t_next in _rk4_grid(self.t, t_target, self.dt):
-            self.y = rk4_step(self.rhs, self.y, self.t, t_next - self.t)
+            dt = t_next - self.t
+            self.y = rk4_step(self.rhs, self.y, self.t, dt)
             self.t = t_next
-            self.accepted += 1
+            self._count(dt)
             if on_accept is not None:
                 on_accept(self.t, self.y)
 
@@ -375,24 +447,47 @@ def integrate_at_times(
     monitors: dict[str, Monitor] | None = None,
     labels: tuple[str, ...] | None = None,
 ) -> Trajectory:
-    """Integrate recording the state exactly at the given increasing times.
+    """Integrate recording the state at the given increasing times.
 
     The first sample time must be 0.  Useful for comparing formulations on a
     common grid and for co-evolving auxiliary quantities along a previously
-    computed trajectory.
+    computed trajectory.  Dormand-Prince steps straight to the last sample
+    and interpolates the samples inside its steps; the other methods shorten
+    a step to land on each sample.
     """
     sample_times = np.asarray(sample_times, dtype=float)
-    if len(sample_times) == 0:
-        raise DomainError("sample_times must be non-empty")
+    if sample_times.ndim != 1 or len(sample_times) == 0:
+        raise DomainError(f"sample_times must be a non-empty 1-D array, got shape {sample_times.shape}")
+    if not np.all(np.isfinite(sample_times)):
+        raise DomainError("sample_times must be finite")
     if sample_times[0] != 0.0:
         raise DomainError("sample_times must start at 0")
     if np.any(np.diff(sample_times) <= 0.0):
         raise DomainError("sample_times must be strictly increasing")
 
     y0 = np.asarray(y0, dtype=float)
-    states = [y0.copy()]
+    states = np.empty(sample_times.shape + y0.shape)
+    states[0] = y0
     stepper = _STEPPERS[cfg.method](rhs, y0, cfg)
-    for target in sample_times[1:]:
-        stepper.advance_to(target)
-        states.append(stepper.y.copy())
+    if stepper.dense:
+        done = 1
+
+        def record(t, y):
+            # the samples in (t_prev, t]: interpolated inside, copied at t
+            nonlocal done
+            if sample_times[done] > t:
+                return
+            end = done + int(np.searchsorted(sample_times[done:], t, side="right"))
+            inside = end - 1 if sample_times[end - 1] == t else end
+            if inside > done:
+                states[done:inside] = stepper.interpolate(sample_times[done:inside])
+            if inside < end:
+                states[inside] = y
+            done = end
+
+        stepper.advance_to(sample_times[-1], on_accept=record)
+    else:
+        for i, target in enumerate(sample_times[1:], 1):
+            stepper.advance_to(target)
+            states[i] = stepper.y
     return _finish(sample_times, states, monitors, labels, stepper.stats())

@@ -62,3 +62,30 @@ def test_benchmark_spans_are_recorded():
     # the one-state lifted invariants reach toda.lax_pair through eisenhart.lifted_lax
     assert counts["eisenhart.lifted_invariants"] == one["eisenhart.lifted_invariants"] + 1
     assert counts["toda.lax_pair"] == one["toda.lax_pair"] + 1
+
+
+@pytest.mark.parametrize(
+    "fname, method",
+    [("integrate", "adaptive"), ("integrate_at_times", "adaptive"),
+     ("integrate_at_times", "extrapolation"), ("integrate_at_times", "rk4")],
+)
+def test_each_integrator_call_is_one_span_over_its_rhs_spans(fname, method):
+    # the benchmark counts RHS evaluations as spans inside the integrator's
+    # span; an entry point that reached the other through the module would
+    # record every evaluation twice
+    tracer = _benchmark_tracer()
+    sys = toda.TodaSystem(3, [0.8, 1.1])
+    y0 = toda.CHAIN.pack(toda.PhaseState(q=[-0.5, 0.1, 0.4], p=[0.2, -0.3, 0.1]))
+    cfg = IntegratorConfig(method=method, dt=0.05, t_final=2.0)
+    monitors = toda.CHAIN.monitors(sys, 2)
+    log = tracer.SpanLog()
+    with tracer.Tracer(log):
+        fn = getattr(todalift.integrate, fname)
+        args = (toda.flow_field(sys), y0) + ((np.linspace(0.0, 2.0, 9),) if fname == "integrate_at_times" else ())
+        traj = fn(*args, cfg, monitors=monitors)
+    counts = tracer.pass_counts(log)
+    assert counts[f"integrate.{fname}"] == 1
+    assert sum(counts.get(f"integrate.{f}", 0) for f in ("integrate", "integrate_at_times")) == 1
+    assert counts["integrate.rhs"] == traj.stats["nfev"]
+    # each monitor is one span, called once on the recorded states
+    assert counts["integrate.monitor"] == len(monitors) >= 1

@@ -85,6 +85,23 @@ class TestWriteTrajectory:
             assert vals[0] == times[i]
             assert np.array_equal(np.array(vals[1:]), states[i])
 
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        times = np.array([0.0, 0.1, 1e-300, 2.5])
+        states = np.array([
+            [-0.0, 1.0 / 3.0, 5e-324],
+            [float("nan"), float("inf"), -float("inf")],
+            [1e300, -1.2345678901234567e-7, 2.0**60],
+            [0.1 + 0.2, -1.0, 123456789.0],
+        ])
+        mon = np.array([float("nan"), -0.0, 7.0, 1e-17])
+        traj = Trajectory(times=times, states=states, monitors={"E": mon}, labels=("a", "b", "c"))
+        path = tmp_path / "t.csv"
+        cli.write_trajectory(traj, "csv", str(path))
+        want = "t,a,b,c,E\n" + "".join(
+            ",".join(f"{v:.17g}" for v in [times[i]] + list(states[i]) + [mon[i]]) + "\n" for i in range(4)
+        )
+        assert path.read_bytes() == want.encode()
+
 
 class TestCommands:
     def test_toda_run_column_count(self, tmp_path, monkeypatch):
@@ -127,6 +144,15 @@ class TestCommands:
         cfgp = write_cfg(tmp_path, CALM)
         assert cli.run_command(["oplift", "run", "--mode", "exact", "-c", cfgp]) == 0
         assert (tmp_path / "oplift_exact.csv").exists()
+
+    def test_oplift_exact_mode_writes_17_digit_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        cfgp = write_cfg(tmp_path, CALM)
+        assert cli.run_command(["oplift", "run", "--mode", "exact", "-c", cfgp]) == 0
+        lines = (tmp_path / "oplift_exact.csv").read_text().splitlines()
+        assert len(lines) == 202
+        for line in lines[1:]:
+            assert line == ",".join(f"{float(v):.17g}" for v in line.split(","))
 
     def test_oplift_hamiltonian_mode(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))

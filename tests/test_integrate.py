@@ -197,7 +197,7 @@ class TestExtrapolation:
         # atol = rtol = 1 accepts the first trial step, which spans the run
         cfg = IntegratorConfig(method="extrapolation", dt=big_step, rtol=1.0, atol=1.0, t_final=big_step)
         traj = integrate(rhs, [1.0], cfg)
-        assert traj.stats == {"nfev": 38, "accepted": 1, "rejected": 0}
+        assert traj.stats == {"nfev": 38, "accepted": 1, "rejected": 0, "dt_min": big_step, "dt_max": big_step}
         return abs(traj.states[-1][0] - exact(big_step))
 
     @pytest.mark.parametrize(
@@ -253,7 +253,10 @@ class TestExtrapolation:
 def test_rk4_stats():
     cfg = IntegratorConfig(method="rk4", dt=0.3, t_final=1.0)
     stats = integrate(lambda t, y: np.array([1.0]), [0.0], cfg).stats
-    assert stats == {"nfev": 16, "accepted": 4, "rejected": 0}
+    # steps end at 0.3, 0.6, 0.9 and 1.0
+    assert stats == {
+        "nfev": 16, "accepted": 4, "rejected": 0, "dt_min": pytest.approx(0.1), "dt_max": pytest.approx(0.3)
+    }
 
 
 class TestRK4Grid:
@@ -324,7 +327,10 @@ class TestBatch:
         cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=5.0)
         solo = integrate(rhs, y0[:, 0], cfg)
         batch = integrate(rhs, y0, cfg)
-        assert batch.stats == solo.stats
+        # the step sizes agree to roundoff: the batch combines its stages in
+        # a wider product
+        dt_range = {key: pytest.approx(solo.stats[key], rel=1e-8) for key in ("dt_min", "dt_max")}
+        assert batch.stats == {**solo.stats, **dt_range}
         assert np.allclose(batch.states[-1, :, 0], solo.states[-1], rtol=1e-12, atol=1e-12)
         assert np.all(batch.states[:, :, 1] == 0.0)
 
@@ -355,3 +361,109 @@ class TestBatch:
         for method in ("adaptive", "rk4", "extrapolation"):
             with pytest.raises(DivergenceError):
                 integrate(eisenhart.flow_field(sys), y0, IntegratorConfig(method=method, t_final=1.0))
+
+
+class TestDenseOutput:
+    """Dormand-Prince samples by its continuous extension instead of cutting steps."""
+
+    def test_step_end_samples_are_the_steps_bit_for_bit(self):
+        sys, state = toda.TodaSystem(4, [0.7, 1.1, 0.9]), toda.PhaseState([-0.6, -0.1, 0.2, 0.5], [0.3, -0.2, 0.1, -0.2])
+        rhs = toda.flow_field(sys)
+        cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=8.0, stride=1)
+        stepped = integrate(rhs, toda.CHAIN.pack(state), cfg)
+        sampled = integrate_at_times(rhs, toda.CHAIN.pack(state), stepped.times, cfg)
+        assert np.array_equal(sampled.times, stepped.times)
+        assert np.array_equal(sampled.states, stepped.states)
+        assert sampled.stats == stepped.stats
+
+    def test_samples_do_not_cut_steps(self):
+        cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=2.0, stride=1)
+        whole = integrate(one_dof_rhs, [0.0, 0.0], cfg)
+        # a fine grid whose points mostly fall inside steps
+        traj = integrate_at_times(one_dof_rhs, [0.0, 0.0], np.linspace(0.0, 2.0, 1001), cfg)
+        assert traj.stats == whole.stats
+        assert traj.stats["dt_max"] > 10 * 2.0 / 1000
+        q = np.array([closed_form_q(t) for t in traj.times])
+        assert np.max(np.abs(traj.states[:, 0] - q)) < 1e-9
+
+    P_Y = 0.7
+
+    @pytest.mark.parametrize("picture", ["chain", "eisenhart", "generalized"])
+    def test_interpolated_states_match_the_closed_form(self, rng, picture):
+        # every sample is the midpoint of an accepted step; the oracle is the
+        # exact geodesic from omega = 0 with p_omega = g, which is each picture's motion
+        n = 4
+        q = np.sort(rng.uniform(-1.0, 1.0, n))
+        q -= q.mean()
+        p = rng.uniform(-0.5, 0.5, n)
+        p -= p.mean()
+        g = rng.uniform(0.3, 1.2, n - 1)
+        exact_start = oplift.OPState(q=q, omega=np.zeros(n - 1), p_q=p, p_omega=g)
+        if picture == "chain":
+            rhs, y0 = toda.flow_field(toda.TodaSystem(n, g)), np.concatenate([q, p])
+        elif picture == "eisenhart":
+            rhs = eisenhart.flow_field(toda.TodaSystem(n, g / self.P_Y))
+            y0 = np.concatenate([q, [0.0], p, [self.P_Y]])
+        else:
+            rhs, y0 = oplift.flow_field_generalized(toda.TodaSystem(n, g)), oplift.GENERALIZED.pack(exact_start)
+        cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=10.0, stride=1)
+        stepped = integrate(rhs, y0, cfg)
+        steps = stepped.times
+        times = np.concatenate([[0.0], 0.5 * (steps[:-1] + steps[1:])])
+        traj = integrate_at_times(rhs, y0, times, cfg)
+        assert traj.stats["accepted"] == stepped.stats["accepted"]
+        q_exact, _, qdot_exact = oplift.exact_coordinates(exact_start, toda.TodaSystem(n, g), times)
+        f = len(y0) // 2 - n
+        worst = max(
+            np.max(np.abs(traj.states[:, :n] - q_exact)),
+            np.max(np.abs(traj.states[:, n + f : 2 * n + f] - qdot_exact)),
+        )
+        # measured: 2.1e-10 (chain), 2.4e-10 (eisenhart), 2.7e-10 (generalized)
+        assert worst < 1e-8
+
+    @pytest.mark.parametrize("method", ["adaptive", "rk4", "extrapolation"])
+    def test_batch_columns_match_solo_runs(self, rng, method):
+        sys = toda.TodaSystem(3, [0.8, 1.2])
+        rhs = eisenhart.flow_field(sys)
+        y0 = np.stack([np.concatenate([rng.uniform(-1, 1, 3), [0.0], rng.uniform(-1, 1, 3), [1.0]]) for _ in range(3)], axis=1)
+        cfg = IntegratorConfig(method=method, dt=0.01, rtol=1e-10, atol=1e-12, t_final=4.0)
+        times = np.linspace(0.0, 4.0, 17)
+        batch = integrate_at_times(rhs, y0, times, cfg)
+        assert batch.states.shape == (17,) + y0.shape
+        column = integrate_at_times(rhs, y0[:, :1], times, cfg)
+        assert np.array_equal(column.states[:, :, 0], integrate_at_times(rhs, y0[:, 0], times, cfg).states)
+        for b in range(y0.shape[1]):
+            solo = integrate_at_times(rhs, y0[:, b], times, cfg)
+            scale = np.maximum(1.0, np.abs(solo.states))
+            assert np.max(np.abs(batch.states[:, :, b] - solo.states) / scale) < 100.0 * cfg.rtol
+
+
+@pytest.mark.parametrize("method", ["adaptive", "rk4", "extrapolation"])
+def test_no_step_reports_zero_step_sizes(method):
+    traj = integrate_at_times(one_dof_rhs, [0.0, 0.0], [0.0], IntegratorConfig(method=method))
+    assert traj.stats["accepted"] == 0
+    assert traj.stats["dt_min"] == traj.stats["dt_max"] == 0.0
+
+
+class TestSampleTimeValidation:
+    @pytest.mark.parametrize(
+        "times",
+        [[0.0, float("nan"), 1.0], [0.0, float("inf")], [0.0, 1.0, float("nan")], [[0.0, 1.0]], []],
+        ids=["nan", "inf", "trailing-nan", "2-D", "empty"],
+    )
+    @pytest.mark.parametrize("method", ["adaptive", "rk4", "extrapolation"])
+    def test_rejected(self, times, method):
+        with pytest.raises(DomainError):
+            integrate_at_times(one_dof_rhs, [0.0, 0.0], times, IntegratorConfig(method=method, t_final=1.0))
+
+
+class TestStrideValidation:
+    @pytest.mark.parametrize("stride", [2.5, 1.0, True, False, "3", 0, -2, np.float64(2.0)])
+    def test_rejected(self, stride):
+        with pytest.raises(DomainError):
+            IntegratorConfig(stride=stride)
+
+    def test_numpy_integer_accepted(self):
+        cfg = IntegratorConfig(method="rk4", dt=0.1, t_final=1.0, stride=np.int64(5))
+        traj = integrate(lambda t, y: np.array([1.0]), [0.0], cfg)
+        assert np.allclose(traj.times, [0.0, 0.5, 1.0], rtol=0.0, atol=1e-15)
