@@ -236,8 +236,11 @@ def _worst_sample(name: str, series: np.ndarray, times: np.ndarray, gate: float,
     return value < gate, detail
 
 
-def _report(tag: str, ok: bool, detail: str, path: str | None) -> int:
+def _report(tag: str, ok: bool, detail: str, path: str | None, traj: Trajectory | None = None) -> int:
+    """Print the PASS/FAIL line; a run's ends with its integrator work, and no wall time."""
     status = "PASS" if ok else "FAIL"
+    if traj is not None:
+        detail += " nfev={nfev} accepted={accepted} rejected={rejected}".format(**traj.stats)
     suffix = f" -> {path}" if path else ""
     print(f"{status} {tag} {detail}{suffix}")
     return 0 if ok else 1
@@ -270,7 +273,7 @@ def _cmd_toda_run(args) -> int:
     path = _out_path(cfg, f"toda_run.{cfg.output_format}")
     write_trajectory(traj, cfg.output_format, path)
     worst, where = _worst_drift(traj)
-    return _report("toda-run", worst < _GATE_DRIFT, f"{where} (gate {_GATE_DRIFT:g})", path)
+    return _report("toda-run", worst < _GATE_DRIFT, f"{where} (gate {_GATE_DRIFT:g})", path, traj)
 
 
 def _cmd_eisenhart_run(args) -> int:
@@ -287,6 +290,7 @@ def _cmd_eisenhart_run(args) -> int:
         ok,
         f"{where} p_y_drift={traj.drift['p_y']:.3e} (gates {_GATE_DRIFT:g}, 1e-10)",
         path,
+        traj,
     )
 
 
@@ -305,7 +309,7 @@ def _cmd_oplift_run(args) -> int:
         path = _out_path(cfg, f"oplift_run.{cfg.output_format}")
         write_trajectory(traj, cfg.output_format, path)
         worst, where = _worst_drift(traj)
-        return _report("oplift-run", worst < _GATE_DRIFT, f"{where} (gate {_GATE_DRIFT:g})", path)
+        return _report("oplift-run", worst < _GATE_DRIFT, f"{where} (gate {_GATE_DRIFT:g})", path, traj)
     # exact mode: the closed-form geodesic at 201 samples, gated on det x(t) and,
     # where its q-projection is a Toda chain with couplings p_omega (omega = 0), on I_1..I_n
     times = np.linspace(0.0, cfg.t_final, 201)
@@ -381,7 +385,7 @@ def _cmd_forms_monitor(args) -> int:
     else:
         ok = worst < _GATE_DRIFT
         detail = f"{where} (gate {_GATE_DRIFT:g})"
-    return _report(f"forms-{args.set}", ok, detail, path)
+    return _report(f"forms-{args.set}", ok, detail, path, traj)
 
 
 def _cmd_reduce_check(args) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateMetricError
 from .integrate import IntegratorConfig, Trajectory, integrate
-from .toda import Picture, PictureState, TodaSystem, check_dims, lax_pair, potential, power_traces
+from .toda import Picture, PictureState, TodaSystem, check_dims, gap_buffer, lax_pair, potential, power_traces
 
 __all__ = [
     "EisenhartState",
@@ -104,16 +104,15 @@ def flow_field(sys: TodaSystem):
     gsq_col = gsq[:, None]
 
     def rhs(t: float, vec: np.ndarray) -> np.ndarray:
-        q = vec[:n]
-        p = vec[n + 1 : 2 * n + 1]
+        buf, w = gap_buffer(vec, n)
+        w *= gsq if vec.ndim == 1 else gsq_col
         p_y = vec[2 * n + 1]
-        w = (gsq if vec.ndim == 1 else gsq_col) * np.exp(2.0 * (q[:-1] - q[1:]))
-        out = np.zeros(vec.shape)
-        out[:n] = p
-        out[n] = 2.0 * p_y * w.sum(axis=0)
-        force = 2.0 * p_y**2 * w
-        out[n + 1 : 2 * n] -= force
-        out[n + 2 : 2 * n + 1] += force
+        out = np.empty(vec.shape)
+        out[:n] = vec[n + 1 : 2 * n + 1]
+        out[n] = 2.0 * p_y * np.add.reduce(w, axis=0)
+        w *= 2.0 * p_y**2  # the forces
+        np.subtract(buf[:-1], buf[1:], out=out[n + 1 : 2 * n + 1])
+        out[2 * n + 1] = 0.0
         return out
 
     return rhs

@@ -105,7 +105,8 @@ class IntegratorConfig:
     to 1e-3, or to 0.1 for extrapolation, whose error estimate is roundoff at
     small steps, so that the controller grows dt only about 2x per step from
     a small start.  stride decimates the output: every stride-th accepted
-    step is recorded (the endpoints always are).
+    step is recorded (the endpoints always are).  dt, rtol, atol and t_final
+    are finite positive reals, not bools, and are stored as floats.
     """
 
     method: str = "adaptive"
@@ -120,12 +121,11 @@ class IntegratorConfig:
             raise DomainError(f"unknown integration method {self.method!r}")
         if self.dt is None:
             object.__setattr__(self, "dt", 0.1 if self.method == "extrapolation" else 1e-3)
-        if not (0.0 < self.dt < math.inf):
-            raise DomainError(f"dt must be positive and finite, got {self.dt}")
-        if not (self.rtol > 0.0 and self.atol > 0.0):
-            raise DomainError("rtol and atol must be positive")
-        if not (0.0 < self.t_final < math.inf):
-            raise DomainError(f"t_final must be positive and finite, got {self.t_final}")
+        for name in ("dt", "rtol", "atol", "t_final"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (0.0 < value < math.inf):
+                raise DomainError(f"{name} must be a positive finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not math.isfinite(self.t_final / self.dt):
             raise DomainError(f"t_final / dt overflows: {self.t_final} / {self.dt}")
         if isinstance(self.stride, bool) or not isinstance(self.stride, numbers.Integral) or self.stride < 1:
@@ -191,25 +191,26 @@ def _rk4_grid(t0: float, t1: float, dt: float):
 def _dp54_step(rhs: Rhs, t: float, y: np.ndarray, dt: float, k1: np.ndarray):
     """One trial Dormand-Prince step: returns (y5, error_estimate, stages).
 
-    The stages k have shape (7,) + y.shape; k[6] is rhs at y5.  They are
-    combined through a flat (7, y.size) view, so a batch of shape (d, B)
-    costs one vector-matrix product per stage like a vector.
+    The stages k have shape (7,) + y.shape; k[6] is rhs at y5.  A batch of
+    shape (d, B) is combined through a flat (7, d B) view, so it costs one
+    vector-matrix product per stage like a vector.
     """
     k = np.empty((7,) + y.shape)
-    flat = k.reshape(7, -1)
-    yflat = y.reshape(-1)
     k[0] = k1
+    batch = y.ndim > 1
+    flat, yflat = (k.reshape(7, -1), y.reshape(-1)) if batch else (k, y)
+    h = np.array(dt)  # numpy scales by a 0-d array faster than by a Python float
     for i, row in enumerate(_DP_A, 1):
         z = row @ flat[:i]
-        z *= dt
+        z *= h
         z += yflat
-        k[i] = rhs(t + _DP_C[i] * dt, z.reshape(y.shape))
+        k[i] = rhs(t + _DP_C[i] * dt, z.reshape(y.shape) if batch else z)
     y5 = _DP_B5 @ flat
-    y5 *= dt
+    y5 *= h
     y5 += yflat
     err = _DP_ERR @ flat
-    err *= dt
-    return y5.reshape(y.shape), err.reshape(y.shape), k
+    err *= h
+    return (y5.reshape(y.shape), err.reshape(y.shape), k) if batch else (y5, err, k)
 
 
 def _gbs_step(rhs: Rhs, t: float, y: np.ndarray, dt: float, f0: np.ndarray):
@@ -320,7 +321,9 @@ class _AdaptiveStepper(_Stepper):
         return out.reshape((len(theta),) + self.y.shape)
 
     def advance_to(self, t_target: float, on_accept=None) -> None:
+        rtol, atol = np.array(self.cfg.rtol), np.array(self.cfg.atol)  # 0-d: cheaper operands than floats
         min_step = _MIN_STEP_FRACTION * max(t_target, self.cfg.t_final)
+        abs_y = np.abs(self.y)  # kept for the accepted state, shared by its trial steps
         while self.t < t_target:
             landing = self.dt > t_target - self.t
             dt = min(self.dt, t_target - self.t)
@@ -332,15 +335,21 @@ class _AdaptiveStepper(_Stepper):
                 self.rejected += 1
                 self.dt = dt * _SHRINK_LIMIT
                 continue
-            tol = self.cfg.atol + self.cfg.rtol * np.maximum(np.abs(self.y), np.abs(y_new))
-            scaled = err_vec / tol
+            # (err / tol)^2 with tol = atol + rtol max(|y|, |y_new|), in one buffer
+            abs_new = np.abs(y_new)
+            scaled = np.maximum(abs_y, abs_new)
+            scaled *= rtol
+            scaled += atol
+            np.divide(err_vec, scaled, out=scaled)
             scaled *= scaled
             # RMS over each column's components; a batch steps by its worst column
-            err = math.sqrt(float(np.add.reduce(scaled, axis=0).max()) / len(scaled))
+            total = np.add.reduce(scaled, axis=0)
+            err = math.sqrt(float(total.max() if scaled.ndim > 1 else total) / len(scaled))
             if err <= 1.0:
                 self.t_prev, self.y_prev, self.step, self.stages = self.t, self.y, dt, stages
                 self.t = self.t + dt
                 self.y = y_new
+                abs_y = abs_new
                 self.k1 = self.rhs(self.t, y_new) if stages is None else stages[6]
                 self._count(dt)
                 if on_accept is not None:

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConditioningError, ConstraintError, DefinitenessError, DomainError
 from .integrate import IntegratorConfig, Trajectory, integrate, integrate_at_times
 from .linalg import udu_decompose, unitriangular_inverse
-from .toda import Picture, PictureState, TodaSystem, check_dims, lax_traces
+from .toda import Picture, PictureState, TodaSystem, check_dims, gap_buffer, lax_traces
 
 __all__ = [
     "OPState",
@@ -559,16 +559,17 @@ def flow_field_generalized(sys: TodaSystem):
     n = sys.n
 
     def rhs(t: float, vec: np.ndarray) -> np.ndarray:
-        q = vec[:n]
-        p_q = vec[2 * n - 1 : 3 * n - 1]
+        buf, gap = gap_buffer(vec, n)
         p_w = vec[3 * n - 1 :]
-        gap = np.exp(2.0 * (q[:-1] - q[1:]))
-        w = p_w**2 * gap
-        out = np.zeros(vec.shape)
-        out[:n] = p_q
-        out[n : 2 * n - 1] = 2.0 * p_w * gap
-        out[2 * n - 1 : 3 * n - 2] -= 2.0 * w
-        out[2 * n : 3 * n - 1] += 2.0 * w
+        out = np.empty(vec.shape)
+        out[:n] = vec[2 * n - 1 : 3 * n - 1]
+        rate = out[n : 2 * n - 1]
+        np.add(p_w, p_w, out=rate)  # 2 p_w, exactly
+        rate *= gap
+        gap *= p_w * p_w
+        gap += gap  # the forces 2 p_w^2 gap
+        np.subtract(buf[:-1], buf[1:], out=out[2 * n - 1 : 3 * n - 1])
+        out[3 * n - 1 :] = 0.0
         return out
 
     return rhs

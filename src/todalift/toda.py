@@ -37,6 +37,7 @@ __all__ = [
     "check_dims",
     "Picture",
     "CHAIN",
+    "gap_buffer",
     "flow_field",
     "run",
     "evolve_A",
@@ -133,7 +134,9 @@ def lax_pair(sys: TodaSystem, state: PhaseState) -> tuple[np.ndarray, np.ndarray
             raise DomainError(f"packed state must have shape ({2 * n},), got {y.shape}")
         q, p = y[:n], y[n:]
     lmat, _, upper = _lax_stack(q[:, None], p[:, None], sys.g[:, None])
-    return lmat[0], np.diag(2.0 * upper[:, 0], 1)
+    mmat = np.zeros((n, n))
+    mmat.reshape(-1)[1 :: n + 1] = 2.0 * upper[:, 0]
+    return lmat[0], mmat
 
 
 def power_traces(lmat: np.ndarray, kmax: int) -> np.ndarray:
@@ -330,19 +333,29 @@ class Picture:
         return lambda pos, mom: float(self.invariants(sys, np.concatenate([pos, mom])[None, :], k)[k - 1, 0])
 
 
+def gap_buffer(x, n: int):
+    """(buffer, gap): gap_i = exp(2 (q_i - q_{i+1})) of one packed state or batch x, as the
+    rows 1..n-1 of a zero buffer of n+1 rows.  Once a flow field scales gap in place into
+    the forces f_i, buffer[:-1] - buffer[1:] are the momentum rates f_{i-1} - f_i."""
+    buf = np.zeros((n + 1,) + x.shape[1:])
+    gap = buf[1:n]
+    np.subtract(x[: n - 1], x[1:n], out=gap)
+    gap += gap  # doubling by addition is exact, and cheaper than by 2.0
+    np.exp(gap, out=gap)
+    return buf, gap
+
+
 def flow_field(sys: TodaSystem):
-    """Vector field over the packed state [q, p] for the integrator."""
+    """Vector field over packed states [q, p]: one (2n,) state or a component-first (2n, B) batch."""
     n = sys.n
     two_gsq = 2.0 * sys.g**2
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        q = y[:n]
-        force = two_gsq * np.exp(2.0 * (q[:-1] - q[1:]))
-        out = np.empty(2 * n)
+        buf, force = gap_buffer(y, n)
+        force *= two_gsq if y.ndim == 1 else two_gsq[:, None]
+        out = np.empty(y.shape)
         out[:n] = y[n:]
-        out[n:] = 0.0
-        out[n : 2 * n - 1] -= force
-        out[n + 1 :] += force
+        np.subtract(buf[:-1], buf[1:], out=out[n:])
         return out
 
     return rhs
@@ -395,9 +408,11 @@ def evolve_A(
 
     def rhs(t: float, z: np.ndarray) -> np.ndarray:
         y = z[: 2 * n]
-        amat = z[2 * n :].reshape(n, n)
         _, mmat = lax_pair(sys, y)
-        return np.concatenate([base(t, y), (-mmat @ amat).ravel()])
+        out = np.empty(z.shape)
+        out[: 2 * n] = base(t, y)
+        np.matmul(-mmat, z[2 * n :].reshape(n, n), out=out[2 * n :].reshape(n, n))
+        return out
 
     z0 = np.concatenate([traj.states[0], np.eye(n).ravel()])
     out = integrate_at_times(rhs, z0, traj.times, cfg)

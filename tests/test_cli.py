@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from todalift import cli
+from todalift import cli, toda
 from todalift.errors import ConfigError
 from todalift.integrate import Trajectory
 
@@ -329,6 +329,30 @@ class TestDriftGateLine:
         status, got_tag, _, name, _ = self.PATTERN.match(capsys.readouterr().out).groups()
         assert (status, got_tag) == (("PASS", "FAIL")[rc], tag)
         assert name in json.loads((tmp_path / "o.json").read_text())["monitors"]
+
+    WORK = re.compile(r" nfev=(\d+) accepted=(\d+) rejected=(\d+) -> (\S+)$")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["toda", "run"], ["eisenhart", "run"], ["oplift", "run", "--mode", "hamiltonian"], ["forms", "monitor", "--set", "general"]],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_run_lines_end_with_the_integrator_work(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        cfgp = write_cfg(tmp_path, CALM)
+        lines = []
+        for _ in range(2):
+            assert cli.run_command(argv + ["-c", cfgp, "--out", "o.csv"]) == 0
+            lines.append(capsys.readouterr().out.strip())
+        # the drift line is unchanged in front, and a rerun prints the same line: no wall time
+        assert self.PATTERN.match(lines[0]) and lines[0] == lines[1]
+        nfev, accepted, rejected, path = (int(v) if v.isdigit() else v for v in self.WORK.search(lines[0]).groups())
+        assert accepted > 0 and nfev == 1 + 6 * (accepted + rejected)  # Dormand-Prince's count
+        assert path == str(tmp_path / "o.csv")
+        if argv[0] == "toda":
+            cfg = cli.parse_config(json.dumps(CALM))
+            stats = toda.run(cfg.system(), toda.PhaseState(q=cfg.q, p=cfg.p), cfg.integrator()).stats
+            assert (nfev, accepted, rejected) == (stats["nfev"], stats["accepted"], stats["rejected"])
 
 
 # Starts on which the materialised exp(Bt) x0 path lost its UDU pivots or its

@@ -1,0 +1,114 @@
+"""Every picture's flow field against an oracle built from the shared Lax core,
+and the memory discipline the integrator relies on.
+
+The oracle is the symplectic gradient of H = I_2 = Tr(L^2)/2, taken from the
+exact Lax-trace gradient (toda.lax_trace_gradient) through each record's
+chain rule (Picture.gradient): position rates are dH/dmomenta, momentum
+rates -dH/dpositions.  It shares no code with the flow fields.
+"""
+
+import numpy as np
+import pytest
+
+from conftest import random_chain
+from todalift import eisenhart, oplift, toda
+from todalift.integrate import IntegratorConfig
+
+PICTURES = [toda.CHAIN, eisenhart.EISENHART, oplift.GENERALIZED]
+
+
+def picture_id(picture):
+    return picture.name
+
+
+def system(rng, n, zero_coupling=False):
+    g = rng.uniform(0.5, 1.5, n - 1)
+    if zero_coupling:
+        g[(n - 1) // 2] = 0.0
+    return toda.TodaSystem(n, g)
+
+
+def batch(rng, picture, n, size=5):
+    """Component-first packed states (dim, size)."""
+    return np.column_stack([picture.random_state(rng, n) for _ in range(size)])
+
+
+def symplectic_gradient(picture, sys, x):
+    """Rates (dim, B) of H = I_2 at the packed states x."""
+    _, d_q, d_p, d_c = toda.lax_trace_gradient(*picture.chart(sys.n, sys.g)(x), 2)
+    grad = picture.gradient(sys.g, d_q, d_p, d_c)
+    half = len(grad) // 2
+    return np.concatenate([grad[half:], -grad[:half]])
+
+
+@pytest.mark.parametrize("picture", PICTURES, ids=picture_id)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("zero_coupling", [False, True], ids=["generic", "zero-coupling"])
+def test_field_is_the_symplectic_gradient_of_I2(rng, picture, n, zero_coupling):
+    sys = system(rng, n, zero_coupling)
+    field = picture.flow_field(sys)
+    x = batch(rng, picture, n)
+    want = symplectic_gradient(picture, sys, x)
+    tol = 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(field(0.0, x) - want)) <= tol
+    for b in range(x.shape[1]):
+        assert np.max(np.abs(field(0.0, x[:, b].copy()) - want[:, b])) <= tol
+
+
+# The Eisenhart field's p_y-fibre rate sums over the pairs, and numpy sums a
+# vector and the columns of a batch in different orders, so its batch agrees
+# with its columns to roundoff (checked by the oracle above), not bit for bit.
+@pytest.mark.parametrize("picture", [toda.CHAIN, oplift.GENERALIZED], ids=picture_id)
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_batch_columns_equal_single_states_bit_for_bit(rng, picture, n):
+    sys = system(rng, n, zero_coupling=True)
+    field = picture.flow_field(sys)
+    x = batch(rng, picture, n)
+    out = field(0.0, x)
+    assert out.shape == x.shape
+    for b in range(x.shape[1]):
+        assert out[:, b].tobytes() == field(0.0, x[:, b].copy()).tobytes()
+
+
+@pytest.mark.parametrize("picture", PICTURES, ids=picture_id)
+@pytest.mark.parametrize("size", [None, 4], ids=["one-state", "batch"])
+def test_field_returns_a_fresh_array_and_leaves_its_input(rng, picture, size):
+    sys = system(rng, 4)
+    field = picture.flow_field(sys)
+    x = picture.random_state(rng, 4) if size is None else batch(rng, picture, 4, size)
+    before = x.copy()
+    out = field(0.0, x)
+    kept = out.copy()
+    assert out.shape == x.shape
+    assert not np.shares_memory(out, x)
+    assert x.tobytes() == before.tobytes()
+    # a second call neither reuses nor overwrites the first call's array
+    again = field(0.0, 2.0 * x)
+    assert not np.shares_memory(again, out)
+    assert out.tobytes() == kept.tobytes()
+
+
+def test_evolve_A_rhs_returns_fresh_arrays_and_leaves_its_input(rng, monkeypatch):
+    sys, st = random_chain(rng, 4)
+    traj = toda.run(sys, st, IntegratorConfig(t_final=2.0, stride=5))
+    real = toda.integrate_at_times
+    returned = []
+
+    def checked(rhs, y0, sample_times, cfg, monitors=None, labels=None):
+        def guarded(t, z):
+            before = z.copy()
+            out = rhs(t, z)
+            assert not np.shares_memory(out, z)
+            assert z.tobytes() == before.tobytes()
+            returned.append((out, out.copy()))
+            return out
+
+        return real(guarded, y0, sample_times, cfg, monitors, labels)
+
+    monkeypatch.setattr(toda, "integrate_at_times", checked)
+    mats = toda.evolve_A(sys, traj)
+    assert len(mats) == len(traj) and len(returned) > 100
+    # no later evaluation wrote into an earlier one's array
+    assert all(out.tobytes() == kept.tobytes() for out, kept in returned)
+    monkeypatch.undo()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(mats, toda.evolve_A(sys, traj)))

@@ -467,3 +467,23 @@ class TestStrideValidation:
         cfg = IntegratorConfig(method="rk4", dt=0.1, t_final=1.0, stride=np.int64(5))
         traj = integrate(lambda t, y: np.array([1.0]), [0.0], cfg)
         assert np.allclose(traj.times, [0.0, 0.5, 1.0], rtol=0.0, atol=1e-15)
+
+
+class TestScalarValidation:
+    NAMES = ["dt", "rtol", "atol", "t_final"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize(
+        "value",
+        [True, False, float("inf"), float("-inf"), float("nan"), 0.0, -1e-3, "1e-10", "x", [1e-3], 1e-3 + 0j],
+        ids=["true", "false", "inf", "-inf", "nan", "zero", "negative", "numeric-string", "string", "list", "complex"],
+    )
+    def test_rejected(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            IntegratorConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("value", [np.float64(0.5), np.float32(0.5), np.int64(1), 1], ids=["f64", "f32", "i64", "int"])
+    def test_real_numbers_are_stored_as_floats(self, name, value):
+        got = getattr(IntegratorConfig(**{name: value}), name)
+        assert type(got) is float and got == value
