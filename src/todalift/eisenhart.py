@@ -11,8 +11,9 @@ lifts by attaching one factor of p_y to every coupling, which makes all of
 its entries homogeneous of degree one in the momenta; the lifted invariants
 are then momentum polynomials, the raw material for Killing tensors.
 
-Geodesics are integrated in Hamiltonian form throughout; the metric itself
-is only materialised for tests and tensor comparisons.
+Geodesics are integrated in Hamiltonian form throughout; the energy, the
+metric and the runner come from the EISENHART record (see toda.Picture), and
+the metric is only materialised for tests and tensor comparisons.
 """
 
 from __future__ import annotations
@@ -21,14 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMetricError
-from .integrate import IntegratorConfig, Trajectory, integrate
-from .toda import Picture, PictureState, TodaSystem, check_dims, gap_buffer, lax_pair, potential, power_traces
+from .toda import Picture, PictureState, TodaSystem, check_dims, gap_buffer, lax_pair, power_traces
 
 __all__ = [
     "EisenhartState",
-    "metric_eisenhart",
-    "metric_eisenhart_inverse",
     "hamiltonian_eisenhart",
     "lifted_lax",
     "lifted_invariants",
@@ -53,26 +50,6 @@ class EisenhartState(PictureState):
         self._store(q=n, y=1, p=n, p_y=1)
         object.__setattr__(self, "y", float(self.y[0]))
         object.__setattr__(self, "p_y", float(self.p_y[0]))
-
-
-def metric_eisenhart(sys: TodaSystem, q) -> np.ndarray:
-    """Lift metric diag(1, ..., 1, 1/(2V(q))) over positions (q, y)."""
-    return np.diag(1.0 / np.diag(metric_eisenhart_inverse(sys, q)))
-
-
-def metric_eisenhart_inverse(sys: TodaSystem, q) -> np.ndarray:
-    v = potential(sys, q)
-    if v <= 0.0:
-        raise DegenerateMetricError("lift metric degenerates where the potential vanishes")
-    diag = np.ones(sys.n + 1)
-    diag[-1] = 2.0 * v
-    return np.diag(diag)
-
-
-def hamiltonian_eisenhart(sys: TodaSystem, state: EisenhartState) -> float:
-    """Geodesic energy sum(p^2)/2 + p_y^2 V(q)."""
-    check_dims(sys, state)
-    return float(0.5 * np.dot(state.p, state.p) + state.p_y**2 * potential(sys, state.q))
 
 
 def lifted_lax(sys: TodaSystem, state: EisenhartState) -> tuple[np.ndarray, np.ndarray]:
@@ -132,10 +109,5 @@ EISENHART = Picture(
 )
 
 
-def run_geodesic(
-    sys: TodaSystem,
-    state: EisenhartState,
-    cfg: IntegratorConfig,
-    kmax: int | None = None,
-) -> Trajectory:
-    return integrate(**EISENHART.run_args(sys, state, cfg, kmax))
+hamiltonian_eisenhart = EISENHART.energy  # sum(p^2)/2 + p_y^2 V(q)
+run_geodesic = EISENHART.run

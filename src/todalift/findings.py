@@ -56,7 +56,7 @@ def invariant_normalization_finding(seed: int = 0, samples: int = 50) -> dict:
         tr1 = float(np.trace(lmat))
         tr2 = float(np.trace(lmat @ lmat))
         sump = float(np.sum(state.p))
-        ham = toda.hamiltonian(sys, state)
+        ham = toda.CHAIN.energy(sys, state)
         for key, div1, div2 in (("reciprocal_k", 1.0, 2.0), ("reciprocal_2^k", 2.0, 4.0)):
             row = table[key]
             row["I1_vs_sum_p"] = max(row["I1_vs_sum_p"], abs(tr1 / div1 - sump))

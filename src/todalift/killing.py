@@ -23,7 +23,6 @@ cross-check for any pair of phase-space functions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -184,9 +183,6 @@ class KillingReport:
             "drift_max": self.drift_max,
             "pass": self.passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 # the lifts whose I_k verify_killing checks, by name

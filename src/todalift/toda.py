@@ -19,15 +19,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DegenerateMetricError, DomainError
 from .integrate import IntegratorConfig, Trajectory, integrate, integrate_at_times
 
 __all__ = [
     "TodaSystem",
     "PictureState",
     "PhaseState",
-    "potential",
-    "hamiltonian",
     "lax_pair",
     "invariants",
     "power_traces",
@@ -102,18 +100,6 @@ def check_dims(sys: TodaSystem, state) -> None:
     """Raise unless a state of any picture has the system's particle count."""
     if state.n != sys.n:
         raise DomainError(f"state has {state.n} particles, system has {sys.n}")
-
-
-def potential(sys: TodaSystem, q) -> float:
-    q = np.asarray(q, dtype=float)
-    if q.shape != (sys.n,):
-        raise DomainError(f"position vector must have length {sys.n}")
-    return float(np.sum(sys.g**2 * np.exp(2.0 * (q[:-1] - q[1:]))))
-
-
-def hamiltonian(sys: TodaSystem, state: PhaseState) -> float:
-    check_dims(sys, state)
-    return float(0.5 * np.dot(state.p, state.p) + potential(sys, state.q))
 
 
 def lax_pair(sys: TodaSystem, state: PhaseState) -> tuple[np.ndarray, np.ndarray]:
@@ -308,11 +294,43 @@ class Picture:
             mons[fm.name] = lambda states, fm=fm: fm.evaluate(self.view(states.T, n))
         return mons
 
-    def run_args(self, sys: TodaSystem, state, cfg, kmax: int | None = None, forms=()) -> dict:
-        """The arguments of integrate for a monitored run from one state."""
+    def run(self, sys: TodaSystem, state, cfg: IntegratorConfig, kmax: int | None = None,
+            extra_monitors=None) -> Trajectory:
+        """Integrate from one state, monitoring the record's monitors and each form monitor in extra_monitors."""
         check_dims(sys, state)
-        return dict(rhs=self.flow_field(sys), y0=self.pack(state), cfg=cfg,
-                    monitors=self.monitors(sys, kmax, forms), labels=self.labels(sys.n))
+        return integrate(rhs=self.flow_field(sys), y0=self.pack(state), cfg=cfg,
+                         monitors=self.monitors(sys, kmax, extra_monitors or ()), labels=self.labels(sys.n))
+
+    def energy(self, sys: TodaSystem, state) -> float:
+        """sum(p^2)/2 + sum_i c_i^2 exp(2 (q_i - q_{i+1})) of one state, c the record's couplings.
+
+        For either lift this is the geodesic energy: the couplings return as momenta.
+        """
+        check_dims(sys, state)
+        return float(lax_energy(*self.chart(sys.n, sys.g)(self.pack(state)[:, None]))[0])
+
+    def inverse_metric(self, sys: TodaSystem, q) -> np.ndarray:
+        """Inverse metric over the positions (q, fibre); a lift's energy is P G^{-1} P / 2.
+
+        It is the identity on q and J^T diag(2 exp(2 (q_i - q_{i+1}))) J on the fibre,
+        J = dc/dp_fibre: 2V(q) for the Eisenhart lift, diag(2 exp(2 (q_a - q_{a+1})))
+        for the generalised one.
+        """
+        q = np.asarray(q, dtype=float)
+        n = sys.n
+        if q.shape != (n,):
+            raise DomainError(f"position vector must have length {n}")
+        jac_t = self.coupling_grad(np.eye(n - 1), sys.g[:, None])
+        fibre = (jac_t * (2.0 * np.exp(2.0 * (q[:-1] - q[1:])))) @ jac_t.T
+        if not np.all(np.diagonal(fibre) > 0.0):
+            raise DegenerateMetricError("lift metric degenerates where a fibre block entry vanishes")
+        out = np.eye(n + len(fibre))
+        out[n:, n:] = fibre
+        return out
+
+    def metric(self, sys: TodaSystem, q) -> np.ndarray:
+        """Lift metric over the positions (q, fibre), the inverse of inverse_metric."""
+        return np.linalg.inv(self.inverse_metric(sys, q))
 
     def gradient(self, g, d_q, d_p, d_c) -> np.ndarray:
         """Packed gradient (dim, M) of I_k from its Lax-data gradient; I does not depend on the fibre."""
@@ -373,14 +391,7 @@ CHAIN = Picture(
 )
 
 
-def run(
-    sys: TodaSystem,
-    state: PhaseState,
-    cfg: IntegratorConfig,
-    kmax: int | None = None,
-) -> Trajectory:
-    """Integrate the chain, monitoring the trace invariants and the energy."""
-    return integrate(**CHAIN.run_args(sys, state, cfg, kmax))
+run = CHAIN.run
 
 
 def evolve_A(

@@ -171,7 +171,7 @@ def test_criterion_7_form_monitors():
 
     sys4, st4 = calm_chain(rng, 4)
     s4 = oplift.OPState(q=st4.q, omega=rng.uniform(-0.5, 0.5, 3), p_q=st4.p, p_omega=sys4.g)
-    mons = oplift.monitors_general(sys4, 4)
+    mons = oplift.monitors_general(sys4)
     traj4 = oplift.run_geodesic_generalized(sys4, s4, cfg, kmax=1, extra_monitors=mons)
     gated = [
         name
@@ -239,7 +239,7 @@ def test_criterion_9_killing_verification():
             4,
             pos_e,
         )
-        minv_e = eisenhart.metric_eisenhart_inverse(sys, q)
+        minv_e = eisenhart.EISENHART.inverse_metric(sys, q)
         pos_g = np.concatenate([q - q.mean(), rng.uniform(-1, 1, 2)])
         table_g = killing.extract_tensor(
             lambda pos, mom: float(
@@ -252,7 +252,7 @@ def test_criterion_9_killing_verification():
             5,
             pos_g,
         )
-        minv_g = oplift.metric_generalized_inverse(q - q.mean())
+        minv_g = oplift.GENERALIZED.inverse_metric(sys, q - q.mean())
         for i in range(1, 5):
             for j in range(i, 5):
                 comp_dev = max(comp_dev, abs(table_e[(i, j)] - minv_e[i - 1, j - 1]))
@@ -283,15 +283,15 @@ def test_criterion_10_isometry_exactness():
         p_q=rng.uniform(-1, 1, n),
         p_omega=rng.uniform(0.4, 1.6, n - 1),
     )
-    before = oplift.generalized_hamiltonian(sys, state)
+    before = oplift.GENERALIZED.energy(sys, state)
     worst = 0.0
     for s in (-2.0, -1.3, -0.5, 0.7, 1.4, 2.0):
         for a in range(1, n):
             out = killing.isometry_flow("omega-translation", a, state, s)
-            worst = max(worst, abs(oplift.generalized_hamiltonian(sys, out) - before))
+            worst = max(worst, abs(oplift.GENERALIZED.energy(sys, out) - before))
         for a in range(1, n + 1):
             out = killing.isometry_flow("lambda", a, state, s)
-            worst = max(worst, abs(oplift.generalized_hamiltonian(sys, out) - before))
+            worst = max(worst, abs(oplift.GENERALIZED.energy(sys, out) - before))
     rel = worst / max(1.0, abs(before))
     _line(10, rel < 1e-13, f"max relative energy change {rel:.3e} over parameters in [-2,2], n=5 (tol 1e-13)")
 

@@ -169,6 +169,34 @@ class TestCommands:
         header = (tmp_path / "forms_n2.csv").read_text().splitlines()[0]
         assert "C_1" in header and "C_3" in header
 
+    def test_forms_monitor_fails_on_a_non_finite_gated_monitor(self, tmp_path, monkeypatch, capsys):
+        # the particles separate until exp(-2 (q_a - q_{a+1})) overflows inside cbar and rho
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        doc = {"n": 3, "g": [1.0, 1.0], "q": [0.0, 0.0, 0.0], "p": [-10.0, -10.0, 20.0], "t_final": 20.0}
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.run_command(["forms", "monitor", "--set", "general", "-c", write_cfg(tmp_path, doc)])
+        line = capsys.readouterr().out
+        match = re.match(r"FAIL forms-general max_drift=nan at (\w+) t=(\S+) cbar_vs_2pw=nan ", line)
+        assert rc == 1 and match, line
+        name, at = match.groups()
+        assert name in ("cbar_2_1", "cbar_3_2", "lambda_1", "lambda_2", "lambda_3", "rho_1", "rho_2", "rho_3")
+        header, *rows = (tmp_path / "forms_general.csv").read_text().splitlines()
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        column = table[:, header.split(",").index(name)]
+        assert float(at) == float(f"{table[np.flatnonzero(~np.isfinite(column))[0], 0]:.6g}")
+
+    @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
+    def test_worst_drift_takes_a_nan_in_either_order(self, order):
+        times = np.array([0.0, 1.0, 2.0])
+        series = {"a": np.array([1.0, 1.0 + 1e-12, 1.0]), "b": np.array([1.0, np.nan, np.nan])}
+        drift = {"a": 1e-12, "b": float("nan")}
+        traj = Trajectory(times=times, states=np.zeros((3, 1)), monitors={m: series[m] for m in order},
+                          drift={m: drift[m] for m in order})
+        worst, detail = cli._worst_drift(traj)
+        assert not worst < cli._GATE_DRIFT
+        assert detail == "max_drift=nan at b t=1"
+        assert cli._worst_drift(traj, ["a"]) == (1e-12, "max_drift=1.000e-12 at a t=1")
+
     def test_reduce_check(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
         assert cli.run_command(["reduce", "check", "-c", write_cfg(tmp_path, CALM)]) == 0

@@ -15,23 +15,23 @@ class TestMetric:
     def test_resting_pair(self):
         sys = toda.TodaSystem(2, [1.0])
         assert np.array_equal(
-            eisenhart.metric_eisenhart(sys, [0.0, 0.0]), np.diag([1.0, 1.0, 0.5])
+            eisenhart.EISENHART.metric(sys, [0.0, 0.0]), np.diag([1.0, 1.0, 0.5])
         )
 
     def test_position_block_is_identity(self, rng):
         sys, st = random_chain(rng, 4)
-        m = eisenhart.metric_eisenhart(sys, st.q)
+        m = eisenhart.EISENHART.metric(sys, st.q)
         assert np.array_equal(m[:4, :4], np.eye(4))
 
     def test_degenerate_potential(self):
         sys = toda.TodaSystem(2, [0.0])
         with pytest.raises(DegenerateMetricError):
-            eisenhart.metric_eisenhart(sys, [0.0, 0.0])
+            eisenhart.EISENHART.metric(sys, [0.0, 0.0])
 
     def test_inverse(self, rng):
         sys, st = random_chain(rng, 3)
-        m = eisenhart.metric_eisenhart(sys, st.q)
-        minv = eisenhart.metric_eisenhart_inverse(sys, st.q)
+        m = eisenhart.EISENHART.metric(sys, st.q)
+        minv = eisenhart.EISENHART.inverse_metric(sys, st.q)
         assert np.max(np.abs(m @ minv - np.eye(4))) < 1e-14
 
 
@@ -39,29 +39,29 @@ class TestHamiltonian:
     def test_unit_fibre_momentum_recovers_chain(self, rng):
         sys, st = random_chain(rng, 4)
         assert abs(
-            eisenhart.hamiltonian_eisenhart(sys, lift(st, 1.0)) - toda.hamiltonian(sys, st)
+            eisenhart.EISENHART.energy(sys, lift(st, 1.0)) - toda.CHAIN.energy(sys, st)
         ) < 1e-14
 
     def test_zero_fibre_momentum_is_free(self, rng):
         sys, st = random_chain(rng, 3)
         assert abs(
-            eisenhart.hamiltonian_eisenhart(sys, lift(st, 0.0)) - 0.5 * np.dot(st.p, st.p)
+            eisenhart.EISENHART.energy(sys, lift(st, 0.0)) - 0.5 * np.dot(st.p, st.p)
         ) < 1e-15
 
     def test_scaled_fibre_momentum_rescales_couplings(self, rng):
         sys, st = random_chain(rng, 3)
         doubled = toda.TodaSystem(3, 2.0 * sys.g)
         assert abs(
-            eisenhart.hamiltonian_eisenhart(sys, lift(st, 2.0)) - toda.hamiltonian(doubled, st)
+            eisenhart.EISENHART.energy(sys, lift(st, 2.0)) - toda.CHAIN.energy(doubled, st)
         ) < 1e-13
 
     def test_is_half_inverse_metric_contraction(self, rng):
         sys, st = random_chain(rng, 3)
         s = lift(st, 0.7)
         mom = np.concatenate([s.p, [s.p_y]])
-        minv = eisenhart.metric_eisenhart_inverse(sys, s.q)
+        minv = eisenhart.EISENHART.inverse_metric(sys, s.q)
         assert abs(
-            0.5 * mom @ minv @ mom - eisenhart.hamiltonian_eisenhart(sys, s)
+            0.5 * mom @ minv @ mom - eisenhart.EISENHART.energy(sys, s)
         ) < 1e-13
 
 
@@ -88,7 +88,7 @@ class TestGeodesicFlow:
     def test_fibre_velocity(self, rng):
         sys, st = random_chain(rng, 3)
         _, dy, _, _ = self.field(sys, lift(st, 1.0))
-        assert abs(dy - 2.0 * toda.potential(sys, st.q)) < 1e-14
+        assert abs(dy - 2.0 * toda.CHAIN.energy(sys, toda.PhaseState(st.q, 0.0 * st.p))) < 1e-14
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_fibre_momentum_and_invariant_drift(self, rng, n):
@@ -114,7 +114,7 @@ class TestLiftedLax:
             p = rng.uniform(-1, 1, 4)
             s = eisenhart.EisenhartState(q=q, y=rng.uniform(-1, 1), p=p, p_y=rng.uniform(-1, 1))
             vals = eisenhart.lifted_invariants(sys, s, 2)
-            assert abs(vals[1] - eisenhart.hamiltonian_eisenhart(sys, s)) < 1e-12
+            assert abs(vals[1] - eisenhart.EISENHART.energy(sys, s)) < 1e-12
 
     def test_momentum_homogeneity(self, rng):
         sys, st = random_chain(rng, 3)
@@ -157,18 +157,18 @@ class TestGeneralizedCouplings:
         op_state = oplift.OPState(
             q=st.q, omega=np.zeros(sys.n - 1), p_q=st.p, p_omega=ptilde * sys.g, centered=False
         )
-        return oplift.generalized_hamiltonian(sys, op_state)
+        return oplift.GENERALIZED.energy(sys, op_state)
 
     def test_unit_momenta_recover_chain(self, rng):
         sys, st = random_chain(rng, 4)
         val = self.energy(sys, st, np.ones(3))
-        assert abs(val - toda.hamiltonian(sys, st)) < 1e-14
+        assert abs(val - toda.CHAIN.energy(sys, st)) < 1e-14
 
     def test_constant_momenta_rescale_couplings(self, rng):
         sys, st = random_chain(rng, 3)
         val = self.energy(sys, st, 1.4 * np.ones(2))
         scaled = toda.TodaSystem(3, 1.4 * sys.g)
-        assert abs(val - toda.hamiltonian(scaled, st)) < 1e-13
+        assert abs(val - toda.CHAIN.energy(scaled, st)) < 1e-13
 
     def test_identification_with_symmetric_space_energy(self, rng):
         # p_{omega_a} = ptilde_a g_a maps the symmetric-space energy onto
@@ -177,7 +177,7 @@ class TestGeneralizedCouplings:
         for _ in range(100):
             st = toda.PhaseState(rng.uniform(-1, 1, 4), rng.uniform(-1, 1, 4))
             pt = rng.uniform(-1.5, 1.5, 3)
-            want = toda.hamiltonian(toda.TodaSystem(4, pt * sys.g), st)
+            want = toda.CHAIN.energy(toda.TodaSystem(4, pt * sys.g), st)
             assert abs(self.energy(sys, st, pt) - want) < 1e-12
 
 

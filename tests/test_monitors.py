@@ -41,7 +41,7 @@ def test_chain_monitors(rng, n):
     def reference(name, row):
         state = toda.CHAIN.unpack(sys, row)
         if name == "H":
-            return toda.hamiltonian(sys, state)
+            return toda.CHAIN.energy(sys, state)
         return toda.invariants(sys, state, n)[int(name[2:]) - 1]
 
     mons = toda.CHAIN.monitors(sys)
@@ -59,7 +59,7 @@ def test_eisenhart_monitors(rng, n):
         if name == "p_y":
             return state.p_y
         if name == "H":
-            return eisenhart.hamiltonian_eisenhart(sys, state)
+            return eisenhart.EISENHART.energy(sys, state)
         return eisenhart.lifted_invariants(sys, state, n)[int(name[2:]) - 1]
 
     mons = eisenhart.EISENHART.monitors(sys)
@@ -72,7 +72,7 @@ def test_eisenhart_monitors(rng, n):
 def test_generalized_and_form_monitors(rng, n):
     sys = toda.TodaSystem(n, rng.uniform(0.3, 1.5, n - 1))
     states = rng.uniform(-1.0, 1.0, (SAMPLES, 4 * n - 2))
-    forms = oplift.monitors_general(sys, n) + (oplift.monitors_n2(sys) if n == 2 else [])
+    forms = oplift.monitors_general(sys) + (oplift.monitors_n2(sys) if n == 2 else [])
     by_name = {fm.name: fm for fm in forms}
 
     def reference(name, row):
@@ -80,7 +80,7 @@ def test_generalized_and_form_monitors(rng, n):
         if name in by_name:
             return by_name[name].evaluate(state)
         if name == "H":
-            return oplift.generalized_hamiltonian(sys, state)
+            return oplift.GENERALIZED.energy(sys, state)
         return oplift.generalized_invariants(state, n)[int(name[2:]) - 1]
 
     mons = oplift.GENERALIZED.monitors(sys, forms=forms)
@@ -104,7 +104,7 @@ def test_batched_velocity_matrix(rng, n):
         )
         rows.append(oplift.GENERALIZED.pack(s))
     states = np.array(rows)
-    batch = oplift.GENERALIZED.monitors(sys, 1, oplift.monitors_general(sys, n))
+    batch = oplift.GENERALIZED.monitors(sys, 1, oplift.monitors_general(sys))
     for row in states:
         s = oplift.GENERALIZED.unpack(sys, row, centered=False)
         centered = oplift.OPState(q=s.q - s.q.mean(), omega=s.omega, p_q=s.p_q, p_omega=s.p_omega)
@@ -169,10 +169,10 @@ def test_form_monitors_called_once_per_run(rng, monkeypatch):
     sys, st = random_chain(rng, 3)
     s = oplift.OPState(q=st.q, omega=rng.uniform(-0.5, 0.5, 2), p_q=st.p, p_omega=sys.g)
     calls = {}
-    real = oplift.integrate
-    monkeypatch.setattr(oplift, "integrate", lambda *args, monitors, **kw: real(*args, monitors=counted(monitors, calls), **kw))
+    real = toda.integrate
+    monkeypatch.setattr(toda, "integrate", lambda *args, monitors, **kw: real(*args, monitors=counted(monitors, calls), **kw))
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=2.0, stride=1)
-    traj = oplift.run_geodesic_generalized(sys, s, cfg, kmax=1, extra_monitors=oplift.monitors_general(sys, 3))
+    traj = oplift.run_geodesic_generalized(sys, s, cfg, kmax=1, extra_monitors=oplift.monitors_general(sys))
     assert len(traj) > 10
     assert calls == {name: 1 for name in traj.monitors}
 
@@ -269,3 +269,36 @@ def test_random_start_draw_order(picture):
     want = np.concatenate([q, rng.uniform(-1.0, 1.0, f), p, rng.uniform(-1.0, 1.0, f)])
     assert np.array_equal(got, want)
     assert picture.centred == (picture is oplift.GENERALIZED)
+
+
+def test_chain_metric_is_flat():
+    sys = toda.TodaSystem(3, [0.8, 1.1])
+    assert np.array_equal(toda.CHAIN.inverse_metric(sys, [0.3, -0.2, 0.1]), np.eye(3))
+    assert np.array_equal(toda.CHAIN.metric(sys, [0.3, -0.2, 0.1]), np.eye(3))
+
+
+@pytest.mark.parametrize("picture", [eisenhart.EISENHART, oplift.GENERALIZED], ids=lambda p: p.name)
+def test_lift_energy_is_half_the_inverse_metric_contraction(rng, picture):
+    # the couplings are fibre momenta: H = sum(p^2)/2 + sum c^2 e^{2 dq} = P G^{-1} P / 2
+    n, f = 4, picture.fibres(4)
+    sys = toda.TodaSystem(n, rng.uniform(0.5, 1.5, n - 1))
+    for _ in range(20):
+        vec = picture.random_state(rng, n)
+        state = picture.unpack(sys, vec, **({"centered": False} if picture.centred else {}))
+        q, _, p, p_fibre = picture.split(vec, n)
+        mom = np.concatenate([p, p_fibre])
+        minv = picture.inverse_metric(sys, q)
+        assert minv.shape == (n + f, n + f) and np.array_equal(minv[:n, :n], np.eye(n))
+        assert_close(picture.energy(sys, state), 0.5 * mom @ minv @ mom)
+        assert np.max(np.abs(picture.metric(sys, q) @ minv - np.eye(n + f))) < 1e-14
+
+
+@pytest.mark.parametrize("picture", [toda.CHAIN, eisenhart.EISENHART], ids=lambda p: p.name)
+def test_runners_monitor_extra_forms(rng, picture):
+    # every picture's runner takes the form monitors the generalised one does, listed after H
+    sys = toda.TodaSystem(3, [0.8, 1.1])
+    state = picture.unpack(sys, picture.random_state(rng, 3))
+    total = oplift.FormMonitor(name="sum_p", evaluate=lambda s: np.sum(s.p, axis=0))
+    traj = picture.run(sys, state, IntegratorConfig(t_final=1.0, stride=1), kmax=1, extra_monitors=[total])
+    assert list(traj.monitors)[-2:] == ["H", "sum_p"]
+    assert_close(traj.monitors["sum_p"], traj.monitors["I_1"])

@@ -103,23 +103,24 @@ class TestGeneralizedHamiltonian:
     def test_chain_energy_at_coupling_momenta(self, rng):
         sys, st = random_chain(rng, 4)
         s = op_state(st, sys.g, omega=rng.uniform(-1, 1, 3))
-        assert abs(oplift.generalized_hamiltonian(sys, s) - toda.hamiltonian(sys, st)) < 1e-13
+        assert abs(oplift.GENERALIZED.energy(sys, s) - toda.CHAIN.energy(sys, st)) < 1e-13
 
     def test_free_at_zero_momenta(self, rng):
         sys, st = random_chain(rng, 3)
         s = op_state(st, np.zeros(2))
-        assert abs(oplift.generalized_hamiltonian(sys, s) - 0.5 * np.dot(st.p, st.p)) < 1e-15
+        assert abs(oplift.GENERALIZED.energy(sys, s) - 0.5 * np.dot(st.p, st.p)) < 1e-15
 
     def test_independent_of_omega(self, rng):
         sys, st = random_chain(rng, 3)
-        a = oplift.generalized_hamiltonian(sys, op_state(st, sys.g, omega=np.array([0.3, -0.7])))
-        b = oplift.generalized_hamiltonian(sys, op_state(st, sys.g, omega=np.array([5.0, 2.0])))
+        a = oplift.GENERALIZED.energy(sys, op_state(st, sys.g, omega=np.array([0.3, -0.7])))
+        b = oplift.GENERALIZED.energy(sys, op_state(st, sys.g, omega=np.array([5.0, 2.0])))
         assert a == b
 
 
 class TestGeneralizedMetric:
     def test_at_origin(self):
-        assert np.array_equal(oplift.metric_generalized(np.zeros(3)), np.diag([1, 1, 1, 0.5, 0.5]))
+        sys = toda.TodaSystem(3, [1.0, 1.0])
+        assert np.array_equal(oplift.GENERALIZED.metric(sys, np.zeros(3)), np.diag([1, 1, 1, 0.5, 0.5]))
 
     def test_hamiltonian_is_half_inverse_contraction(self, rng):
         sys, _ = random_chain(rng, 4)
@@ -133,18 +134,19 @@ class TestGeneralizedMetric:
                 centered=False,
             )
             mom = np.concatenate([s.p_q, s.p_omega])
-            minv = oplift.metric_generalized_inverse(q)
-            assert abs(0.5 * mom @ minv @ mom - oplift.generalized_hamiltonian(sys, s)) < 1e-12
+            minv = oplift.GENERALIZED.inverse_metric(sys, q)
+            assert abs(0.5 * mom @ minv @ mom - oplift.GENERALIZED.energy(sys, s)) < 1e-12
 
     def test_two_body_reduction_to_fibre_metric(self, rng):
         # pull back along q = (q/2, -q/2), omega = y / (2 g1): the q,omega
         # block becomes half of diag(1, 1/(4V))
         g1 = 0.9
+        sys = toda.TodaSystem(2, [g1])
         for _ in range(20):
             q_rel = rng.uniform(-1.0, 1.0)
             v = g1**2 * math.exp(2.0 * q_rel)
             jac = np.array([[0.5, 0.0], [-0.5, 0.0], [0.0, 1.0 / (2.0 * g1)]])
-            pulled = jac.T @ oplift.metric_generalized([q_rel / 2, -q_rel / 2]) @ jac
+            pulled = jac.T @ oplift.GENERALIZED.metric(sys, [q_rel / 2, -q_rel / 2]) @ jac
             expected = 0.5 * np.diag([1.0, 1.0 / (4.0 * v)])
             assert np.max(np.abs(pulled - expected)) < 1e-14
 
@@ -315,14 +317,14 @@ class TestMonitors:
         sys, st = random_chain(rng, 4)
         s = op_state(st, rng.uniform(0.3, 1.5, 3), omega=rng.uniform(-1, 1, 3))
         for a in range(1, 4):
-            mon = [m for m in oplift.monitors_general(sys, 4) if m.name == f"cbar_{a + 1}_{a}"][0]
+            mon = [m for m in oplift.monitors_general(sys) if m.name == f"cbar_{a + 1}_{a}"][0]
             target = 2.0 * s.p_omega[a - 1]
             assert abs(mon.evaluate(s) - target) < 1e-13 * max(1.0, abs(target))
 
     def test_conserved_monitors_along_flow(self, rng):
         sys, st = calm_chain(rng, 4)
         s = op_state(st, sys.g, omega=rng.uniform(-0.5, 0.5, 3))
-        mons = oplift.monitors_general(sys, 4)
+        mons = oplift.monitors_general(sys)
         cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=10.0, stride=10)
         traj = oplift.run_geodesic_generalized(sys, s, cfg, kmax=1, extra_monitors=mons)
         for name, value in traj.drift.items():
@@ -336,7 +338,7 @@ class TestMonitors:
     def test_rho_family_relations(self, rng):
         sys, st = random_chain(rng, 5)
         s = op_state(st, rng.uniform(0.3, 1.0, 4), omega=rng.uniform(-1, 1, 4))
-        mons = {m.name: m for m in oplift.monitors_general(sys, 5)}
+        mons = {m.name: m for m in oplift.monitors_general(sys)}
         rhos = [mons[f"rho_{a}"].evaluate(s) for a in range(1, 6)]
         lams = [mons[f"lambda_{a}"].evaluate(s) for a in range(1, 6)]
         assert abs(sum(rhos)) < 1e-13  # rho_n = -sum of the others
@@ -443,7 +445,7 @@ class TestReduction:
         for vec in traj.states:
             u = oplift.GENERALIZED.unpack(sys, vec, centered=False)
             od = u.omega_dot()
-            v = toda.potential(sys, u.q)
+            v = toda.CHAIN.energy(sys, toda.PhaseState(u.q, 0.0 * u.p_q))
             scale = max(1.0, 2.0 * v)
             ydot = float(np.dot(sys.g, od))
             kin = 0.5 * float(np.sum(np.exp(-2.0 * (u.q[:-1] - u.q[1:])) * od**2))

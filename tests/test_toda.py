@@ -30,22 +30,22 @@ class TestTypes:
 class TestHamiltonian:
     def test_resting_pair(self):
         sys = toda.TodaSystem(2, [1.0])
-        assert toda.hamiltonian(sys, toda.PhaseState([0.0, 0.0], [0.0, 0.0])) == 1.0
+        assert toda.CHAIN.energy(sys, toda.PhaseState([0.0, 0.0], [0.0, 0.0])) == 1.0
 
     def test_free_particles(self):
         sys = toda.TodaSystem(3, [0.0, 0.0])
         st = toda.PhaseState([1.0, -7.0, 2.0], [1.0, 2.0, 3.0])
-        assert toda.hamiltonian(sys, st) == 7.0
+        assert toda.CHAIN.energy(sys, st) == 7.0
 
     def test_direct_formula(self):
         sys = toda.TodaSystem(2, [1.0])
         st = toda.PhaseState([0.5, 0.0], [1.0, 1.0])
-        assert abs(toda.hamiltonian(sys, st) - (1.0 + math.e)) < 1e-14
+        assert abs(toda.CHAIN.energy(sys, st) - (1.0 + math.e)) < 1e-14
 
     def test_dimension_mismatch(self):
         sys = toda.TodaSystem(2, [1.0])
         with pytest.raises(DomainError):
-            toda.hamiltonian(sys, toda.PhaseState([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]))
+            toda.CHAIN.energy(sys, toda.PhaseState([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]))
 
 
 def chain_field(sys, st):
@@ -100,8 +100,8 @@ class TestEquationsOfMotion:
             qp[i] += h
             qm[i] -= h
             fd = (
-                toda.hamiltonian(sys, toda.PhaseState(qp, st.p))
-                - toda.hamiltonian(sys, toda.PhaseState(qm, st.p))
+                toda.CHAIN.energy(sys, toda.PhaseState(qp, st.p))
+                - toda.CHAIN.energy(sys, toda.PhaseState(qm, st.p))
             ) / (2.0 * h)
             assert abs(dp[i] + fd) < 1e-6
 
@@ -213,7 +213,7 @@ class TestInvariants:
     def test_second_is_energy(self, rng):
         sys, st = random_chain(rng, 5)
         vals = toda.invariants(sys, st, 2)
-        assert abs(vals[1] - toda.hamiltonian(sys, st)) < 1e-12
+        assert abs(vals[1] - toda.CHAIN.energy(sys, st)) < 1e-12
 
     def test_free_case_values(self):
         sys = toda.TodaSystem(2, [0.0])
