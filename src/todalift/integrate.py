@@ -1,16 +1,25 @@
 """First-order ODE integration: fixed-step RK4, an adaptive 5(4) pair and
 adaptive order-12 extrapolation.
 
-The adaptive method ("adaptive", the default) is the Dormand-Prince embedded
-pair with the standard step controller (safety 0.9, growth clamped to
-[0.2, 5.0]).  "extrapolation" is a Gragg-Bulirsch-Stoer method (Hairer,
-Norsett & Wanner, Solving ODEs I, II.9): Gragg's modified midpoint rule with
-2, 4, ..., 12 substeps and Aitken-Neville extrapolation in the squared
-substep, order 12, under the same controller with exponent 1/11.  It takes
-far fewer right-hand-side evaluations than Dormand-Prince at tight
-tolerances, but it has no dense output, so it is meant for sparse output:
-few sample times and a large stride.  The last step is always shortened to
-land exactly on the requested end time.
+The adaptive method ("adaptive") is the Dormand-Prince embedded pair with
+the standard step controller (safety 0.9, growth clamped to [0.2, 5.0]).
+"extrapolation" is a Gragg-Bulirsch-Stoer method (Hairer, Norsett & Wanner,
+Solving ODEs I, II.9): Gragg's modified midpoint rule with 2, 4, ..., 12
+substeps and Aitken-Neville extrapolation in the squared substep, order 12,
+under the same controller with exponent 1/11.  It takes far fewer
+right-hand-side evaluations than Dormand-Prince at tight tolerances, but it
+has no dense output, so it is meant for sparse output: few sample times and
+a large stride.  The last step is always shortened to land exactly on the
+requested end time.
+
+When the config names no method, the integrator chooses one.  integrate
+runs extrapolation when rtol < 1e-10, where it needs about a third of
+Dormand-Prince's evaluations, and Dormand-Prince otherwise, so the default
+rtol of 1e-10 keeps Dormand-Prince.  integrate_at_times always runs
+Dormand-Prince: extrapolation must cut a step at every sample, which makes
+it slower than Dormand-Prince's interpolation once there are more than a
+handful of samples.  The returned trajectory's method names the stepper
+that ran.
 
 integrate_at_times samples the solution at given times.  Dormand-Prince
 steps straight through them to the last one and evaluates its order-4
@@ -90,6 +99,8 @@ _GBS_WEIGHTS = tuple(
 )
 
 _MIN_STEP_FRACTION = 1e-14
+# integrate runs extrapolation below this rtol when the config names no method
+_EXTRAPOLATION_RTOL = 1e-10
 _SAFETY = 0.9
 _SHRINK_LIMIT = 0.2
 _GROWTH_LIMIT = 5.0
@@ -100,16 +111,21 @@ class IntegratorConfig:
     """Settings for :func:`integrate`.
 
     method is "adaptive" (Dormand-Prince), "extrapolation" (order-12
-    Gragg-Bulirsch-Stoer, for sparse output) or "rk4".  dt is the fixed step
-    for rk4 and the initial trial step for the adaptive methods; it defaults
-    to 1e-3, or to 0.1 for extrapolation, whose error estimate is roundoff at
-    small steps, so that the controller grows dt only about 2x per step from
-    a small start.  stride decimates the output: every stride-th accepted
-    step is recorded (the endpoints always are).  dt, rtol, atol and t_final
-    are finite positive reals, not bools, and are stored as floats.
+    Gragg-Bulirsch-Stoer, for sparse output), "rk4" or None.  None lets the
+    integrator choose: integrate runs extrapolation when rtol < 1e-10, where
+    it is the cheaper method, and Dormand-Prince otherwise;
+    integrate_at_times always runs Dormand-Prince, the one method with dense
+    output.  dt is the fixed step for rk4 and the initial trial step for the
+    adaptive methods; unset, the stepper that runs starts at 1e-3, or at 0.1
+    for extrapolation, whose error estimate is roundoff at small steps, so
+    that the controller grows dt only about 2x per step from a small start.
+    stride decimates the output: every stride-th accepted step is recorded
+    (the endpoints always are).  dt, rtol, atol and t_final are finite
+    positive reals, not bools, and are stored as floats; t_final / dt must
+    be finite for every start step the config can run with.
     """
 
-    method: str = "adaptive"
+    method: str | None = None
     dt: float | None = None
     rtol: float = 1e-10
     atol: float = 1e-12
@@ -117,17 +133,23 @@ class IntegratorConfig:
     stride: int = 10
 
     def __post_init__(self):
-        if self.method not in ("rk4", "adaptive", "extrapolation"):
+        # a tuple, not the dict: an unhashable method is a DomainError too
+        if self.method not in (None, *_STEPPERS):
             raise DomainError(f"unknown integration method {self.method!r}")
-        if self.dt is None:
-            object.__setattr__(self, "dt", 0.1 if self.method == "extrapolation" else 1e-3)
         for name in ("dt", "rtol", "atol", "t_final"):
             value = getattr(self, name)
+            if name == "dt" and value is None:
+                continue
             if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (0.0 < value < math.inf):
                 raise DomainError(f"{name} must be a positive finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
-        if not math.isfinite(self.t_final / self.dt):
-            raise DomainError(f"t_final / dt overflows: {self.t_final} / {self.dt}")
+        # an unset dt is the default of the stepper that runs; without a
+        # method, the smallest default any stepper has
+        dt = self.dt
+        if dt is None:
+            dt = (_STEPPERS[self.method] if self.method else _Stepper).default_dt
+        if not math.isfinite(self.t_final / dt):
+            raise DomainError(f"t_final / dt overflows: {self.t_final} / {dt}")
         if isinstance(self.stride, bool) or not isinstance(self.stride, numbers.Integral) or self.stride < 1:
             raise DomainError(f"stride must be an integer >= 1, got {self.stride!r}")
 
@@ -140,7 +162,8 @@ class Trajectory:
     |m(t) - m(0)| / max(1, |m(0)|).  stats records the integrator's work:
     nfev right-hand-side evaluations, accepted and rejected steps, and the
     smallest and largest accepted step, dt_min and dt_max (0.0 when no step
-    was taken).
+    was taken).  method names the stepper that ran ("adaptive",
+    "extrapolation" or "rk4"); it is None on a trajectory built by hand.
     """
 
     times: np.ndarray
@@ -149,6 +172,7 @@ class Trajectory:
     drift: dict[str, float] = field(default_factory=dict)
     labels: tuple[str, ...] | None = None
     stats: dict[str, float] = field(default_factory=dict)
+    method: str | None = None
 
     def __len__(self) -> int:
         return len(self.times)
@@ -238,15 +262,18 @@ def _gbs_step(rhs: Rhs, t: float, y: np.ndarray, dt: float, f0: np.ndarray):
 class _Stepper:
     """The current (t, y) of an integration and a record of its accepted steps."""
 
+    method: str  # the IntegratorConfig.method that selects this stepper
     # whether interpolate() can evaluate the solution inside the last accepted step
     dense = False
+    # the fixed or initial trial step when the config leaves dt unset
+    default_dt = 1e-3
 
     def __init__(self, rhs: Rhs, y0: np.ndarray, cfg: IntegratorConfig):
         self.rhs = rhs
         self.cfg = cfg
         self.t = 0.0
         self.y = np.asarray(y0, dtype=float)
-        self.dt = cfg.dt
+        self.dt = self.default_dt if cfg.dt is None else cfg.dt
         self.accepted = 0
         self.rejected = 0
         self.dt_min = math.inf
@@ -273,6 +300,7 @@ class _Stepper:
 class _AdaptiveStepper(_Stepper):
     """Advances a Dormand-Prince integration to requested target times."""
 
+    method = "adaptive"
     # the step controller scales dt by err ** exponent; the error estimate is O(dt^5)
     exponent = -0.2
     dense = True
@@ -367,9 +395,12 @@ class _AdaptiveStepper(_Stepper):
 class _ExtrapolationStepper(_AdaptiveStepper):
     """Advances a Gragg-Bulirsch-Stoer integration to requested target times."""
 
+    method = "extrapolation"
     # the error estimate is the order-10 value's, O(dt^11)
     exponent = -1.0 / 11.0
     dense = False
+    # the error estimate is roundoff at small steps, so start large
+    default_dt = 0.1
 
     def nfev(self) -> int:
         # one evaluation at the start, 36 per trial step (rhs at the step's
@@ -384,6 +415,8 @@ class _RK4Stepper(_Stepper):
     """Advances fixed-step RK4 to requested target times, on the grid
     t + i*dt of each segment (see _rk4_grid)."""
 
+    method = "rk4"
+
     def nfev(self) -> int:
         return 4 * self.accepted
 
@@ -397,10 +430,10 @@ class _RK4Stepper(_Stepper):
                 on_accept(self.t, self.y)
 
 
-_STEPPERS = {"rk4": _RK4Stepper, "adaptive": _AdaptiveStepper, "extrapolation": _ExtrapolationStepper}
+_STEPPERS = {cls.method: cls for cls in (_RK4Stepper, _AdaptiveStepper, _ExtrapolationStepper)}
 
 
-def _finish(times, states, monitors_spec, labels, stats):
+def _finish(times, states, monitors_spec, labels, stepper):
     times = np.asarray(times, dtype=float)
     states = np.asarray(states, dtype=float)
     monitors: dict[str, np.ndarray] = {}
@@ -412,7 +445,8 @@ def _finish(times, states, monitors_spec, labels, stats):
         monitors[name] = vals
         drift[name] = monitor_drift(vals)
     return Trajectory(
-        times=times, states=states, monitors=monitors, drift=drift, labels=labels, stats=stats
+        times=times, states=states, monitors=monitors, drift=drift, labels=labels,
+        stats=stepper.stats(), method=stepper.method,
     )
 
 
@@ -429,12 +463,14 @@ def integrate(
     recorded states have shape (samples, d) or (samples, d, B).  Output
     contains the initial state, every stride-th accepted step and the final
     state exactly at t_final.  Each monitor is called once, on the array of
-    recorded states, after the integration.
+    recorded states, after the integration.  Without cfg.method, the run is
+    extrapolation when cfg.rtol < 1e-10 and Dormand-Prince otherwise.
     """
     y0 = np.asarray(y0, dtype=float)
     times = [0.0]
     states = [y0.copy()]
-    stepper = _STEPPERS[cfg.method](rhs, y0, cfg)
+    method = cfg.method or ("extrapolation" if cfg.rtol < _EXTRAPOLATION_RTOL else "adaptive")
+    stepper = _STEPPERS[method](rhs, y0, cfg)
 
     def record(t, y):
         if stepper.accepted % cfg.stride == 0:
@@ -445,7 +481,7 @@ def integrate(
     if times[-1] != stepper.t:
         times.append(stepper.t)
         states.append(stepper.y.copy())
-    return _finish(times, states, monitors, labels, stepper.stats())
+    return _finish(times, states, monitors, labels, stepper)
 
 
 def integrate_at_times(
@@ -462,7 +498,8 @@ def integrate_at_times(
     common grid and for co-evolving auxiliary quantities along a previously
     computed trajectory.  Dormand-Prince steps straight to the last sample
     and interpolates the samples inside its steps; the other methods shorten
-    a step to land on each sample.
+    a step to land on each sample.  Without cfg.method, the run is
+    Dormand-Prince.
     """
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.ndim != 1 or len(sample_times) == 0:
@@ -477,7 +514,7 @@ def integrate_at_times(
     y0 = np.asarray(y0, dtype=float)
     states = np.empty(sample_times.shape + y0.shape)
     states[0] = y0
-    stepper = _STEPPERS[cfg.method](rhs, y0, cfg)
+    stepper = _STEPPERS[cfg.method or "adaptive"](rhs, y0, cfg)
     if stepper.dense:
         done = 1
 
@@ -499,4 +536,4 @@ def integrate_at_times(
         for i, target in enumerate(sample_times[1:], 1):
             stepper.advance_to(target)
             states[i] = stepper.y
-    return _finish(sample_times, states, monitors, labels, stepper.stats())
+    return _finish(sample_times, states, monitors, labels, stepper)

@@ -149,10 +149,13 @@ def test_non_finite_initial_raises_divergence():
 def test_config_validation():
     with pytest.raises(DomainError):
         IntegratorConfig(method="euler")
+    with pytest.raises(DomainError):
+        IntegratorConfig(method=["adaptive"])
     assert IntegratorConfig(method="extrapolation").method == "extrapolation"
-    # the start step is per method unless given
-    assert IntegratorConfig().dt == IntegratorConfig(method="rk4").dt == 1e-3
-    assert IntegratorConfig(method="extrapolation").dt == 0.1
+    assert IntegratorConfig().method is None
+    # the start step is per method unless given; the stepper that runs sets it
+    assert IntegratorConfig().dt is None
+    assert IntegratorConfig(method="extrapolation").dt is None
     assert IntegratorConfig(method="extrapolation", dt=1e-3).dt == 1e-3
     with pytest.raises(DomainError):
         IntegratorConfig(dt=-0.1)
@@ -162,6 +165,18 @@ def test_config_validation():
         IntegratorConfig(t_final=0.0)
     with pytest.raises(DomainError):
         IntegratorConfig(stride=0)
+
+
+@pytest.mark.parametrize("method, dt", [(None, 1e-3), ("adaptive", 1e-3), ("rk4", 1e-3), ("extrapolation", 0.1)])
+def test_unset_dt_is_the_steppers_default(method, dt):
+    base = IntegratorConfig(method=method, rtol=1e-10, atol=1e-12, t_final=0.05, stride=1)
+    unset = integrate(one_dof_rhs, [0.0, 0.0], base)
+    given = integrate(one_dof_rhs, [0.0, 0.0], replace(base, dt=dt))
+    assert np.array_equal(unset.times, given.times)
+    assert np.array_equal(unset.states, given.states)
+    assert unset.stats == given.stats
+    other = integrate(one_dof_rhs, [0.0, 0.0], replace(base, dt=0.1 if dt == 1e-3 else 1e-3))
+    assert other.stats != unset.stats
 
 
 def test_monitor_drift_definition():
@@ -242,7 +257,7 @@ class TestExtrapolation:
             assert stats["nfev"] == len(calls)
 
     def test_matches_adaptive_method(self):
-        cfg = IntegratorConfig(rtol=1e-12, atol=1e-14, t_final=1.0)
+        cfg = IntegratorConfig(method="adaptive", rtol=1e-12, atol=1e-14, t_final=1.0)
         times = np.linspace(0.0, 1.0, 6)
         ref = integrate_at_times(one_dof_rhs, [0.0, 0.0], times, cfg)
         gbs = integrate_at_times(one_dof_rhs, [0.0, 0.0], times, replace(cfg, method="extrapolation"))
@@ -487,3 +502,75 @@ class TestScalarValidation:
     def test_real_numbers_are_stored_as_floats(self, name, value):
         got = getattr(IntegratorConfig(**{name: value}), name)
         assert type(got) is float and got == value
+
+
+class TestDefaultMethod:
+    """With no method, integrate runs extrapolation below rtol 1e-10 and
+    Dormand-Prince otherwise; integrate_at_times always runs Dormand-Prince."""
+
+    PICTURES = ["chain", "eisenhart", "generalized"]
+
+    @staticmethod
+    def start(rng, picture):
+        n = 4
+        q = rng.uniform(-1.0, 1.0, n)
+        q -= q.mean()
+        p = rng.uniform(-0.5, 0.5, n)
+        g = rng.uniform(0.5, 1.5, n - 1)
+        sys = toda.TodaSystem(n, g)
+        if picture == "chain":
+            return toda.CHAIN, sys, toda.PhaseState(q=q, p=p)
+        if picture == "eisenhart":
+            return eisenhart.EISENHART, sys, eisenhart.EisenhartState(q=q, y=0.3, p=p, p_y=0.8)
+        state = oplift.OPState(q=q, omega=rng.uniform(-1.0, 1.0, n - 1), p_q=p, p_omega=g)
+        return oplift.GENERALIZED, sys, state
+
+    @staticmethod
+    def assert_identical(got, want):
+        assert got.method == want.method
+        assert np.array_equal(got.times, want.times)
+        assert np.array_equal(got.states, want.states)
+        assert got.stats == want.stats
+        assert got.drift == want.drift
+
+    @pytest.mark.parametrize("picture", PICTURES)
+    @pytest.mark.parametrize(
+        "rtol, chosen", [(1e-12, "extrapolation"), (1e-10, "adaptive"), (1e-8, "adaptive")]
+    )
+    def test_integrate_chooses_by_rtol(self, rng, picture, rtol, chosen):
+        record, sys, state = self.start(rng, picture)
+        cfg = IntegratorConfig(rtol=rtol, atol=1e-2 * rtol, t_final=5.0, stride=3)
+        default = record.run(sys, state, cfg)
+        assert default.method == chosen
+        self.assert_identical(default, record.run(sys, state, replace(cfg, method=chosen)))
+
+    @pytest.mark.parametrize("picture", PICTURES)
+    def test_integrate_at_times_keeps_dormand_prince(self, rng, picture):
+        record, sys, state = self.start(rng, picture)
+        rhs, y0 = record.flow_field(sys), record.pack(state)
+        cfg = IntegratorConfig(rtol=1e-12, atol=1e-14, t_final=5.0)
+        times = np.linspace(0.0, 5.0, 6)
+        default = integrate_at_times(rhs, y0, times, cfg)
+        assert default.method == "adaptive"
+        self.assert_identical(default, integrate_at_times(rhs, y0, times, replace(cfg, method="adaptive")))
+
+    def test_overflowing_step_count_still_rejected(self):
+        with pytest.raises(DomainError, match="overflows"):
+            IntegratorConfig(t_final=1e308)
+        # unset, the check uses the smallest start step the config can run with
+        with pytest.raises(DomainError, match="overflows"):
+            IntegratorConfig(t_final=1e306)
+        assert IntegratorConfig(method="extrapolation", t_final=1e306).dt is None
+
+    def test_step_baseline_config_stays_on_dormand_prince(self, rng):
+        # the per-step timing config of the benchmark's layer baselines
+        record, sys, state = self.start(rng, "chain")
+        cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=20.0, stride=10**9)
+        traj = record.run(sys, state, cfg)
+        assert traj.method == "adaptive"
+        assert traj.stats["nfev"] == 1 + 6 * (traj.stats["accepted"] + traj.stats["rejected"])
+
+    def test_method_is_not_a_stat(self):
+        traj = integrate(one_dof_rhs, [0.0, 0.0], IntegratorConfig(method="rk4", t_final=0.01))
+        assert traj.method == "rk4"
+        assert set(traj.stats) == {"nfev", "accepted", "rejected", "dt_min", "dt_max"}
