@@ -62,6 +62,7 @@ __all__ = [
     "rk4_step",
     "integrate",
     "integrate_at_times",
+    "checked_sample_times",
     "monitor_drift",
 ]
 
@@ -484,6 +485,20 @@ def integrate(
     return _finish(times, states, monitors, labels, stepper)
 
 
+def checked_sample_times(sample_times) -> np.ndarray:
+    """The sample times as a float array; raise unless finite, 1-D, non-empty, from 0 and strictly increasing."""
+    sample_times = np.asarray(sample_times, dtype=float)
+    if sample_times.ndim != 1 or len(sample_times) == 0:
+        raise DomainError(f"sample_times must be a non-empty 1-D array, got shape {sample_times.shape}")
+    if not np.all(np.isfinite(sample_times)):
+        raise DomainError("sample_times must be finite")
+    if sample_times[0] != 0.0:
+        raise DomainError("sample_times must start at 0")
+    if np.any(np.diff(sample_times) <= 0.0):
+        raise DomainError("sample_times must be strictly increasing")
+    return sample_times
+
+
 def integrate_at_times(
     rhs: Rhs,
     y0,
@@ -501,16 +516,7 @@ def integrate_at_times(
     a step to land on each sample.  Without cfg.method, the run is
     Dormand-Prince.
     """
-    sample_times = np.asarray(sample_times, dtype=float)
-    if sample_times.ndim != 1 or len(sample_times) == 0:
-        raise DomainError(f"sample_times must be a non-empty 1-D array, got shape {sample_times.shape}")
-    if not np.all(np.isfinite(sample_times)):
-        raise DomainError("sample_times must be finite")
-    if sample_times[0] != 0.0:
-        raise DomainError("sample_times must start at 0")
-    if np.any(np.diff(sample_times) <= 0.0):
-        raise DomainError("sample_times must be strictly increasing")
-
+    sample_times = checked_sample_times(sample_times)
     y0 = np.asarray(y0, dtype=float)
     states = np.empty(sample_times.shape + y0.shape)
     states[0] = y0

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateMetricError, DomainError
-from .integrate import IntegratorConfig, Trajectory, integrate, integrate_at_times
+from .integrate import IntegratorConfig, Trajectory, checked_sample_times, integrate
 
 __all__ = [
     "TodaSystem",
@@ -394,37 +394,98 @@ CHAIN = Picture(
 run = CHAIN.run
 
 
-def evolve_A(
-    sys: TodaSystem, traj: Trajectory, cfg: IntegratorConfig | None = None
-) -> list[np.ndarray]:
-    """Evolution matrices A(t) with dA/dt = -M A and A(0) = I.
+def evolve_A(sys: TodaSystem, traj: Trajectory) -> list[np.ndarray]:
+    """Evolution matrices A(t) with dA/dt = -M A and A(0) = I, at the trajectory times.
 
-    The chain state and A are co-integrated from the trajectory's initial
-    state and sampled exactly at the trajectory times, so that
-    A(t) L(0) A(t)^-1 reproduces L(t).  The default cfg is order-12
-    extrapolation at rtol 1e-12, which suits the usual few sample times.
+    A(t) L(0) A(t)^-1 = L(t).  A is read from L(0) alone, in closed form: it
+    is the unit upper factor of exp(-2t L(0)) = B(t) A(t), B lower triangular
+    (Kostant 1979; Symes 1982).  So A is exactly unit upper triangular, and
+    A(0) is exactly I.  Each zero coupling splits the chain into blocks that
+    evolve independently, each with a simple spectrum.  Only the times and
+    the first state of traj are read.
     """
-    if len(traj) == 0:
-        raise DomainError("cannot evolve A along an empty trajectory")
+    times = checked_sample_times(traj.times)
     n = sys.n
-    if traj.states.shape[1] != 2 * n:
-        raise DomainError("trajectory was not produced by this system")
-    CHAIN.unpack(sys, traj.states[0])  # validates the start; rhs reads packed states unchecked
-    if cfg is None:
-        cfg = IntegratorConfig(
-            method="extrapolation", rtol=1e-12, atol=1e-14, t_final=max(traj.times[-1], 1e-6)
-        )
+    state = CHAIN.unpack(sys, traj.states[0])  # checks the width and finiteness
+    lmat, _ = lax_pair(sys, state)
+    mats = np.broadcast_to(np.eye(n), (len(times), n, n)).copy()
+    cuts = [0, *(np.flatnonzero(sys.g == 0.0) + 1), n]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        if hi - lo > 1:
+            mats[1:, lo:hi, lo:hi] = _evolve_block(lmat[lo:hi, lo:hi], state.q[lo:hi], times)
+    return list(mats)
 
-    base = flow_field(sys)
 
-    def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        y = z[: 2 * n]
-        _, mmat = lax_pair(sys, y)
-        out = np.empty(z.shape)
-        out[: 2 * n] = base(t, y)
-        np.matmul(-mmat, z[2 * n :].reshape(n, n), out=out[2 * n :].reshape(n, n))
+# Largest exponent of one row grading: e^-600 is far from underflow.
+_GRADING_SPAN = 600.0
+
+
+def _evolve_block(lmat: np.ndarray, q: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """A(t) (samples - 1, m, m) at times[1:] of one block with nonzero couplings.
+
+    With D = diag(e^q), S = D^-1 L(0) D = E diag(lam) E^T, lam ascending, and
+    exp(-2tS) = F^T F for F = e^{-t(lam - lam_0)} E^T.  So if F = Q R, D^-1 A D
+    is R with each row divided by its diagonal entry.  F is row-graded, which
+    keeps every row's digits in its QR.  Past _GRADING_SPAN the QR restarts
+    from a checkpoint c: F(t) = e^{-(t-c)(lam - lam_0)} Q(c) R(c).
+    """
+    scale = np.exp(q - q.mean())
+    sym = lmat * scale / scale[:, None]
+    lam, guide = np.linalg.eigh(sym)  # reads the lower triangle
+    vecs = _twisted_eigenvectors(np.diagonal(sym), np.diagonal(sym, -1), lam, guide)
+    rate = lam[0] - lam
+    reach = _GRADING_SPAN / -rate[-1]
+    start, frame, log_diag, unit = 0.0, vecs.T, np.zeros(len(q)), np.eye(len(q))
+    out = np.empty((len(times) - 1,) + lmat.shape)
+    for i, t in enumerate(times[1:]):
+        # once R's diagonal entries are e^746 apart, every factor e^(log_diag_j -
+        # log_diag_i) of a step underflows to 0: A no longer changes, bit for bit
+        while t - start > reach and not np.all(np.diff(log_diag) < -746.0):
+            frame, log_diag, unit = _graded_qr(rate * reach, frame, log_diag, unit)
+            start += reach
+        out[i] = _graded_qr(rate * min(t - start, reach), frame, log_diag, unit)[2]
+    return scale[:, None] * out / scale
+
+
+def _graded_qr(exponent, frame, log_diag, unit):
+    """Advance a checkpoint F = frame R, R = diag(e^log_diag) unit, by the grading
+    e^exponent; the new frame's column signs keep R's diagonal positive."""
+    frame, r = np.linalg.qr(np.exp(exponent)[:, None] * frame)
+    d = np.diagonal(r)
+    # row i of r diag(e^log_diag) over its diagonal entry; the exponent,
+    # which may overflow below the diagonal where r is 0, is dropped there
+    step = r / d[:, None] * np.exp(np.triu(log_diag - log_diag[:, None]))
+    return frame * np.sign(d), log_diag + np.log(np.abs(d)), step @ unit
+
+
+def _twisted_eigenvectors(diag, off, lam, guide) -> np.ndarray:
+    """Unit eigenvectors (columns) of the symmetric tridiagonal matrix (diag, off) at lam.
+
+    Each is built outward from its largest entry, located by guide, from the
+    LDL^T pivots of T - lam taken from either end (a twisted factorisation;
+    Parlett & Dhillon 2000).  Every ratio runs the way the entries decay, so
+    small entries keep their relative accuracy.  A(t) needs it: rotating the
+    eigenbasis by 1e-16, the rounding of a dense eigensolver, moved A(t) by
+    3e-11 relative on an n = 10 start.  The signs follow guide.
+    """
+    n = len(diag)
+    floor = np.finfo(float).eps * np.max(np.abs(lam))  # stands in for a zero pivot
+
+    def ratios(diag, off):
+        # row i: v[i-1] / v[i] of each vector, from the pivots of rows 0..i-1
+        out, pivot = np.zeros((n, n)), lam - diag[0]
+        for i in range(1, n):
+            out[i] = off[i - 1] / np.where(pivot == 0.0, floor, pivot)
+            pivot = lam - diag[i] - off[i - 1] * out[i]
         return out
 
-    z0 = np.concatenate([traj.states[0], np.eye(n).ravel()])
-    out = integrate_at_times(rhs, z0, traj.times, cfg)
-    return [row[2 * n :].reshape(n, n).copy() for row in out.states]
+    top, bottom = ratios(diag, off), ratios(diag[::-1], off[::-1])[::-1]  # bottom[i] = v[i+1] / v[i]
+    # v[i] / v[twist] is the product of the ratios in between, each partial
+    # product at most about 1 in size
+    row = np.arange(n)[:, None]
+    twist = np.argmax(np.abs(guide), axis=0)
+    vecs = np.ones((n, n))
+    vecs[:-1] = np.cumprod(np.where(row <= twist, top, 1.0)[:0:-1], axis=0)[::-1]
+    vecs[1:] *= np.cumprod(np.where(row >= twist, bottom, 1.0)[:-1], axis=0)
+    vecs *= np.sign(np.sum(vecs * guide, axis=0)) / np.linalg.norm(vecs, axis=0)
+    return vecs

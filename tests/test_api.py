@@ -89,6 +89,13 @@ def test_benchmark_spans_are_recorded():
     # the one-state lifted invariants reach toda.lax_pair through eisenhart.lifted_lax
     assert counts["eisenhart.lifted_invariants"] == one["eisenhart.lifted_invariants"] + 1
     assert counts["toda.lax_pair"] == one["toda.lax_pair"] + 1
+    # evolve_A reads L(0) through toda.lax_pair once and integrates nothing
+    log = tracer.SpanLog()
+    with tracer.Tracer(log):
+        toda.evolve_A(sys, traj)
+    counts = tracer.pass_counts(log)
+    assert counts["toda.evolve_A"] == 1 and counts["toda.lax_pair"] == 1
+    assert [name for name, count in counts.items() if count and name.startswith("integrate.")] == []
 
 
 @pytest.mark.parametrize(

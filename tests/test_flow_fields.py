@@ -10,6 +10,7 @@ rates -dH/dpositions.  It shares no code with the flow fields.
 import numpy as np
 import pytest
 
+import evolution_oracle
 from conftest import random_chain
 from todalift import eisenhart, oplift, toda
 from todalift.integrate import IntegratorConfig
@@ -89,9 +90,10 @@ def test_field_returns_a_fresh_array_and_leaves_its_input(rng, picture, size):
 
 
 def test_evolve_A_rhs_returns_fresh_arrays_and_leaves_its_input(rng, monkeypatch):
+    # the co-integration of dA/dt = -M A, kept as toda.evolve_A's test oracle
     sys, st = random_chain(rng, 4)
     traj = toda.run(sys, st, IntegratorConfig(t_final=2.0, stride=5))
-    real = toda.integrate_at_times
+    real = evolution_oracle.integrate_at_times
     returned = []
 
     def checked(rhs, y0, sample_times, cfg, monitors=None, labels=None):
@@ -105,10 +107,10 @@ def test_evolve_A_rhs_returns_fresh_arrays_and_leaves_its_input(rng, monkeypatch
 
         return real(guarded, y0, sample_times, cfg, monitors, labels)
 
-    monkeypatch.setattr(toda, "integrate_at_times", checked)
-    mats = toda.evolve_A(sys, traj)
+    monkeypatch.setattr(evolution_oracle, "integrate_at_times", checked)
+    mats = evolution_oracle.co_integrated_A(sys, traj)
     assert len(mats) == len(traj) and len(returned) > 100
     # no later evaluation wrote into an earlier one's array
     assert all(out.tobytes() == kept.tobytes() for out, kept in returned)
     monkeypatch.undo()
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(mats, toda.evolve_A(sys, traj)))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(mats, evolution_oracle.co_integrated_A(sys, traj)))

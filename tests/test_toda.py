@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_chain
+from evolution_oracle import co_integrated_A
 from todalift import eisenhart, oplift, toda
 from todalift.errors import DomainError
-from todalift.integrate import IntegratorConfig, rk4_step
+from todalift.integrate import IntegratorConfig, Trajectory, rk4_step
 
 
 class TestTypes:
@@ -258,6 +259,8 @@ class TestEvolutionMatrix:
         assert np.array_equal(mats[0], np.eye(3))
         for amat in mats:
             assert abs(np.linalg.det(amat) - 1.0) < 1e-9
+        start = Trajectory(times=traj.times[:1], states=traj.states[:1])
+        assert [amat.tobytes() for amat in toda.evolve_A(sys, start)] == [np.eye(3).tobytes()]
 
     def test_conjugates_initial_lax(self, rng):
         sys, st = random_chain(rng, 3)
@@ -282,9 +285,8 @@ class TestEvolutionMatrix:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     @pytest.mark.parametrize("stride", [10**9, 3], ids=["sparse", "dense"])
     def test_unit_upper_triangular_and_conjugating(self, rng, n, stride):
-        # dA/dt = -M A with M strictly upper triangular keeps A exactly unit
-        # upper triangular: every product feeding the lower triangle or the
-        # diagonal's derivative has an exact zero factor
+        # dA/dt = -M A with M strictly upper triangular keeps A unit upper
+        # triangular, and the closed form writes that structure exactly
         sys, st = random_chain(rng, n)
         # the dense case's sample count is a count of Dormand-Prince steps
         method = "adaptive" if stride == 3 else None
@@ -311,11 +313,102 @@ class TestEvolutionMatrix:
 
     def test_empty_trajectory_rejected(self, rng):
         sys, _ = random_chain(rng, 3)
-        from todalift.integrate import Trajectory
-
         empty = Trajectory(times=np.zeros(0), states=np.zeros((0, 6)))
         with pytest.raises(DomainError):
             toda.evolve_A(sys, empty)
+
+    @pytest.mark.parametrize(
+        "times, width",
+        [([0.0, float("nan")], 6), ([0.0, float("inf")], 6), ([0.5, 1.0], 6), ([0.0, 1.0, 1.0], 6),
+         ([0.0, 2.0, 1.0], 6), ([0.0, 1.0], 4), ([0.0, 1.0], 8)],
+        ids=["nan-time", "inf-time", "late-start", "repeated-time", "decreasing", "narrow", "wide"],
+    )
+    def test_malformed_trajectory_rejected(self, rng, times, width):
+        sys, st = random_chain(rng, 3)
+        y0 = toda.CHAIN.pack(st)
+        states = np.tile(np.resize(y0, width), (len(times), 1))
+        with pytest.raises(DomainError):
+            toda.evolve_A(sys, Trajectory(times=np.array(times), states=states))
+
+    @staticmethod
+    def check_against_oracle(sys, traj, tol=1e-10):
+        # the co-integration of dA/dt = -M A is the oracle; the closed form must
+        # match it relative to max|A| and carry A's structure exactly
+        mats = toda.evolve_A(sys, traj)
+        ref = co_integrated_A(sys, traj)
+        assert len(mats) == len(ref) == len(traj)
+        assert mats[0].tobytes() == np.eye(sys.n).tobytes()
+        worst = 0.0
+        for amat, aref in zip(mats, ref):
+            assert np.all(np.tril(amat, -1) == 0.0) and np.all(np.diag(amat) == 1.0)
+            assert np.linalg.det(amat) == 1.0
+            worst = max(worst, float(np.max(np.abs(amat - aref)) / np.max(np.abs(aref))))
+        assert worst <= tol
+        return mats
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("stride", [10**9, 5], ids=["sparse", "dense"])
+    def test_matches_co_integration(self, rng, n, stride):
+        sys, st = random_chain(rng, n)
+        method = "adaptive" if stride == 5 else None
+        traj = toda.run(sys, st, IntegratorConfig(method=method, rtol=1e-12, atol=1e-14, t_final=4.0, stride=stride))
+        assert len(traj) >= (2 if stride > 1000 else 10)
+        self.check_against_oracle(sys, traj)
+
+    @pytest.mark.parametrize("n, t_final", [(10, 60.0), (6, 100.0), (7, 2000.0)])
+    def test_long_runs_past_one_grading(self, rng, n, t_final):
+        # exp(-t (lam_max - lam_min)) underflows past 745: one graded QR
+        # cannot reach these times, so the closed form restarts from checkpoints
+        sys, st = random_chain(rng, n, scale=2.0)
+        spread = float(np.ptp(np.linalg.eigvals(toda.lax_pair(sys, st)[0]).real))
+        assert t_final * spread > 745.0
+        cfg = IntegratorConfig(method="adaptive", rtol=1e-12, atol=1e-14, t_final=t_final, stride=40)
+        traj = toda.run(sys, st, cfg)
+        assert len(traj) >= 4
+        mats = self.check_against_oracle(sys, traj)
+        assert all(np.all(np.isfinite(amat)) for amat in mats)
+
+    def test_scattering_limit_is_reached_bit_for_bit(self, rng):
+        # A(t) converges as the particles separate; once the graded rows are
+        # e^746 apart it stops changing, and far times cost no more than near ones
+        sys, st = random_chain(rng, 6, scale=2.0)
+        times = np.array([0.0, 1e3, 1e4, 1e5, 1e12])
+        traj = Trajectory(times=times, states=np.tile(toda.CHAIN.pack(st), (len(times), 1)))
+        mats = toda.evolve_A(sys, traj)
+        assert mats[2].tobytes() == mats[3].tobytes() == mats[4].tobytes()
+        self.check_against_oracle(sys, Trajectory(times=times[:3], states=traj.states[:3]))
+
+    @pytest.mark.parametrize(
+        "g, q, p",
+        [
+            ([0.8, 0.0, 1.1], [0.1, -0.2, 0.3, -0.2], [0.3, -0.3, 0.3, -0.3]),
+            # two identical blocks: every eigenvalue of L(0) is double
+            ([0.8, 0.0, 0.8], [0.1, -0.2, 0.1, -0.2], [0.3, -0.3, 0.3, -0.3]),
+            # single particles with equal momenta on either side of a block
+            ([0.0, 0.9, 0.0], [0.5, 0.0, 0.1, -0.6], [0.2, -0.1, 0.4, 0.2]),
+            ([0.0, 0.0, 0.0], [0.5, 0.0, 0.1, -0.6], [0.2, 0.2, 0.4, 0.2]),
+        ],
+        ids=["one-zero", "equal-blocks", "equal-singles", "all-zero"],
+    )
+    def test_zero_couplings(self, g, q, p):
+        sys = toda.TodaSystem(len(q), g)
+        cfg = IntegratorConfig(method="adaptive", rtol=1e-12, atol=1e-14, t_final=10.0, stride=5)
+        traj = toda.run(sys, toda.PhaseState(q=q, p=p), cfg)
+        mats = self.check_against_oracle(sys, traj)
+        # M and A are block diagonal, split at each zero coupling
+        for i in np.flatnonzero(sys.g == 0.0):
+            assert all(np.all(amat[: i + 1, i + 1 :] == 0.0) for amat in mats)
+
+    def test_twisted_eigenvectors_survive_a_zero_pivot(self):
+        # T has the exact eigenvalues -5, 0, 5, and at 0 the first pivot of
+        # either LDL^T factorisation of T - lam is exactly zero
+        diag, off = np.zeros(3), np.array([3.0, 4.0])
+        tmat = np.diag(off, 1) + np.diag(off, -1)
+        lam = np.array([-5.0, 0.0, 5.0])
+        vecs = toda._twisted_eigenvectors(diag, off, lam, np.linalg.eigh(tmat)[1])
+        assert np.all(np.isfinite(vecs))
+        assert np.max(np.abs(tmat @ vecs - vecs * lam)) < 1e-14
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) < 1e-15
 
 
 def test_trajectory_write_helpers(rng):
