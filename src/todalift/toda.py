@@ -400,19 +400,22 @@ def evolve_A(sys: TodaSystem, traj: Trajectory) -> list[np.ndarray]:
     A(t) L(0) A(t)^-1 = L(t).  A is read from L(0) alone, in closed form: it
     is the unit upper factor of exp(-2t L(0)) = B(t) A(t), B lower triangular
     (Kostant 1979; Symes 1982).  So A is exactly unit upper triangular, and
-    A(0) is exactly I.  Each zero coupling splits the chain into blocks that
-    evolve independently, each with a simple spectrum.  Only the times and
-    the first state of traj are read.
+    A(0) is exactly I.  Each coupling that is zero in the symmetric gauge,
+    g_i = 0 or g_i e^(q_i - q_i+1) underflowing, splits the chain into blocks
+    that evolve independently.  Only the times and the first state of traj
+    are read.
     """
     times = checked_sample_times(traj.times)
     n = sys.n
     state = CHAIN.unpack(sys, traj.states[0])  # checks the width and finiteness
     lmat, _ = lax_pair(sys, state)
+    q = state.q
+    off = np.diagonal(lmat, -1) * np.exp(q[:-1] - q[1:])  # the symmetric gauge's couplings
     mats = np.broadcast_to(np.eye(n), (len(times), n, n)).copy()
-    cuts = [0, *(np.flatnonzero(sys.g == 0.0) + 1), n]
+    cuts = [0, *(np.flatnonzero(off == 0.0) + 1), n]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo > 1:
-            mats[1:, lo:hi, lo:hi] = _evolve_block(lmat[lo:hi, lo:hi], state.q[lo:hi], times)
+            mats[1:, lo:hi, lo:hi] = _evolve_block(np.diagonal(lmat)[lo:hi], off[lo : hi - 1], q[lo:hi], times)
     return list(mats)
 
 
@@ -420,8 +423,8 @@ def evolve_A(sys: TodaSystem, traj: Trajectory) -> list[np.ndarray]:
 _GRADING_SPAN = 600.0
 
 
-def _evolve_block(lmat: np.ndarray, q: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """A(t) (samples - 1, m, m) at times[1:] of one block with nonzero couplings.
+def _evolve_block(p, off, q, times) -> np.ndarray:
+    """A(t) (samples - 1, m, m) at times[1:] of one block with nonzero gauge couplings off.
 
     With D = diag(e^q), S = D^-1 L(0) D = E diag(lam) E^T, lam ascending, and
     exp(-2tS) = F^T F for F = e^{-t(lam - lam_0)} E^T.  So if F = Q R, D^-1 A D
@@ -429,14 +432,15 @@ def _evolve_block(lmat: np.ndarray, q: np.ndarray, times: np.ndarray) -> np.ndar
     keeps every row's digits in its QR.  Past _GRADING_SPAN the QR restarts
     from a checkpoint c: F(t) = e^{-(t-c)(lam - lam_0)} Q(c) R(c).
     """
-    scale = np.exp(q - q.mean())
-    sym = lmat * scale / scale[:, None]
-    lam, guide = np.linalg.eigh(sym)  # reads the lower triangle
-    vecs = _twisted_eigenvectors(np.diagonal(sym), np.diagonal(sym, -1), lam, guide)
+    lam, guide = np.linalg.eigh(np.diag(p) + np.diag(off, -1))  # reads the lower triangle
+    vecs = _twisted_eigenvectors(p, off, lam, guide)
     rate = lam[0] - lam
-    reach = _GRADING_SPAN / -rate[-1]
+    # couplings far below the rounding of p can leave every eigenvalue equal:
+    # then F never grades, reach is +inf, and one QR of E^T serves every time
+    with np.errstate(divide="ignore", over="ignore"):
+        reach = _GRADING_SPAN / (lam[-1] - lam[0])
     start, frame, log_diag, unit = 0.0, vecs.T, np.zeros(len(q)), np.eye(len(q))
-    out = np.empty((len(times) - 1,) + lmat.shape)
+    out = np.empty((len(times) - 1, len(q), len(q)))
     for i, t in enumerate(times[1:]):
         # once R's diagonal entries are e^746 apart, every factor e^(log_diag_j -
         # log_diag_i) of a step underflows to 0: A no longer changes, bit for bit
@@ -444,7 +448,9 @@ def _evolve_block(lmat: np.ndarray, q: np.ndarray, times: np.ndarray) -> np.ndar
             frame, log_diag, unit = _graded_qr(rate * reach, frame, log_diag, unit)
             start += reach
         out[i] = _graded_qr(rate * min(t - start, reach), frame, log_diag, unit)[2]
-    return scale[:, None] * out / scale
+    # A_ij = e^(q_i - q_j) (D^-1 A D)_ij, exponentiated on and above the
+    # diagonal only: below it the exponent may overflow where the entry is 0
+    return out * np.exp(np.triu(q[:, None] - q))
 
 
 def _graded_qr(exponent, frame, log_diag, unit):

@@ -387,8 +387,15 @@ class TestEvolutionMatrix:
             # single particles with equal momenta on either side of a block
             ([0.0, 0.9, 0.0], [0.5, 0.0, 0.1, -0.6], [0.2, -0.1, 0.4, 0.2]),
             ([0.0, 0.0, 0.0], [0.5, 0.0, 0.1, -0.6], [0.2, 0.2, 0.4, 0.2]),
+            # a coupling of e^-40 in the gauge: both eigenvalues round to 1
+            ([1.0], [0.0, 40.0], [1.0, 1.0]),
+            # gauge couplings of e^-800, which underflow to 0, split the chain
+            ([1.0, 1.0], [0.0, 800.0, 1600.0], [0.0, 0.0, 0.0]),
+            # q spans 1800 within one block, past the range of e^(q - mean q)
+            ([1.0, 1.0, 1.0], [0.0, 600.0, 1200.0, 1800.0], [1.0, 0.5, -0.5, -1.0]),
         ],
-        ids=["one-zero", "equal-blocks", "equal-singles", "all-zero"],
+        ids=["one-zero", "equal-blocks", "equal-singles", "all-zero", "equal-eigenvalues", "underflowing-gauge",
+             "wide-span"],
     )
     def test_zero_couplings(self, g, q, p):
         sys = toda.TodaSystem(len(q), g)
@@ -398,6 +405,16 @@ class TestEvolutionMatrix:
         # M and A are block diagonal, split at each zero coupling
         for i in np.flatnonzero(sys.g == 0.0):
             assert all(np.all(amat[: i + 1, i + 1 :] == 0.0) for amat in mats)
+
+    def test_negligible_coupling_is_kept(self):
+        # g e^(q_1 - q_2) = e^-40 is far below the rounding of p, yet the
+        # particles approach and scatter near t = 20: cutting the chain there
+        # would leave A = I
+        sys = toda.TodaSystem(2, [1.0])
+        cfg = IntegratorConfig(method="adaptive", rtol=1e-12, atol=1e-14, t_final=30.0, stride=5)
+        traj = toda.run(sys, toda.PhaseState(q=[0.0, 40.0], p=[1.0, -1.0]), cfg)
+        mats = self.check_against_oracle(sys, traj)
+        assert abs(mats[-1][0, 1]) > 0.5
 
     def test_twisted_eigenvectors_survive_a_zero_pivot(self):
         # T has the exact eigenvalues -5, 0, 5, and at 0 the first pivot of
