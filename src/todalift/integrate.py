@@ -6,10 +6,13 @@ the standard step controller (safety 0.9, growth clamped to [0.2, 5.0]).
 "extrapolation" is a Gragg-Bulirsch-Stoer method (Hairer, Norsett & Wanner,
 Solving ODEs I, II.9): Gragg's modified midpoint rule with 2, 4, ..., 12
 substeps and Aitken-Neville extrapolation in the squared substep, order 12,
-under the same controller with exponent 1/11.  It takes far fewer
-right-hand-side evaluations than Dormand-Prince at tight tolerances, but it
-has no dense output, so it is meant for sparse output: few sample times and
-a large stride.  The last step is always shortened to land exactly on the
+under the same controller with exponent 1/11.  The six rows of a trial
+step are independent, so substep m of every row still substepping is one
+right-hand-side call on the batch of their states: eleven calls per trial
+step, plus one at each accepted state.  It takes far fewer right-hand-side
+evaluations than Dormand-Prince at tight tolerances, but it has no dense
+output, so it is meant for sparse output: few sample times and a large
+stride.  The last step is always shortened to land exactly on the
 requested end time.
 
 When the config names no method, the integrator chooses one.  integrate
@@ -37,6 +40,13 @@ A state is a vector of shape (d,) or a component-first batch of shape
 norm is the largest per-column RMS, so no column is held to a looser
 tolerance than it would be alone, and a (d,) vector steps exactly like the
 same start passed as a (d, 1) column.
+
+The right-hand side rhs(t, y) is called with the state's own shape and a
+float t, and, under extrapolation, also with a (d, C) batch of columns and
+a (C,) array holding each column's time: the substep states of the rows
+still substepping, C = rows x B.  rhs must return an array of y's shape and
+must not write into y, which may be a view into the stepper's buffers.
+Every call counts once in a trajectory's nfev, whatever its batch width.
 
 Fixed-step RK4 places its steps on the grid t0 + i*dt, with the last step
 shortened to land on the requested time.
@@ -66,7 +76,8 @@ __all__ = [
     "monitor_drift",
 ]
 
-Rhs = Callable[[float, np.ndarray], np.ndarray]
+# rhs(t, y) -> dy/dt of y's shape; t is a float, or a (C,) array of column times for a (d, C) y
+Rhs = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
 Monitor = Callable[[np.ndarray], np.ndarray]  # states (samples, d) -> values (samples,)
 
 # Dormand-Prince 5(4) tableau.  The fifth-order result is propagated; the
@@ -91,12 +102,19 @@ _DP_DENSE = np.array([
     701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
 ])
 
-# Substep counts of the extrapolation tableau's rows, and the Aitken-Neville
-# weights 1 / ((n_j / n_{j-k-1})^2 - 1) of row j, column k.
+# Substep counts of the extrapolation tableau's rows; the first row still
+# substepping at substep m = 1, 2, ..., 11 (row j takes substeps 1..n_j - 1);
+# and, for column k = 1..5, the Aitken-Neville weights
+# 1 / ((n_j / n_{j-k})^2 - 1) of rows j = k..5.
 _GBS_SEQUENCE = (2, 4, 6, 8, 10, 12)
+_GBS_SUBSTEPS, _GBS_ROWS = np.array(_GBS_SEQUENCE), np.arange(len(_GBS_SEQUENCE))
+_GBS_STEP_INDEX = np.arange(_GBS_SEQUENCE[-1], dtype=float)[:, None]
+_GBS_FIRST_ROW = tuple(
+    next(j for j, n in enumerate(_GBS_SEQUENCE) if n > m) for m in range(1, _GBS_SEQUENCE[-1])
+)
 _GBS_WEIGHTS = tuple(
-    tuple(1.0 / ((n / _GBS_SEQUENCE[j - k - 1]) ** 2 - 1.0) for k in range(j))
-    for j, n in enumerate(_GBS_SEQUENCE)
+    np.array([1.0 / ((n / _GBS_SEQUENCE[j - k]) ** 2 - 1.0) for j, n in enumerate(_GBS_SEQUENCE) if j >= k])[:, None, None]
+    for k in range(1, len(_GBS_SEQUENCE))
 )
 
 _MIN_STEP_FRACTION = 1e-14
@@ -112,7 +130,9 @@ class IntegratorConfig:
     """Settings for :func:`integrate`.
 
     method is "adaptive" (Dormand-Prince), "extrapolation" (order-12
-    Gragg-Bulirsch-Stoer, for sparse output), "rk4" or None.  None lets the
+    Gragg-Bulirsch-Stoer, for sparse output; its rhs must also take a (d, C)
+    batch with a (C,) array of column times, see the module docstring),
+    "rk4" or None.  None lets the
     integrator choose: integrate runs extrapolation when rtol < 1e-10, where
     it is the cheaper method, and Dormand-Prince otherwise;
     integrate_at_times always runs Dormand-Prince, the one method with dense
@@ -161,10 +181,11 @@ class Trajectory:
 
     drift maps each monitor name to max over samples of
     |m(t) - m(0)| / max(1, |m(0)|).  stats records the integrator's work:
-    nfev right-hand-side evaluations, accepted and rejected steps, and the
-    smallest and largest accepted step, dt_min and dt_max (0.0 when no step
-    was taken).  method names the stepper that ran ("adaptive",
-    "extrapolation" or "rk4"); it is None on a trajectory built by hand.
+    nfev right-hand-side calls (a batched call counts once), accepted and
+    rejected steps, and the smallest and largest accepted step, dt_min and
+    dt_max (0.0 when no step was taken).  method names the stepper that ran
+    ("adaptive", "extrapolation" or "rk4"); it is None on a trajectory
+    built by hand.
     """
 
     times: np.ndarray
@@ -242,22 +263,43 @@ def _gbs_step(rhs: Rhs, t: float, y: np.ndarray, dt: float, f0: np.ndarray):
     """One trial Gragg-Bulirsch-Stoer step: returns (y12, error_estimate).
 
     Row j of the tableau is Gragg's modified midpoint rule over dt with
-    n_j = _GBS_SEQUENCE[j] substeps, evaluating rhs at the true substep
-    times; f0 = rhs(t, y) is shared by every row.  The error estimate is the
-    difference of the last two extrapolated values (orders 12 and 10).
+    n_j = _GBS_SEQUENCE[j] substeps of h_j = dt / n_j, evaluating rhs at the
+    true substep times; f0 = rhs(t, y) is shared by every row.  The rows do
+    not depend on each other, so substep m of every row still substepping
+    (n_j > m) is one rhs call on the (d, C) batch of their states, with the
+    (C,) array of their times t + m h_j: eleven calls per trial step.  Each
+    column meets the same arithmetic as a row run on its own.  The error
+    estimate is the difference of the last two extrapolated values (orders
+    12 and 10).
     """
-    prev: list[np.ndarray] = []
-    for n, weights in zip(_GBS_SEQUENCE, _GBS_WEIGHTS):
-        h = dt / n
-        two_h = 2.0 * h
-        z_prev, z = y, y + h * f0
-        for m in range(1, n):
-            z_prev, z = z, z_prev + two_h * rhs(t + m * h, z)
-        row = [z]
-        for k, w in enumerate(weights):
-            row.append(row[k] + (row[k] - prev[k]) * w)
-        prev = row
-    return prev[-1], prev[-1] - prev[-2]
+    d = len(y)
+    width = y.size // d  # B, or 1 for one state
+    rows = len(_GBS_SEQUENCE)
+    h = dt / _GBS_SUBSTEPS
+    # column j B + b of a substep batch is row j's state from start b
+    h_cols = h.repeat(width)
+    two_h = h_cols + h_cols
+    times = t + _GBS_STEP_INDEX * h_cols  # times[m] = t + m h_j per column
+    # zs[m] is every row's state after m substeps, a (d, rows B) batch
+    zs = np.empty((_GBS_SEQUENCE[-1] + 1, d, rows * width))
+    start = zs[0].reshape(d, rows, width)
+    start[...] = y.reshape(d, 1, width)
+    np.multiply(f0.reshape(d, 1, width), h[:, None], out=zs[1].reshape(start.shape))
+    zs[1] += zs[0]
+    for m, first in enumerate(_GBS_FIRST_ROW, 1):
+        active = slice(first * width, None)
+        z_next = zs[m + 1, :, active]
+        np.multiply(rhs(times[m, active], zs[m, :, active]), two_h[active], out=z_next)
+        z_next += zs[m - 1, :, active]
+    # Aitken-Neville, one tableau column at a time over all its rows, from
+    # each row's end value zs[n_j, :, j]
+    column = zs.reshape(len(zs), d, rows, width)[_GBS_SUBSTEPS, :, _GBS_ROWS]
+    for weights in _GBS_WEIGHTS:
+        prev = column
+        column = prev[1:] - prev[:-1]
+        column *= weights
+        column += prev[1:]
+    return column[0].reshape(y.shape), (column[0] - prev[-1]).reshape(y.shape)
 
 
 class _Stepper:
@@ -404,9 +446,10 @@ class _ExtrapolationStepper(_AdaptiveStepper):
     default_dt = 0.1
 
     def nfev(self) -> int:
-        # one evaluation at the start, 36 per trial step (rhs at the step's
-        # start is shared by the six rows) and one at each accepted state
-        return 1 + 36 * (self.accepted + self.rejected) + self.accepted
+        # one call at the start, one per substep index per trial step (rhs at
+        # the step's start is shared by the six rows) and one at each
+        # accepted state
+        return 1 + len(_GBS_FIRST_ROW) * (self.accepted + self.rejected) + self.accepted
 
     def trial(self, dt: float):
         return (*_gbs_step(self.rhs, self.t, self.y, dt, self.k1), None)

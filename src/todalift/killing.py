@@ -208,10 +208,12 @@ def verify_killing(
     gradient from the Lax matrix (see toda.lax_trace_gradient) and X_H the lift's
     own flow field, so it does not depend on any integrator or step size.
     The geodesics are integrated together as one (dim, geodesics) batch by
-    order-12 extrapolation, and each one's drift is read off 31 samples
-    evenly spaced over [0, t_final].  The phase points are
-    drawn first and the geodesic starts after them, from one seeded
-    generator, so a seed always selects the same points.
+    order-12 extrapolation, whose substep calls evaluate the flow field on
+    (dim, rows x geodesics) batches, one column per tableau row and
+    geodesic; each geodesic's drift is read off 31 samples evenly spaced
+    over [0, t_final].  The phase points are drawn first and the geodesic
+    starts after them, from one seeded generator, so a seed always selects
+    the same points.
     """
     picture = LIFTS.get(lift) if isinstance(lift, str) else None
     if picture is None:

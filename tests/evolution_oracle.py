@@ -12,16 +12,21 @@ from todalift.integrate import IntegratorConfig, integrate_at_times
 
 
 def evolve_A_rhs(sys: toda.TodaSystem):
-    """Vector field over packed [q, p, A.ravel()]: the chain flow and dA/dt = -M A."""
+    """Vector field over packed [q, p, A.ravel()]: the chain flow and dA/dt = -M A.
+
+    z is one state or a component-first batch of them; M is built by
+    toda.lax_pair from each column's own chain state.
+    """
     n = sys.n
     base = toda.flow_field(sys)
 
-    def rhs(t: float, z: np.ndarray) -> np.ndarray:
-        y = z[: 2 * n]
-        _, mmat = toda.lax_pair(sys, y)
+    def rhs(t, z: np.ndarray) -> np.ndarray:
         out = np.empty(z.shape)
-        out[: 2 * n] = base(t, y)
-        np.matmul(-mmat, z[2 * n :].reshape(n, n), out=out[2 * n :].reshape(n, n))
+        out[: 2 * n] = base(t, z[: 2 * n])
+        cols, out_cols = z.reshape(len(z), -1), out.reshape(len(z), -1)
+        for c in range(cols.shape[1]):
+            _, mmat = toda.lax_pair(sys, cols[: 2 * n, c])
+            out_cols[2 * n :, c] = (-mmat @ cols[2 * n :, c].reshape(n, n)).ravel()
         return out
 
     return rhs

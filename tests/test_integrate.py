@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from gbs_oracle import gbs_step_by_rows
 
 from todalift import eisenhart, oplift, toda
 from todalift.errors import DivergenceError, DomainError, StiffnessError
 from todalift.integrate import (
+    _GBS_SEQUENCE,
     IntegratorConfig,
+    _gbs_step,
     integrate,
     integrate_at_times,
     monitor_drift,
@@ -16,8 +19,9 @@ from todalift.integrate import (
 
 
 def one_dof_rhs(t, y):
-    # dq/dt = p, dp/dt = -4 exp(2q); energy p^2/2 + 2 exp(2q) is conserved
-    return np.array([y[1], -4.0 * math.exp(2.0 * y[0])])
+    # dq/dt = p, dp/dt = -4 exp(2q); energy p^2/2 + 2 exp(2q) is conserved.
+    # y is one state (2,) or, from extrapolation's substeps, a (2, C) batch
+    return np.array([y[1], -4.0 * np.exp(2.0 * y[0])])
 
 
 def closed_form_q(t):
@@ -212,7 +216,7 @@ class TestExtrapolation:
         # atol = rtol = 1 accepts the first trial step, which spans the run
         cfg = IntegratorConfig(method="extrapolation", dt=big_step, rtol=1.0, atol=1.0, t_final=big_step)
         traj = integrate(rhs, [1.0], cfg)
-        assert traj.stats == {"nfev": 38, "accepted": 1, "rejected": 0, "dt_min": big_step, "dt_max": big_step}
+        assert traj.stats == {"nfev": 13, "accepted": 1, "rejected": 0, "dt_min": big_step, "dt_max": big_step}
         return abs(traj.states[-1][0] - exact(big_step))
 
     @pytest.mark.parametrize(
@@ -220,7 +224,7 @@ class TestExtrapolation:
         [
             (lambda t, y: y, math.exp),
             # non-autonomous: only the true substep times give order 12
-            (lambda t, y: math.cos(t) * y, lambda t: math.exp(math.sin(t))),
+            (lambda t, y: np.cos(t) * y, lambda t: math.exp(math.sin(t))),
         ],
         ids=["exponential", "cos-modulated"],
     )
@@ -253,7 +257,7 @@ class TestExtrapolation:
             stats = run().stats
             assert stats["rejected"] > 0
             trials = stats["accepted"] + stats["rejected"]
-            assert stats["nfev"] == 1 + 36 * trials + stats["accepted"]
+            assert stats["nfev"] == 1 + 11 * trials + stats["accepted"]
             assert stats["nfev"] == len(calls)
 
     def test_matches_adaptive_method(self):
@@ -263,6 +267,81 @@ class TestExtrapolation:
         gbs = integrate_at_times(one_dof_rhs, [0.0, 0.0], times, replace(cfg, method="extrapolation"))
         assert np.max(np.abs(gbs.states - ref.states)) < 1e-10
         assert gbs.stats["nfev"] < ref.stats["nfev"]
+
+
+class TestBatchedTableau:
+    """A trial step runs substep m of every row still substepping as one rhs
+    call; checked against the row-by-row step of tests/gbs_oracle.py."""
+
+    @staticmethod
+    def starts(rng, picture, n):
+        """(field, one state, a (d, 3) batch) for a random system of n particles."""
+        field = picture.flow_field(toda.TodaSystem(n, rng.uniform(0.5, 2.0, n - 1)))
+        batch = np.stack([picture.random_state(rng, n) for _ in range(4)], axis=1)
+        return field, batch[:, 0].copy(), batch[:, 1:].copy()
+
+    @pytest.mark.parametrize("picture", [toda.CHAIN, oplift.GENERALIZED], ids=lambda p: p.name)
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_bit_identical_to_rows(self, rng, picture, n):
+        field, one, batch = self.starts(rng, picture, n)
+        for y in (one, batch):
+            f0 = field(0.3, y)
+            for dt in (0.01, 0.05, 0.2):
+                for got, want in zip(_gbs_step(field, 0.3, y, dt, f0), gbs_step_by_rows(field, 0.3, y, dt, f0)):
+                    assert got.shape == y.shape and np.isfinite(got).all()
+                    assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_eisenhart_agrees_to_roundoff(self, rng, n):
+        # the y rate sums n - 1 terms, which numpy orders differently for a
+        # (d,) state and for a (d, C) batch once there are 8 or more
+        field, one, batch = self.starts(rng, eisenhart.EISENHART, n)
+        eps = np.finfo(float).eps
+        for y in (one, batch):
+            f0 = field(0.3, y)
+            for dt in (0.01, 0.05, 0.2):
+                (y12, err), (ref, ref_err) = _gbs_step(field, 0.3, y, dt, f0), gbs_step_by_rows(field, 0.3, y, dt, f0)
+                scale = np.max(np.abs(ref)) + dt * np.max(np.abs(f0))
+                assert np.isfinite(y12).all()
+                assert np.max(np.abs(y12 - ref)) <= 32 * eps * scale
+                assert np.max(np.abs(err - ref_err)) <= 4 * eps * scale
+                if y is batch or n < 9:
+                    assert y12.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_substep_times_are_true_for_the_active_rows(self, width):
+        calls = []
+
+        def field(t, y):
+            calls.append((np.array(t, copy=True), y.shape))
+            return np.cos(t) * y
+
+        t, dt = 0.7, 0.3
+        y = np.array([1.0, -2.0]) if width is None else np.arange(1.0, 7.0).reshape(2, width)
+        y12, _ = _gbs_step(field, t, y, dt, field(t, y))
+        assert np.isfinite(y12).all()
+        assert calls[0] == (np.array(t), y.shape)
+        assert len(calls) == 1 + _GBS_SEQUENCE[-1] - 1
+        for m, (times, shape) in enumerate(calls[1:], 1):
+            want = np.array([t + m * (dt / n) for n in _GBS_SEQUENCE if n > m])
+            if width is not None:
+                want = want.repeat(width)
+            assert times.tobytes() == want.tobytes()
+            assert shape == (2, len(want))
+
+    def test_one_accepted_trial_makes_twelve_rhs_calls(self):
+        # eleven batched substep calls, then one at the accepted state
+        calls = []
+
+        def counted(t, y):
+            calls.append(np.ndim(t))
+            return np.cos(t) * y
+
+        cfg = IntegratorConfig(method="extrapolation", dt=0.5, rtol=1.0, atol=1.0, t_final=0.5)
+        traj = integrate(counted, [1.0], cfg)
+        assert (traj.stats["accepted"], traj.stats["rejected"]) == (1, 0)
+        assert calls[1:] == [1] * 11 + [0]
+        assert traj.stats["nfev"] == len(calls) == 13
 
 
 def test_rk4_stats():
