@@ -59,7 +59,7 @@ def lifted_lax(sys: TodaSystem, state: EisenhartState) -> tuple[np.ndarray, np.n
     degree-k momentum polynomial.
     """
     check_dims(sys, state)
-    return lax_pair(TodaSystem(n=sys.n, g=state.p_y * sys.g), np.concatenate([state.q, state.p]))
+    return lax_pair(sys.scaled(state.p_y), np.concatenate([state.q, state.p]))
 
 
 def lifted_invariants(sys: TodaSystem, state: EisenhartState, kmax: int) -> np.ndarray:

@@ -10,27 +10,31 @@ under the same controller with exponent 1/11.  The six rows of a trial
 step are independent, so substep m of every row still substepping is one
 right-hand-side call on the batch of their states: eleven calls per trial
 step, plus one at each accepted state.  It takes far fewer right-hand-side
-evaluations than Dormand-Prince at tight tolerances, but it has no dense
-output, so it is meant for sparse output: few sample times and a large
-stride.  The last step is always shortened to land exactly on the
-requested end time.
+evaluations than Dormand-Prince at tight tolerances.  Its steps are long,
+so integrate's stride output from it is sparse; integrate_at_times samples
+it anywhere (below).  The last step is always shortened to land exactly on
+the requested end time.
 
 When the config names no method, the integrator chooses one.  integrate
 runs extrapolation when rtol < 1e-10, where it needs about a third of
 Dormand-Prince's evaluations, and Dormand-Prince otherwise, so the default
 rtol of 1e-10 keeps Dormand-Prince.  integrate_at_times always runs
-Dormand-Prince: extrapolation must cut a step at every sample, which makes
-it slower than Dormand-Prince's interpolation once there are more than a
-handful of samples.  The returned trajectory's method names the stepper
-that ran.
+Dormand-Prince.  The returned trajectory's method names the stepper that
+ran.
 
 integrate_at_times samples the solution at given times.  Dormand-Prince
 steps straight through them to the last one and evaluates its order-4
 continuous extension (Hairer, Norsett & Wanner, II.6; the dense output of
 DOPRI5), built from the seven stages of the step that contains each sample,
 at no extra right-hand-side evaluation; a sample on a step end is that
-step's state.  Extrapolation and RK4 have no interpolant: they shorten a
-step to land on every sample time.  Conserved
+step's state.  Extrapolation also steps exactly as integrate does: each
+sample time t_s strictly inside a trial step (t, t + dt) adds one ride
+column per state column to that trial's batch, started from the column's
+state at t and stepped by t_s - t.  The rides go through the same eleven
+batched calls, so they cost wider batches and no extra call; the error
+norm, the finiteness check and the accept/reject decision read the main
+columns alone, and on acceptance the rides are the samples.  RK4 has
+neither: it shortens a step to land on every sample time.  Conserved
 quantities are monitored at the recorded samples: each monitor is called
 once, on the (samples, d) array of recorded states, and returns one value
 per sample.  Their relative drift is recorded on the returned trajectory.
@@ -44,7 +48,8 @@ same start passed as a (d, 1) column.
 The right-hand side rhs(t, y) is called with the state's own shape and a
 float t, and, under extrapolation, also with a (d, C) batch of columns and
 a (C,) array holding each column's time: the substep states of the rows
-still substepping, C = rows x B.  rhs must return an array of y's shape and
+still substepping, C = rows x B, or rows x B x (1 + rides) under
+integrate_at_times.  rhs must return an array of y's shape and
 must not write into y, which may be a view into the stepper's buffers.
 Every call counts once in a trajectory's nfev, whatever its batch width.
 
@@ -108,6 +113,7 @@ _DP_DENSE = np.array([
 # 1 / ((n_j / n_{j-k})^2 - 1) of rows j = k..5.
 _GBS_SEQUENCE = (2, 4, 6, 8, 10, 12)
 _GBS_SUBSTEPS, _GBS_ROWS = np.array(_GBS_SEQUENCE), np.arange(len(_GBS_SEQUENCE))
+_GBS_SUBSTEPS_COLUMN = _GBS_SUBSTEPS[:, None]
 _GBS_STEP_INDEX = np.arange(_GBS_SEQUENCE[-1], dtype=float)[:, None]
 _GBS_FIRST_ROW = tuple(
     next(j for j, n in enumerate(_GBS_SEQUENCE) if n > m) for m in range(1, _GBS_SEQUENCE[-1])
@@ -130,16 +136,17 @@ class IntegratorConfig:
     """Settings for :func:`integrate`.
 
     method is "adaptive" (Dormand-Prince), "extrapolation" (order-12
-    Gragg-Bulirsch-Stoer, for sparse output; its rhs must also take a (d, C)
-    batch with a (C,) array of column times, see the module docstring),
-    "rk4" or None.  None lets the
-    integrator choose: integrate runs extrapolation when rtol < 1e-10, where
-    it is the cheaper method, and Dormand-Prince otherwise;
-    integrate_at_times always runs Dormand-Prince, the one method with dense
-    output.  dt is the fixed step for rk4 and the initial trial step for the
-    adaptive methods; unset, the stepper that runs starts at 1e-3, or at 0.1
-    for extrapolation, whose error estimate is roundoff at small steps, so
-    that the controller grows dt only about 2x per step from a small start.
+    Gragg-Bulirsch-Stoer, for tight tolerances; its rhs must also take a (d, C)
+    batch with a (C,) array of column times, and integrate_at_times takes
+    its samples as ride columns of the trial batches, see the module
+    docstring), "rk4" or None.  None lets the integrator choose: integrate
+    runs extrapolation when rtol < 1e-10, where it is the cheaper method,
+    and Dormand-Prince otherwise; integrate_at_times always runs
+    Dormand-Prince.  dt is the fixed step for rk4 and the initial trial step
+    for the adaptive methods; unset, the stepper that runs starts at 1e-3,
+    or at 0.1 for extrapolation, whose error estimate is roundoff at small
+    steps, so that the controller grows dt only about 2x per step from a
+    small start.
     stride decimates the output: every stride-th accepted step is recorded
     (the endpoints always are).  dt, rtol, atol and t_final are finite
     positive reals, not bools, and are stored as floats; t_final / dt must
@@ -259,7 +266,7 @@ def _dp54_step(rhs: Rhs, t: float, y: np.ndarray, dt: float, k1: np.ndarray):
     return (y5.reshape(y.shape), err.reshape(y.shape), k) if batch else (y5, err, k)
 
 
-def _gbs_step(rhs: Rhs, t: float, y: np.ndarray, dt: float, f0: np.ndarray):
+def _gbs_step(rhs: Rhs, t: float, y: np.ndarray, dt, f0: np.ndarray):
     """One trial Gragg-Bulirsch-Stoer step: returns (y12, error_estimate).
 
     Row j of the tableau is Gragg's modified midpoint rule over dt with
@@ -270,21 +277,23 @@ def _gbs_step(rhs: Rhs, t: float, y: np.ndarray, dt: float, f0: np.ndarray):
     (C,) array of their times t + m h_j: eleven calls per trial step.  Each
     column meets the same arithmetic as a row run on its own.  The error
     estimate is the difference of the last two extrapolated values (orders
-    12 and 10).
+    12 and 10).  dt is one step for every column or, for a (d, B) batch, a
+    (B,) array of per-column steps; either way h_j = dt_b / n_j is one
+    division, so a column's bits do not depend on the steps beside it.
     """
     d = len(y)
     width = y.size // d  # B, or 1 for one state
     rows = len(_GBS_SEQUENCE)
-    h = dt / _GBS_SUBSTEPS
+    h = dt / _GBS_SUBSTEPS_COLUMN  # (rows, 1) for one step, (rows, B) per column
     # column j B + b of a substep batch is row j's state from start b
-    h_cols = h.repeat(width)
+    h_cols = h.repeat(width) if h.shape[1] == 1 else h.reshape(-1)
     two_h = h_cols + h_cols
     times = t + _GBS_STEP_INDEX * h_cols  # times[m] = t + m h_j per column
     # zs[m] is every row's state after m substeps, a (d, rows B) batch
     zs = np.empty((_GBS_SEQUENCE[-1] + 1, d, rows * width))
     start = zs[0].reshape(d, rows, width)
     start[...] = y.reshape(d, 1, width)
-    np.multiply(f0.reshape(d, 1, width), h[:, None], out=zs[1].reshape(start.shape))
+    np.multiply(f0.reshape(d, 1, width), h, out=zs[1].reshape(start.shape))
     zs[1] += zs[0]
     for m, first in enumerate(_GBS_FIRST_ROW, 1):
         active = slice(first * width, None)
@@ -362,6 +371,9 @@ class _AdaptiveStepper(_Stepper):
         # one evaluation at the start, then six per trial step (the seventh
         # stage is reused as the next step's first)
         return 1 + 6 * (self.accepted + self.rejected)
+
+    def sample_at(self, sample_times: np.ndarray) -> None:
+        """Prepare to sample at sample_times; the continuous extension needs nothing."""
 
     def trial(self, dt: float):
         """(new state, error estimate, stages) of one trial step.
@@ -441,7 +453,6 @@ class _ExtrapolationStepper(_AdaptiveStepper):
     method = "extrapolation"
     # the error estimate is the order-10 value's, O(dt^11)
     exponent = -1.0 / 11.0
-    dense = False
     # the error estimate is roundoff at small steps, so start large
     default_dt = 0.1
 
@@ -453,6 +464,39 @@ class _ExtrapolationStepper(_AdaptiveStepper):
 
     def trial(self, dt: float):
         return (*_gbs_step(self.rhs, self.t, self.y, dt, self.k1), None)
+
+    def sample_at(self, sample_times: np.ndarray) -> None:
+        """Make every later trial step also take the sample times strictly
+        inside it, as ride columns of its batch; interpolate returns them."""
+        self.sample_times = sample_times
+        self.trial = self._trial_with_rides
+
+    def _trial_with_rides(self, dt: float):
+        """A trial step whose batch also holds, for each sample time t_s in
+        (t, t + dt), one ride column per main column: that column's start,
+        stepped by t_s - t.  It returns the main columns' new state and error
+        estimate alone, so the error norm, the finiteness check and the
+        accept/reject decision never see a ride."""
+        t, y = self.t, self.y
+        lo = np.searchsorted(self.sample_times, t, side="right")
+        hi = np.searchsorted(self.sample_times, t + dt, side="left")
+        if lo == hi:
+            return (*_gbs_step(self.rhs, t, y, dt, self.k1), None)
+        rides = self.sample_times[lo:hi] - t
+        d = len(y)
+        width = y.size // d  # B, or 1 for one state
+        # column s B + b is start b stepped by the main step (s = 0) or by ride s
+        shape = (d, 1 + len(rides), width)
+        starts = np.broadcast_to(y.reshape(d, 1, width), shape).reshape(d, -1)
+        f0 = np.broadcast_to(self.k1.reshape(d, 1, width), shape).reshape(d, -1)
+        y12, err = _gbs_step(self.rhs, t, starts, np.concatenate(([dt], rides)).repeat(width), f0)
+        self.ride_states = y12[:, width:].reshape(d, len(rides), width).transpose(1, 0, 2).reshape(rides.shape + y.shape)
+        return y12[:, :width].reshape(y.shape), err[:, :width].reshape(y.shape), None
+
+    def interpolate(self, times: np.ndarray) -> np.ndarray:
+        """States at the sample times inside the last accepted step, shape
+        (len(times),) + y.shape: the ride columns of that step's trial."""
+        return self.ride_states
 
 
 class _RK4Stepper(_Stepper):
@@ -555,9 +599,10 @@ def integrate_at_times(
     The first sample time must be 0.  Useful for comparing formulations on a
     common grid and for co-evolving auxiliary quantities along a previously
     computed trajectory.  Dormand-Prince steps straight to the last sample
-    and interpolates the samples inside its steps; the other methods shorten
-    a step to land on each sample.  Without cfg.method, the run is
-    Dormand-Prince.
+    and interpolates the samples inside its steps; extrapolation steps
+    straight there too and takes those samples as ride columns of its trial
+    batches; RK4 shortens a step to land on each sample.  Without
+    cfg.method, the run is Dormand-Prince.
     """
     sample_times = checked_sample_times(sample_times)
     y0 = np.asarray(y0, dtype=float)
@@ -565,6 +610,7 @@ def integrate_at_times(
     states[0] = y0
     stepper = _STEPPERS[cfg.method or "adaptive"](rhs, y0, cfg)
     if stepper.dense:
+        stepper.sample_at(sample_times)
         done = 1
 
         def record(t, y):

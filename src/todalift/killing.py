@@ -209,11 +209,13 @@ def verify_killing(
     own flow field, so it does not depend on any integrator or step size.
     The geodesics are integrated together as one (dim, geodesics) batch by
     order-12 extrapolation, whose substep calls evaluate the flow field on
-    (dim, rows x geodesics) batches, one column per tableau row and
-    geodesic; each geodesic's drift is read off 31 samples evenly spaced
-    over [0, t_final].  The phase points are drawn first and the geodesic
-    starts after them, from one seeded generator, so a seed always selects
-    the same points.
+    (dim, rows x columns) batches, one column per tableau row and geodesic;
+    each geodesic's drift is read off 31 samples evenly spaced over
+    [0, t_final].  The samples cut no step: each one inside a trial step
+    rides in that step's batch as one more column per geodesic, stepped
+    from the step's start to the sample.  The phase points are drawn in one
+    call and the geodesic starts in a second, from one seeded generator, so
+    a seed always selects the same points.
     """
     picture = LIFTS.get(lift) if isinstance(lift, str) else None
     if picture is None:
@@ -224,8 +226,8 @@ def verify_killing(
         raise DomainError("samples and geodesics must be positive")
 
     rng = np.random.default_rng(seed)
-    points = np.stack([picture.random_state(rng, sys.n) for _ in range(samples)], axis=1)
-    starts = np.stack([picture.random_state(rng, sys.n) for _ in range(geodesics)], axis=1)
+    points = picture.random_states(rng, sys.n, samples)
+    starts = picture.random_states(rng, sys.n, geodesics)
     chart, field = picture.chart(sys.n, sys.g), picture.flow_field(sys)
 
     q, p, c = chart(points)

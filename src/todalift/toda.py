@@ -64,6 +64,16 @@ class TodaSystem:
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "g", g)
 
+    def scaled(self, factor: float) -> TodaSystem:
+        """The system with every coupling multiplied by factor; only the new couplings are checked."""
+        g = factor * self.g
+        if not np.isfinite(g).all():
+            raise DomainError("couplings must be finite")
+        out = object.__new__(TodaSystem)
+        object.__setattr__(out, "n", self.n)
+        object.__setattr__(out, "g", g)
+        return out
+
 
 class PictureState:
     """Base of the state dataclasses of every picture: the particle count and field validation."""
@@ -337,14 +347,15 @@ class Picture:
         fibre = np.zeros((self.fibres(len(d_q)), d_q.shape[1]))
         return np.concatenate([d_q, fibre, d_p, self.coupling_grad(d_c, np.asarray(g)[:, None])])
 
-    def random_state(self, rng, n: int) -> np.ndarray:
-        """Packed phase point, uniform in [-1, 1], drawn in the order q, p, fibre, fibre momenta."""
-        q, p = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
-        if self.centred:
-            q -= q.mean()
-            p -= p.mean()
+    def random_states(self, rng, n: int, count: int) -> np.ndarray:
+        """count packed phase points (dim, count), uniform in [-1, 1], from one draw: each
+        point draws in turn q, p, fibre, fibre momenta, and a centred picture centres its q and p."""
         f = self.fibres(n)
-        return np.concatenate([q, rng.uniform(-1.0, 1.0, f), p, rng.uniform(-1.0, 1.0, f)])
+        q, p, fibre, p_fibre = np.split(rng.uniform(-1.0, 1.0, (count, self.dim(n))), [n, 2 * n, 2 * n + f], axis=1)
+        if self.centred:
+            q -= q.mean(axis=1, keepdims=True)
+            p -= p.mean(axis=1, keepdims=True)
+        return np.ascontiguousarray(np.concatenate([q, fibre, p, p_fibre], axis=1).T)
 
     def invariant(self, sys: TodaSystem, k: int):
         """I_k(position, momenta) of one phase point, as killing.extract_tensor takes it."""

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_chain
 from todalift import eisenhart, oplift, toda
-from todalift.errors import DegenerateMetricError
+from todalift.errors import DegenerateMetricError, DomainError
 from todalift.integrate import IntegratorConfig, integrate_at_times, rk4_step
 
 
@@ -106,6 +106,27 @@ class TestLiftedLax:
         l_base, m_base = toda.lax_pair(sys, st)
         assert np.array_equal(l_lift, l_base)
         assert np.array_equal(m_lift, m_base)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_bits_match_a_validated_scaled_system(self, rng, n):
+        # the scaled system skips revalidating n and g; L, M and the one-state
+        # invariants keep the bits of a TodaSystem built from p_y g
+        for _ in range(20):
+            sys = toda.TodaSystem(n, rng.uniform(-1.5, 1.5, n - 1))
+            s = eisenhart.EISENHART.unpack(sys, eisenhart.EISENHART.random_states(rng, n, 1)[:, 0])
+            rescaled = toda.TodaSystem(n, s.p_y * sys.g)
+            want = toda.lax_pair(rescaled, np.concatenate([s.q, s.p]))
+            for got, ref in zip(eisenhart.lifted_lax(sys, s), want):
+                assert got.tobytes() == ref.tobytes()
+            got = eisenhart.lifted_invariants(sys, s, n)
+            assert got.tobytes() == toda.power_traces(want[0], n).tobytes()
+            assert toda.invariants(rescaled, toda.PhaseState(q=s.q, p=s.p), n).tobytes() == got.tobytes()
+
+    def test_overflowing_coupling_is_rejected(self):
+        sys = toda.TodaSystem(2, [1e300])
+        s = eisenhart.EisenhartState(q=[0.0, 0.0], y=0.0, p=[0.0, 0.0], p_y=1e10)
+        with pytest.raises(DomainError), np.errstate(over="ignore"):
+            eisenhart.lifted_lax(sys, s)
 
     def test_second_invariant_is_energy(self, rng):
         sys, _ = random_chain(rng, 4)

@@ -31,7 +31,7 @@ def system(rng, n, zero_coupling=False):
 
 def batch(rng, picture, n, size=5):
     """Component-first packed states (dim, size)."""
-    return np.column_stack([picture.random_state(rng, n) for _ in range(size)])
+    return picture.random_states(rng, n, size)
 
 
 def symplectic_gradient(picture, sys, x):
@@ -76,7 +76,7 @@ def test_batch_columns_equal_single_states_bit_for_bit(rng, picture, n):
 def test_field_returns_a_fresh_array_and_leaves_its_input(rng, picture, size):
     sys = system(rng, 4)
     field = picture.flow_field(sys)
-    x = picture.random_state(rng, 4) if size is None else batch(rng, picture, 4, size)
+    x = picture.random_states(rng, 4, 1)[:, 0] if size is None else batch(rng, picture, 4, size)
     before = x.copy()
     out = field(0.0, x)
     kept = out.copy()

@@ -277,7 +277,7 @@ class TestBatchedTableau:
     def starts(rng, picture, n):
         """(field, one state, a (d, 3) batch) for a random system of n particles."""
         field = picture.flow_field(toda.TodaSystem(n, rng.uniform(0.5, 2.0, n - 1)))
-        batch = np.stack([picture.random_state(rng, n) for _ in range(4)], axis=1)
+        batch = picture.random_states(rng, n, 4)
         return field, batch[:, 0].copy(), batch[:, 1:].copy()
 
     @pytest.mark.parametrize("picture", [toda.CHAIN, oplift.GENERALIZED], ids=lambda p: p.name)
@@ -530,6 +530,150 @@ class TestDenseOutput:
             solo = integrate_at_times(rhs, y0[:, b], times, cfg)
             scale = np.maximum(1.0, np.abs(solo.states))
             assert np.max(np.abs(batch.states[:, :, b] - solo.states) / scale) < 100.0 * cfg.rtol
+
+
+class TestRideSamples:
+    """Extrapolation steps as integrate does; each sample time inside a trial
+    step rides in that trial's batch, as one column per main column stepped
+    from the step's start to the sample."""
+
+    PICTURES = [toda.CHAIN, eisenhart.EISENHART, oplift.GENERALIZED]
+    CFG = IntegratorConfig(method="extrapolation", rtol=1e-10, atol=1e-12, t_final=20.0, stride=1)
+
+    @staticmethod
+    def start(rng, picture, width):
+        # n = 4: the Eisenhart field's column sums keep their bits at any batch width below n = 9
+        n = 4
+        sys = toda.TodaSystem(n, rng.uniform(0.5, 1.5, n - 1))
+        y0 = picture.random_states(rng, n, width or 1)
+        return picture.flow_field(sys), y0[:, 0] if width is None else y0
+
+    @staticmethod
+    def with_midpoints(times):
+        """The step ends and the midpoint of every step, so each step carries one ride."""
+        out = np.empty(2 * len(times) - 1)
+        out[::2] = times
+        out[1::2] = 0.5 * (times[:-1] + times[1:])
+        return out
+
+    @pytest.mark.parametrize("picture", PICTURES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("width", [None, 10])
+    def test_step_ends_are_the_steps_of_integrate_bit_for_bit(self, rng, picture, width):
+        rhs, y0 = self.start(rng, picture, width)
+        stepped = integrate(rhs, y0, self.CFG)
+        sampled = integrate_at_times(rhs, y0, self.with_midpoints(stepped.times), self.CFG)
+        assert sampled.method == "extrapolation"
+        assert sampled.states[::2].tobytes() == stepped.states.tobytes()
+        assert sampled.stats == stepped.stats
+        # the drift check's grid: 31 samples, none of them cutting a step
+        grid = integrate_at_times(rhs, y0, np.linspace(0.0, self.CFG.t_final, 31), self.CFG)
+        assert grid.stats == stepped.stats
+        assert grid.states[-1].tobytes() == stepped.states[-1].tobytes()
+
+    @pytest.mark.parametrize("picture", PICTURES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("width", [None, 10])
+    def test_each_ride_is_a_solo_step_from_its_step_start(self, rng, picture, width):
+        rhs, y0 = self.start(rng, picture, width)
+        stepped = integrate(rhs, y0, self.CFG)
+        # two rides in every step, at a third and at nine tenths of it
+        starts, ends = stepped.times[:-1], stepped.times[1:]
+        inside = np.stack([starts + (ends - starts) / 3.0, starts + 0.9 * (ends - starts)], axis=1)
+        times = np.concatenate([[0.0], np.column_stack([inside, ends]).reshape(-1)])
+        sampled = integrate_at_times(rhs, y0, times, self.CFG)
+        assert sampled.stats == stepped.stats
+        for i, (t, y) in enumerate(zip(starts, stepped.states[:-1])):
+            f0 = rhs(t, y)
+            for r, t_s in enumerate(inside[i]):
+                want, _ = _gbs_step(rhs, t, y, t_s - t, f0)
+                assert sampled.states[1 + 3 * i + r].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("picture", PICTURES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("width", [None, 10])
+    def test_samples_match_a_tight_dormand_prince_run(self, rng, picture, width):
+        rhs, y0 = self.start(rng, picture, width)
+        times = np.linspace(0.0, self.CFG.t_final, 31)
+        sampled = integrate_at_times(rhs, y0, times, self.CFG)
+        ref = integrate_at_times(rhs, y0, times, IntegratorConfig(method="adaptive", rtol=1e-13, atol=1e-15, t_final=20.0))
+        # measured: at most 6.7e-10 (Eisenhart, one state), against 1.2e-10 for samples that cut steps
+        assert np.max(np.abs(sampled.states - ref.states) / np.maximum(1.0, np.abs(ref.states))) < 1e-9
+
+    @pytest.mark.parametrize("picture", PICTURES, ids=lambda p: p.name)
+    def test_one_state_steps_like_a_single_column(self, rng, picture):
+        rhs, y0 = self.start(rng, picture, None)
+        times = np.linspace(0.0, self.CFG.t_final, 31)
+        solo = integrate_at_times(rhs, y0, times, self.CFG)
+        column = integrate_at_times(rhs, y0[:, None], times, self.CFG)
+        assert column.states.shape == solo.states.shape + (1,)
+        assert column.states[:, :, 0].tobytes() == solo.states.tobytes()
+        assert column.stats == solo.stats
+
+    @pytest.mark.parametrize("width", [None, 10])
+    def test_stats_count_every_rhs_call(self, rng, width):
+        rhs, y0 = self.start(rng, toda.CHAIN, width)
+        calls = []
+
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+
+        # a large first step, so that some trials are rejected
+        traj = integrate_at_times(counted, y0, np.linspace(0.0, 20.0, 31), replace(self.CFG, dt=1.0))
+        trials = traj.stats["accepted"] + traj.stats["rejected"]
+        assert traj.stats["rejected"] > 0
+        assert traj.stats["nfev"] == 1 + 11 * trials + traj.stats["accepted"] == len(calls)
+
+    def test_non_finite_main_column_rejects_the_trial(self, rng):
+        # a column that runs far off on a large step goes non-finite; the
+        # trial is rejected and retried smaller, as under integrate
+        rhs, y0 = self.start(rng, toda.CHAIN, 10)
+        poisoned = []
+
+        def fragile(t, y):
+            out = rhs(t, y)
+            far = np.abs(y).max(axis=0) > 50.0
+            if far.any():
+                poisoned.append(t)
+                out[:, far] = np.inf
+            return out
+
+        cfg = replace(self.CFG, dt=5.0, t_final=5.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stepped = integrate(fragile, y0, cfg)
+            sampled = integrate_at_times(fragile, y0, self.with_midpoints(stepped.times), cfg)
+        assert poisoned and stepped.stats["rejected"] > 0
+        assert sampled.stats == stepped.stats
+        assert sampled.states[::2].tobytes() == stepped.states.tobytes()
+        assert np.isfinite(sampled.states).all()
+
+    def test_ride_columns_stay_out_of_the_step_decision(self, rng):
+        # a ride that goes non-finite changes no decision about its step: the
+        # error norm, the finiteness check and acceptance read the main columns
+        rhs, y0 = self.start(rng, toda.CHAIN, None)
+        cfg = replace(self.CFG, t_final=5.0)
+        main_times = []
+
+        def recorded(t, y):
+            main_times.append(np.atleast_1d(t).copy())
+            return rhs(t, y)
+
+        stepped = integrate(recorded, y0, cfg)
+        i = len(stepped.times) // 2
+        t0, t1 = stepped.times[i], stepped.times[i + 1]
+        t_s = t0 + 0.3 * (t1 - t0)
+        # the first substep time of the ride's two-substep row, which no main column meets
+        tau = t0 + (t_s - t0) / _GBS_SEQUENCE[0]
+        assert not np.isin(tau, np.concatenate(main_times))
+
+        def poisoned(t, y):
+            out = rhs(t, y)
+            if np.ndim(t):
+                out[:, t == tau] = np.nan
+            return out
+
+        sampled = integrate_at_times(poisoned, y0, [0.0, t_s, cfg.t_final], cfg)
+        assert sampled.stats == stepped.stats
+        assert sampled.states[-1].tobytes() == stepped.states[-1].tobytes()
+        assert np.isnan(sampled.states[1]).all()
 
 
 @pytest.mark.parametrize("method", ["adaptive", "rk4", "extrapolation"])

@@ -172,7 +172,7 @@ def _lift_pieces(lift, sys):
     return (
         picture.chart(sys.n, sys.g),
         lambda d_q, d_p, d_c: picture.gradient(sys.g, d_q, d_p, d_c),
-        lambda rng: picture.random_state(rng, sys.n),
+        lambda rng, count: picture.random_states(rng, sys.n, count),
     )
 
 
@@ -228,7 +228,7 @@ class TestExactBracket:
     def test_value_matches_lifted_invariants(self, rng, lift, n):
         sys = toda.TodaSystem(n, rng.uniform(0.5, 1.5, n - 1))
         chart, _, random_packed = _lift_pieces(lift, sys)
-        points = np.stack([random_packed(rng) for _ in range(4)], axis=1)
+        points = random_packed(rng, 4)
         for k in range(1, n + 1):
             value = toda.lax_trace_gradient(*chart(points), k)[0]
             for b in range(points.shape[1]):
@@ -250,7 +250,7 @@ class TestExactBracket:
         for k in range(1, n + 1):
             sys, inv, _, _ = _phase_functions(lift, n, k, g, g)
             chart, gradient, random_packed = _lift_pieces(lift, sys)
-            point = random_packed(rng)
+            point = random_packed(rng, 1)[:, 0]
             _, d_q, d_p, d_c = toda.lax_trace_gradient(*chart(point[:, None]), k)
             grad = gradient(d_q, d_p, d_c)[:, 0]
             pos, mom = point[:dim], point[dim:]
@@ -269,7 +269,7 @@ class TestExactBracket:
         for k in range(1, n + 1):
             sys, inv, ham, field = _phase_functions(lift, n, k, g, g_other)
             chart, gradient, random_packed = _lift_pieces(lift, sys)
-            points = np.stack([random_packed(rng) for _ in range(3)], axis=1)
+            points = random_packed(rng, 3)
             _, d_q, d_p, d_c = toda.lax_trace_gradient(*chart(points), k)
             exact = np.sum(gradient(d_q, d_p, d_c) * field(0.0, points), axis=0)
             for b in range(points.shape[1]):

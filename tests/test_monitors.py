@@ -257,18 +257,36 @@ def test_records_share_one_packed_layout(rng, picture):
     assert np.array_equal(q[:, 0], vec[:n]) and np.array_equal(p[:, 0], vec[n + f : 2 * n + f])
 
 
+def random_state_by_point(picture, rng, n):
+    """One packed phase point drawn on its own, as random_states draws each of its columns."""
+    q, p = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    if picture.centred:
+        q -= q.mean()
+        p -= p.mean()
+    f = picture.fibres(n)
+    return np.concatenate([q, rng.uniform(-1.0, 1.0, f), p, rng.uniform(-1.0, 1.0, f)])
+
+
 @pytest.mark.parametrize("picture", [eisenhart.EISENHART, oplift.GENERALIZED], ids=lambda p: p.name)
 def test_random_start_draw_order(picture):
     # q, p, fibre, fibre momenta; a centred picture centres q and p
-    n, f = 4, picture.fibres(4)
-    got = picture.random_state(np.random.default_rng(3), n)
-    rng = np.random.default_rng(3)
-    q, p = rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
-    if picture.centred:
-        q, p = q - q.mean(), p - p.mean()
-    want = np.concatenate([q, rng.uniform(-1.0, 1.0, f), p, rng.uniform(-1.0, 1.0, f)])
-    assert np.array_equal(got, want)
+    got = picture.random_states(np.random.default_rng(3), 4, 1)[:, 0]
+    assert np.array_equal(got, random_state_by_point(picture, np.random.default_rng(3), 4))
     assert picture.centred == (picture is oplift.GENERALIZED)
+
+
+@pytest.mark.parametrize("picture", [eisenhart.EISENHART, oplift.GENERALIZED], ids=lambda p: p.name)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_random_states_match_draws_point_by_point(picture, n):
+    # one draw for the whole batch gives the bits of the point-by-point loop
+    # and leaves the generator where the loop leaves it
+    got_rng, want_rng = np.random.default_rng(n), np.random.default_rng(n)
+    for count in (1, 10, 110):
+        got = picture.random_states(got_rng, n, count)
+        want = np.stack([random_state_by_point(picture, want_rng, n) for _ in range(count)], axis=1)
+        assert got.shape == (picture.dim(n), count) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+    assert got_rng.random() == want_rng.random()
 
 
 def test_chain_metric_is_flat():
@@ -282,8 +300,7 @@ def test_lift_energy_is_half_the_inverse_metric_contraction(rng, picture):
     # the couplings are fibre momenta: H = sum(p^2)/2 + sum c^2 e^{2 dq} = P G^{-1} P / 2
     n, f = 4, picture.fibres(4)
     sys = toda.TodaSystem(n, rng.uniform(0.5, 1.5, n - 1))
-    for _ in range(20):
-        vec = picture.random_state(rng, n)
+    for vec in picture.random_states(rng, n, 20).T:
         state = picture.unpack(sys, vec, **({"centered": False} if picture.centred else {}))
         q, _, p, p_fibre = picture.split(vec, n)
         mom = np.concatenate([p, p_fibre])
@@ -297,7 +314,7 @@ def test_lift_energy_is_half_the_inverse_metric_contraction(rng, picture):
 def test_runners_monitor_extra_forms(rng, picture):
     # every picture's runner takes the form monitors the generalised one does, listed after H
     sys = toda.TodaSystem(3, [0.8, 1.1])
-    state = picture.unpack(sys, picture.random_state(rng, 3))
+    state = picture.unpack(sys, picture.random_states(rng, 3, 1)[:, 0])
     total = oplift.FormMonitor(name="sum_p", evaluate=lambda s: np.sum(s.p, axis=0))
     traj = picture.run(sys, state, IntegratorConfig(t_final=1.0, stride=1), kmax=1, extra_monitors=[total])
     assert list(traj.monitors)[-2:] == ["H", "sum_p"]
