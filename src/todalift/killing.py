@@ -209,8 +209,8 @@ def verify_killing(
     own flow field, so it does not depend on any integrator or step size.
     The geodesics are integrated together as one (dim, geodesics) batch by
     order-12 extrapolation, whose substep calls evaluate the flow field on
-    (dim, rows x columns) batches, one column per tableau row and geodesic;
-    each geodesic's drift is read off 31 samples evenly spaced over
+    (dim, rows x columns) batches, one column per tableau row and geodesic
+    or sample ride (below); each geodesic's drift is read off 31 samples evenly spaced over
     [0, t_final].  The samples cut no step: each one inside a trial step
     rides in that step's batch as one more column per geodesic, stepped
     from the step's start to the sample.  The phase points are drawn in one
