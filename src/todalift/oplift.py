@@ -12,8 +12,8 @@ a multi-particle Eisenhart lift: one omega per coupling, and p_omega = g on
 the trajectories that reproduce the chain.  Auto-parallel curves are exact,
 x(t) = exp(B t) x0 with B = xdot0 x0^{-1}, which gives an integrator-free
 route to the same dynamics through the UDU projection.  exact_coordinates
-reads that projection at all sample times off one graded QR factorisation
-of the trailing minors of x(t), the chain's tau-functions, never forming x(t).
+reads that projection off the trailing minors of x(t), the tau-functions of
+the chain, with the graded-QR core of toda.evolve_A, never forming x(t).
 
 Right-invariant one-forms contracted with the velocity supply conserved
 monitors.  Where a closed form for them admits more than one reading, the
@@ -30,11 +30,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConditioningError, ConstraintError, DefinitenessError, DomainError
+from .errors import ConstraintError, DefinitenessError, DomainError
 # integrate is not called here, but the benchmark's tracer tests read it off this module
 from .integrate import IntegratorConfig, Trajectory, integrate, integrate_at_times  # noqa: F401
 from .linalg import udu_decompose, unitriangular_inverse
-from .toda import Picture, PictureState, TodaSystem, check_dims, gap_buffer, lax_traces
+from .toda import Picture, PictureState, TodaSystem, _graded_factor, check_dims, gap_buffer, lax_traces
 
 __all__ = [
     "OPState",
@@ -286,27 +286,22 @@ def exact_geodesic_raw(x0: XPoint, xdot0, t: float) -> np.ndarray:
 
 
 def exact_coordinates(state: OPState, sys: TodaSystem, times) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """UDU coordinates (q, omega, qdot) of the exact geodesic through state, at every time.
+    """UDU coordinates (q, omega, qdot) of the exact geodesic through state, at times in any order.
 
     With w = Z(omega) e^q (so x0 = w w^T) and S = w^{-1} xdot0 w^{-T} = Q Lam Q^T,
-    the curve is x(t) = M e^{Lam t} M^T for M = w Q.  Its UDU coordinates
-    follow from the trailing minors D_a = det x[a:, a:] (the tau-functions of
-    the chain) without forming x(t).  Let G = (M e^{Lam t/2})^T with its
-    columns in reverse order, and G = Q_t R_t by one batched QR over all
-    times.  The leading k columns of G belong to the trailing k x k block of
-    x(t), so each D_a is a product of squared R_ii.  For particles a = 1..n
-    and j = n - a (counted from 0):
+    Lam descending, the curve is x(t) = M e^{Lam t} M^T for M = w Q.  Its UDU
+    coordinates follow from the trailing minors D_a = det x[a:, a:], the
+    tau-functions of the chain, without forming x(t): toda._graded_factor
+    factors e^{(Lam - lam_max) t/2} M^T, its columns reversed, as
+    Q_t diag(e^{l_t}) U_t, whose leading k columns belong to the trailing
+    k x k block of x(t).  For particles a = 1..n and j = n - a (from 0):
 
-        q_a     = (log D_a - log D_{a+1}) / 2 = log|R_jj|,
+        q_a     = (log D_a - log D_{a+1}) / 2 = l_j + lam_max t / 2,
         qdot_a  = d/dt q_a = sum_i lam_i (Q_t)_ij^2 / 2,
-        omega_a = Z(t)_{a,a+1} = R_{j-1,j} / R_{j-1,j-1}     (a < n),
+        omega_a = Z(t)_{a,a+1} = (U_t)_{j-1,j}     (a < n),
 
-    the last by Cramer's rule on the UDU factorisation of x[a:, a:].  Lam is
-    sorted in descending order and shifted by its largest entry, so the rows
-    of G are graded, which keeps Householder QR accurate, and long times do
-    not overflow.  Once the grading e^{(lam_max - lam_min) t/2} leaves the
-    double-precision range a ConditioningError is raised.  Shapes (T, n),
-    (T, n-1), (T, n) for T times.
+    the last by Cramer's rule on the UDU factorisation of x[a:, a:].  Shapes
+    (T, n), (T, n-1), (T, n) for T times.
     """
     _require_velocity_state(state, sys)
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -317,18 +312,12 @@ def exact_coordinates(state: OPState, sys: TodaSystem, times) -> tuple[np.ndarra
     wing = (_chain_z(-state.omega)[0] @ zd) * np.exp(state.q[None, :] - state.q[:, None])
     lam, qmat = np.linalg.eigh(np.diag(2.0 * state.p_q) + wing + wing.T)
     lam, qmat = lam[::-1], qmat[:, ::-1]
-    grading = 0.5 * (lam[0] - lam[-1]) * float(np.max(times, initial=0.0))
-    if grading > -math.log(np.finfo(float).tiny):
-        raise ConditioningError(f"x(t) spans exp({2.0 * grading:.4g}), beyond the double-precision range")
     m = (z * np.exp(state.q)) @ qmat
-    # graded[t, i, j] = M[n-1-j, i] e^{(lam_i - lam_max) t / 2}
-    graded = m[::-1].T * np.exp(0.5 * np.multiply.outer(times, lam - lam[0]))[:, :, None]
-    qt, rt = np.linalg.qr(graded)
-    diag = np.diagonal(rt, axis1=1, axis2=2)
-    q = np.log(np.abs(diag[:, ::-1])) + 0.5 * lam[0] * times[:, None]
-    omega = (np.diagonal(rt, 1, axis1=1, axis2=2) / diag[:, :-1])[:, ::-1]
+    ascending, back = np.unique(times, return_inverse=True)
+    qt, log_diag, unit = _graded_factor(0.5 * (lam - lam[0]), m[::-1].T, ascending)
+    q = log_diag[:, ::-1] + 0.5 * lam[0] * ascending[:, None]
     qdot = 0.5 * (lam @ qt**2)[:, ::-1]
-    return q, omega, qdot
+    return q[back], np.diagonal(unit, 1, axis1=1, axis2=2)[back, ::-1], qdot[back]
 
 
 def exact_geodesic(x0: XPoint, xdot0, t: float) -> XPoint:

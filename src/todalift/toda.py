@@ -410,69 +410,80 @@ def evolve_A(sys: TodaSystem, traj: Trajectory) -> list[np.ndarray]:
 
     A(t) L(0) A(t)^-1 = L(t).  A is read from L(0) alone, in closed form: it
     is the unit upper factor of exp(-2t L(0)) = B(t) A(t), B lower triangular
-    (Kostant 1979; Symes 1982).  So A is exactly unit upper triangular, and
-    A(0) is exactly I.  Each coupling that is zero in the symmetric gauge,
-    g_i = 0 or g_i e^(q_i - q_i+1) underflowing, splits the chain into blocks
-    that evolve independently.  Only the times and the first state of traj
-    are read.
+    (Kostant 1979; Symes 1982), so it is exactly unit upper triangular and A(0)
+    is exactly I.  A coupling that is zero in the symmetric gauge, g_i = 0 or
+    g_i e^(q_i - q_i+1) underflowing, splits the chain into blocks that evolve
+    independently.  Only the times and the first state of traj are read.
     """
     times = checked_sample_times(traj.times)
-    n = sys.n
     state = CHAIN.unpack(sys, traj.states[0])  # checks the width and finiteness
     lmat, _ = lax_pair(sys, state)
     q = state.q
     off = np.diagonal(lmat, -1) * np.exp(q[:-1] - q[1:])  # the symmetric gauge's couplings
-    mats = np.broadcast_to(np.eye(n), (len(times), n, n)).copy()
-    cuts = [0, *(np.flatnonzero(off == 0.0) + 1), n]
+    mats = np.broadcast_to(np.eye(sys.n), (len(times), sys.n, sys.n)).copy()
+    cuts = [0, *(np.flatnonzero(off == 0.0) + 1), sys.n]
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         if hi - lo > 1:
             mats[1:, lo:hi, lo:hi] = _evolve_block(np.diagonal(lmat)[lo:hi], off[lo : hi - 1], q[lo:hi], times)
     return list(mats)
 
 
+def _evolve_block(p, off, q, times) -> np.ndarray:
+    """A(t) (samples - 1, m, m) at times[1:] of one block with nonzero gauge couplings off.
+
+    With D = diag(e^q), S = D^-1 L(0) D = E diag(lam) E^T, lam ascending, exp(-2tS) = F^T F
+    for F = e^{-t(lam - lam_0)} E^T, and D^-1 A D is the unit upper factor U of F in _graded_factor.
+    """
+    lam, guide = np.linalg.eigh(np.diag(p) + np.diag(off, -1))  # reads the lower triangle
+    unit = _graded_factor(lam[0] - lam, _twisted_eigenvectors(p, off, lam, guide).T, times[1:])[2]
+    # A_ij = e^(q_i - q_j) (D^-1 A D)_ij, exponentiated on and above the
+    # diagonal only: below it the exponent may overflow where the entry is 0
+    return unit * np.exp(np.triu(q[:, None] - q))
+
+
 # Largest exponent of one row grading: e^-600 is far from underflow.
 _GRADING_SPAN = 600.0
 
 
-def _evolve_block(p, off, q, times) -> np.ndarray:
-    """A(t) (samples - 1, m, m) at times[1:] of one block with nonzero gauge couplings off.
+def _graded_factor(rate, frame, times):
+    """Factor diag(e^{t rate}) frame = Q diag(e^log_diag) U at each of the ascending times >= 0.
 
-    With D = diag(e^q), S = D^-1 L(0) D = E diag(lam) E^T, lam ascending, and
-    exp(-2tS) = F^T F for F = e^{-t(lam - lam_0)} E^T.  So if F = Q R, D^-1 A D
-    is R with each row divided by its diagonal entry.  F is row-graded, which
-    keeps every row's digits in its QR.  Past _GRADING_SPAN the QR restarts
-    from a checkpoint c: F(t) = e^{-(t-c)(lam - lam_0)} Q(c) R(c).
+    rate (m,) is non-increasing from 0, so the rows of the matrix are graded,
+    which keeps every row's digits in its Householder QR.  Q is orthogonal and
+    U exactly unit upper triangular.  The samples within _GRADING_SPAN of the
+    grading past a checkpoint c share one batched QR, restarted from it:
+    diag(e^{t rate}) frame = diag(e^{(t-c) rate}) Q(c) diag(e^log_diag(c)) U(c).
+    Once R's diagonal entries are e^746 apart, every factor e^(log_diag_j -
+    log_diag_i), j > i, of a further step underflows to 0, so U would not
+    change, bit for bit, and Q is a signed identity up to rounding: the march
+    stops, Q and U stay, and log_diag advances by rate.
+    Returns Q (T, m, m), log_diag (T, m) and U (T, m, m) for T times.
     """
-    lam, guide = np.linalg.eigh(np.diag(p) + np.diag(off, -1))  # reads the lower triangle
-    vecs = _twisted_eigenvectors(p, off, lam, guide)
-    rate = lam[0] - lam
-    # couplings far below the rounding of p can leave every eigenvalue equal:
-    # then F never grades, reach is +inf, and one QR of E^T serves every time
+    m = len(rate)
+    # all-equal rates never grade: reach is +inf, and one QR serves every time
     with np.errstate(divide="ignore", over="ignore"):
-        reach = _GRADING_SPAN / (lam[-1] - lam[0])
-    start, frame, log_diag, unit = 0.0, vecs.T, np.zeros(len(q)), np.eye(len(q))
-    out = np.empty((len(times) - 1, len(q), len(q)))
-    for i, t in enumerate(times[1:]):
-        # once R's diagonal entries are e^746 apart, every factor e^(log_diag_j -
-        # log_diag_i) of a step underflows to 0: A no longer changes, bit for bit
-        while t - start > reach and not np.all(np.diff(log_diag) < -746.0):
-            frame, log_diag, unit = _graded_qr(rate * reach, frame, log_diag, unit)
-            start += reach
-        out[i] = _graded_qr(rate * min(t - start, reach), frame, log_diag, unit)[2]
-    # A_ij = e^(q_i - q_j) (D^-1 A D)_ij, exponentiated on and above the
-    # diagonal only: below it the exponent may overflow where the entry is 0
-    return out * np.exp(np.triu(q[:, None] - q))
-
-
-def _graded_qr(exponent, frame, log_diag, unit):
-    """Advance a checkpoint F = frame R, R = diag(e^log_diag) unit, by the grading
-    e^exponent; the new frame's column signs keep R's diagonal positive."""
-    frame, r = np.linalg.qr(np.exp(exponent)[:, None] * frame)
-    d = np.diagonal(r)
-    # row i of r diag(e^log_diag) over its diagonal entry; the exponent,
-    # which may overflow below the diagonal where r is 0, is dropped there
-    step = r / d[:, None] * np.exp(np.triu(log_diag - log_diag[:, None]))
-    return frame * np.sign(d), log_diag + np.log(np.abs(d)), step @ unit
+        reach = _GRADING_SPAN / (rate[0] - rate[-1])
+    lo, start, log_diag, unit = 0, 0.0, np.zeros(m), np.eye(m)
+    qs, logs, units = np.empty((len(times), m, m)), np.empty((len(times), m)), np.empty((len(times), m, m))
+    while lo < len(times):
+        if np.all(np.diff(log_diag) < -746.0):
+            qs[lo:], logs[lo:], units[lo:] = frame, log_diag + np.multiply.outer(times[lo:] - start, rate), unit
+            break
+        hi = lo + int(np.count_nonzero(times[lo:] - start <= reach))
+        # this interval's samples, then as the last row the next checkpoint if a sample lies past it
+        exponents = np.multiply.outer(np.append(times[lo:hi] - start, [reach] * (hi < len(times))), rate)
+        qmat, r = np.linalg.qr(np.exp(exponents)[:, :, None] * frame)
+        d = np.diagonal(r, axis1=1, axis2=2)
+        scaled = r / d[:, :, None]
+        # row i of r diag(e^log_diag) over its diagonal entry; where r is 0 the exponent may overflow:
+        # below the diagonal, or above it where vanishing leading minors leave log_diag out of order
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = np.where(scaled == 0.0, scaled, scaled * np.exp(log_diag - log_diag[:, None]))
+        qmat, log_diag, unit = qmat * np.copysign(1.0, d)[:, None, :], log_diag + np.log(np.abs(d)), step @ unit
+        qs[lo:hi], logs[lo:hi], units[lo:hi] = qmat[: hi - lo], log_diag[: hi - lo], unit[: hi - lo]
+        start, frame, log_diag, unit = start + reach, qmat[-1], log_diag[-1], unit[-1]
+        lo = hi
+    return qs, logs, units
 
 
 def _twisted_eigenvectors(diag, off, lam, guide) -> np.ndarray:

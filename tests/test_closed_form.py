@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from todalift import eisenhart, oplift, toda
-from todalift.errors import ConditioningError, ConstraintError, DomainError
+from todalift.errors import ConstraintError, DomainError
 from todalift.integrate import IntegratorConfig, integrate_at_times
 
 
@@ -125,6 +125,27 @@ def test_starts_at_the_state(rng):
     assert np.max(np.abs(qdot[0] - state.p_q)) < 1e-14
 
 
+def test_times_in_any_order(rng):
+    # the sorted evaluation, permuted; a repeated time gives repeated rows
+    sys, state = start(rng, 4, generic_omega=True)
+    times = np.array([3.0, 0.0, 12.0, 0.5, 3.0, 7.25])
+    order = np.argsort(times)
+    shuffled = oplift.exact_coordinates(state, sys, times)
+    for got, ref in zip(shuffled, oplift.exact_coordinates(state, sys, times[order])):
+        assert got[order].tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("generic_omega", [False, True])
+def test_stationary_start_stays_put(rng, generic_omega):
+    # p_q = 0 and p_omega = 0: xdot0 = 0, so x(t) = x0 at every time, however far
+    sys, moving = start(rng, 5, generic_omega)
+    state = oplift.OPState(q=moving.q, omega=moving.omega, p_q=np.zeros(5), p_omega=np.zeros(4))
+    q, omega, qdot = oplift.exact_coordinates(state, sys, [0.0, 1.0, 1e3, 1e12])
+    assert np.max(np.abs(q - state.q)) < 1e-14
+    assert np.max(np.abs(omega - state.omega)) < 1e-14
+    assert np.all(qdot == 0.0)
+
+
 @pytest.mark.parametrize("t", [1.0, 10.0])
 def test_two_body_closed_form(t):
     sys = toda.TodaSystem(2, [1.0])
@@ -135,14 +156,19 @@ def test_two_body_closed_form(t):
     assert abs(q[0, 0] - q[0, 1] + ln_cosh) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [3, 5])
-def test_momenta_tend_to_the_spectrum_of_L(rng, n):
-    # Moser (1975): qdot(t) -> sorted eigenvalues of L(0) as t -> infinity
+@pytest.mark.parametrize(
+    "n, far", [pytest.param(3, False, id="3"), pytest.param(5, False, id="5"), pytest.param(5, True, id="5-far")]
+)
+def test_momenta_tend_to_the_spectrum_of_L(rng, n, far):
+    # Moser (1975): qdot(t) -> sorted eigenvalues of L(0) as t -> infinity; far
+    # samples where the graded factor spans more than the double range, 1000 > 708
     sys, state = start(rng, n)
     chain = toda.TodaSystem(n=n, g=state.p_omega)
     lmat, _ = toda.lax_pair(chain, toda.PhaseState(q=state.q, p=state.p_q))
     eig = np.sort(np.linalg.eigvals(lmat).real)
     t_final = 40.0 / float(np.min(np.diff(eig)))
+    if far:
+        t_final = max(t_final, 1000.0 / float(np.ptp(eig)))
     _, _, qdot = oplift.exact_coordinates(state, sys, [t_final])
     assert np.max(np.abs(np.sort(qdot[0]) - eig)) < 1e-10
 
@@ -171,6 +197,30 @@ def test_eisenhart_fibre_from_the_momenta(rng, p_y):
         assert np.all(p == chain.p_q)
 
 
+@pytest.mark.parametrize("p", [[1.0, -1.0], [-1.0, 1.0]])
+def test_uncoupled_two_body_moves_freely(p):
+    # p_omega = 0: omega stays 0 and q moves with constant momenta.  On the
+    # receding start the frame's leading minor vanishes, so R's diagonal grows
+    # out of order, and the step's zeros must not meet its overflowing exponent
+    sys = toda.TodaSystem(2, [1.0])
+    state = oplift.OPState(q=[0.0, 0.0], omega=[0.0], p_q=p, p_omega=[0.0])
+    times = np.array([10.0, 400.0, 1e4])
+    q, omega, qdot = oplift.exact_coordinates(state, sys, times)
+    assert np.max(np.abs(q - np.multiply.outer(times, p))) <= 1e-12 * times[-1]
+    assert np.all(omega == 0.0) and np.max(np.abs(qdot - p)) < 1e-15
+
+
+def test_momenta_of_a_split_chain():
+    # p_omega_2 = 0 at omega = 0 splits off the third particle, which moves freely,
+    # and the first two scatter to their block's eigenvalues -0.5 and 1.5.  By
+    # t = 50 a diagonal entry of R underflows to 0, and Q must stay orthogonal
+    sys = toda.TodaSystem(3, [1.0, 1.0])
+    state = oplift.OPState(q=[0.0, 0.0, 0.0], omega=[0.0, 0.0], p_q=[0.5, 0.5, -1.0], p_omega=[1.0, 0.0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qdot = oplift.exact_coordinates(state, sys, [50.0])[2]
+    assert np.max(np.abs(qdot[0] - [-0.5, 1.5, -1.0])) < 1e-14
+
+
 def test_validates_the_start():
     sys = toda.TodaSystem(3, [1.0, 1.0])
     moving = oplift.OPState(q=[-0.5, 0.0, 0.5], omega=[0.0, 0.0], p_q=[0.1, 0.0, 0.0], p_omega=[1.0, 1.0])
@@ -180,14 +230,15 @@ def test_validates_the_start():
         oplift.exact_coordinates(moving, toda.TodaSystem(2, [1.0]), [1.0])
 
 
-def test_long_times_stay_finite_up_to_the_double_precision_range():
-    # two-body start: lam = (2, -2), so the rows of the graded factor span exp(-2t)
+@pytest.mark.parametrize("t", [300.0, 400.0, 1e4, 1e8])
+def test_two_body_far_past_one_grading(t):
+    # lam = (2, -2), so the rows of the graded factor span exp(-2t): past t = 354
+    # they leave the double range, and by t = 1e4 the march of the factorisation has stopped
     sys = toda.TodaSystem(2, [1.0])
     state = oplift.OPState(q=[0.0, 0.0], omega=[0.0], p_q=[0.0, 0.0], p_omega=[1.0])
-    q, omega, qdot = oplift.exact_coordinates(state, sys, [300.0])
-    assert abs(q[0, 0] - q[0, 1] + 600.0 - math.log(2.0)) <= 1e-12 * 600.0
-    assert np.all(np.isfinite(omega)) and np.max(np.abs(np.sort(qdot[0]) - [-1.0, 1.0])) < 1e-14
-    with pytest.raises(ConditioningError, match="double-precision"):
-        oplift.exact_coordinates(state, sys, [400.0])
+    q, omega, qdot = oplift.exact_coordinates(state, sys, [t])
+    ln_cosh = 2.0 * t - math.log(2.0) + math.log1p(math.exp(-4.0 * t))
+    assert abs(q[0, 0] - q[0, 1] + ln_cosh) <= 1e-15 * ln_cosh
+    assert np.all(np.isfinite(omega)) and np.max(np.abs(qdot[0] - [-1.0, 1.0])) < 1e-14
     with pytest.raises(DomainError, match="non-negative"):
-        oplift.exact_coordinates(state, sys, [-1.0])
+        oplift.exact_coordinates(state, sys, [t, -1.0])

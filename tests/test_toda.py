@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -427,6 +428,88 @@ class TestEvolutionMatrix:
         assert np.max(np.abs(tmat @ vecs - vecs * lam)) < 1e-14
         assert np.max(np.abs(vecs.T @ vecs - np.eye(3))) < 1e-15
 
+
+
+class TestGradedFactor:
+    """toda._graded_factor, the graded-QR core of evolve_A and oplift.exact_coordinates."""
+
+    @staticmethod
+    def problem(rng, m):
+        # rates non-increasing from 0, a random orthogonal frame, and the checkpoint spacing
+        rate = np.concatenate([[0.0], -np.sort(rng.uniform(0.0, 3.0, m - 1))])
+        frame = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        return rate, frame, toda._GRADING_SPAN / (rate[0] - rate[-1])
+
+    @staticmethod
+    def minor_sums(rate, frame, t):
+        # sum_{j<k} log_diag_j = log sqrt(det G_k^T G_k) for the leading k columns G_k of
+        # diag(e^{t rate}) frame, by Cauchy-Binet in the log domain: no entry of G is formed
+        m = len(rate)
+        out = []
+        for k in range(1, m + 1):
+            terms = [2.0 * t * rate[list(rows)].sum() + math.log(np.linalg.det(frame[list(rows), :k]) ** 2)
+                     for rows in itertools.combinations(range(m), k)]
+            top = max(terms)
+            out.append(0.5 * (top + math.log(sum(math.exp(x - top) for x in terms))))
+        return np.array(out)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_reconstruction_within_the_double_range(self, rng, m):
+        # up to a grading of 700, past one checkpoint at 600, every row is representable
+        rate, frame, reach = self.problem(rng, m)
+        times = np.linspace(0.0, 700.0 / 600.0 * reach, 9)
+        qs, logs, units = toda._graded_factor(rate, frame, times)
+        for t, qmat, log_diag, unit in zip(times, qs, logs, units):
+            rebuilt = (qmat * np.exp(log_diag)) @ unit
+            # each row relative to its own grading
+            assert np.max(np.abs(rebuilt / np.exp(t * rate)[:, None] - frame)) < 1e-12
+            assert np.max(np.abs(qmat.T @ qmat - np.eye(m))) < 1e-15 * m
+            assert np.all(np.diag(unit) == 1.0) and np.all(np.tril(unit, -1) == 0.0)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_log_diagonal_far_past_the_double_range(self, rng, m):
+        # across many checkpoints and past the point where the march stops
+        rate, frame, reach = self.problem(rng, m)
+        times = np.array([0.5, 3.7, 50.0, 1e4]) * reach
+        qs, logs, units = toda._graded_factor(rate, frame, times)
+        assert np.all(np.isfinite(qs)) and np.all(np.isfinite(logs)) and np.all(np.isfinite(units))
+        for t, log_diag, unit in zip(times, logs, units):
+            ref = self.minor_sums(rate, frame, t)
+            assert np.max(np.abs(np.cumsum(log_diag) - ref)) < 1e-13 * max(1.0, float(np.max(np.abs(ref))))
+            assert np.all(np.diag(unit) == 1.0) and np.all(np.tril(unit, -1) == 0.0)
+        assert units[2].tobytes() == units[3].tobytes()
+
+    def test_sample_on_a_checkpoint_boundary(self, rng):
+        # t = reach closes the first interval and 2 reach the second; nothing jumps there
+        rate, frame, reach = self.problem(rng, 4)
+        times = np.array([reach, np.nextafter(reach, np.inf), 2.0 * reach, np.nextafter(2.0 * reach, np.inf)])
+        qs, logs, units = toda._graded_factor(rate, frame, times)
+        for lo in (0, 2):
+            assert np.max(np.abs(units[lo] - units[lo + 1])) < 1e-12 * np.max(np.abs(units[lo]))
+            assert np.max(np.abs(qs[lo] - qs[lo + 1])) < 1e-12
+            assert np.max(np.abs(logs[lo] - logs[lo + 1])) < 1e-12 * np.max(np.abs(logs[lo]))
+            assert np.max(np.abs(np.cumsum(logs[lo]) - self.minor_sums(rate, frame, times[lo]))) < 1e-12
+
+    def test_batch_equals_one_sample_calls(self, rng):
+        rate, frame, reach = self.problem(rng, 5)
+        times = np.array([0.0, 0.2, 1.0, 1.0 + 1e-9, 2.5, 7.0, 60.0, 1e6]) * reach
+        batch = toda._graded_factor(rate, frame, times)
+        for i, t in enumerate(times):
+            single = toda._graded_factor(rate, frame, np.array([t]))
+            assert all(b[i].tobytes() == s[0].tobytes() for b, s in zip(batch, single))
+
+    def test_no_times(self, rng):
+        rate, frame, _ = self.problem(rng, 3)
+        assert [a.shape for a in toda._graded_factor(rate, frame, np.zeros(0))] == [(0, 3, 3), (0, 3), (0, 3, 3)]
+
+    @pytest.mark.parametrize("rate", [[0.0, 0.0, 0.0], [0.0, -0.0]], ids=["zeros", "signed-zero"])
+    def test_equal_rates_never_grade(self, rng, rate):
+        # reach is +inf: one QR of the frame serves every time, however far
+        rate = np.array(rate)
+        frame = rng.normal(size=(len(rate), len(rate)))
+        qs, logs, units = toda._graded_factor(rate, frame, np.array([0.0, 1.0, 1e300]))
+        assert qs[0].tobytes() == qs[2].tobytes() and logs[0].tobytes() == logs[2].tobytes()
+        assert np.max(np.abs((qs[2] * np.exp(logs[2])) @ units[2] - frame)) < 1e-14 * len(rate)
 
 def test_trajectory_write_helpers(rng):
     sys, st = random_chain(rng, 2)
