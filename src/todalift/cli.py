@@ -411,7 +411,8 @@ def _cmd_reduce_check(args) -> int:
         "n_samples": report.n_samples,
     }
     _write_json(path, doc)
-    worst = max(report.max_ydot_residual, report.max_kinetic_residual, report.max_block_residual)
+    # np.max, unlike max, keeps a NaN residual, which then fails the gate
+    worst = float(np.max([report.max_ydot_residual, report.max_kinetic_residual, report.max_block_residual]))
     ok = worst < _GATE_DRIFT and sup_dq < _GATE_TRAJ
     return _report(
         "reduce-check", ok, f"max_residual={worst:.3e} eisenhart_sup_dq={sup_dq:.3e} (gates {_GATE_DRIFT:g}, {_GATE_TRAJ:g})", path

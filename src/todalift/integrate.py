@@ -408,7 +408,6 @@ class _AdaptiveStepper(_Stepper):
         min_step = _MIN_STEP_FRACTION * max(t_target, self.cfg.t_final)
         abs_y = np.abs(self.y)  # kept for the accepted state, shared by its trial steps
         while self.t < t_target:
-            landing = self.dt > t_target - self.t
             dt = min(self.dt, t_target - self.t)
             if dt < min_step:
                 raise StiffnessError(f"step underflow at t={self.t}: dt={dt}")
@@ -437,10 +436,6 @@ class _AdaptiveStepper(_Stepper):
                 self._count(dt)
                 if on_accept is not None:
                     on_accept(self.t, self.y)
-                if landing:
-                    # a step shortened to land on the target keeps the
-                    # controller's natural step for the next segment
-                    continue
             else:
                 self.rejected += 1
             factor = _GROWTH_LIMIT if err == 0.0 else _SAFETY * err ** self.exponent

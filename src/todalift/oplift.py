@@ -349,19 +349,21 @@ def xdot_xinv(state) -> np.ndarray:
 def monitors_general(sys: TodaSystem) -> list[FormMonitor]:
     """Conserved-form monitors for the generalised lift of sys.n particles.
 
-    cbar_{a+1}_a = exp(-2(q_a - q_{a+1})) omega_dot_a, equal to 2 p_omega_a.
-    lambda_a = p_{q_a} + p_{omega_a} omega_a - p_{omega_{a-1}} omega_{a-1}
-    (boundary terms absent); this unit coefficient on p_q is the
-    normalisation that is actually conserved, see the findings module.
-    rho_a is the diagonal form contracted with the velocity (identically
-    2 lambda_a, with rho_n = -sum of the others on centered flows), and
-    rho_a_{a+1} is the strictly-upper contraction read off xdot x^{-1}.
+    The gated charges are read off the momenta.  Their velocity forms carry
+    exp(-2(q_a - q_{a+1})) omega_dot_a with omega_dot_a = 2 p_omega_a
+    exp(2(q_a - q_{a+1})), which is inf * 0 once the particles scatter.
+    cbar_{a+1}_a = exp(-2(q_a - q_{a+1})) omega_dot_a = 2 p_omega_a is the
+    charge of the translation of omega_a.  lambda_a = p_{q_a} + p_{omega_a}
+    omega_a - p_{omega_{a-1}} omega_{a-1} (boundary terms absent) is that of
+    q_a + s with omega_a e^s and omega_{a-1} e^{-s} (killing.isometry_flow);
+    this unit coefficient on p_q is the normalisation that is actually
+    conserved, see the findings module.  rho_a, the diagonal form contracted
+    with the velocity, is 2 p_{q_a} + exp(-2(q_a - q_{a+1})) omega_a
+    omega_dot_a - (the same at a-1) = 2 lambda_a.  rho_a_{a+1}, the
+    strictly-upper contraction read off xdot x^{-1}, is reported, not gated;
+    for n >= 3 it overflows on scattering starts.
     """
     n = sys.n
-    monitors: list[FormMonitor] = []
-
-    def cbar(a):  # a = 1..n-1
-        return lambda s: np.exp(-2.0 * (s.q[a - 1] - s.q[a])) * s.omega_dot()[a - 1]
 
     def lam(a):  # a = 1..n
         def value(s):
@@ -374,70 +376,45 @@ def monitors_general(sys: TodaSystem) -> list[FormMonitor]:
 
         return value
 
-    def rho_diag(a):  # a = 1..n
-        def value(s):
-            od = s.omega_dot()
-            out = 2.0 * s.p_q[a - 1]
-            if a <= n - 1:
-                out = out + np.exp(-2.0 * (s.q[a - 1] - s.q[a])) * s.omega[a - 1] * od[a - 1]
-            if a >= 2:
-                out = out - np.exp(-2.0 * (s.q[a - 2] - s.q[a - 1])) * s.omega[a - 2] * od[a - 2]
-            return out
-
-        return value
-
-    def rho_upper(a):  # a = 1..n-1, slot (a, a+1)
-        return lambda s: xdot_xinv(s)[..., a - 1, a]
-
-    for a in range(1, n):
-        monitors.append(FormMonitor(name=f"cbar_{a + 1}_{a}", evaluate=cbar(a)))
-    for a in range(1, n + 1):
-        monitors.append(FormMonitor(name=f"lambda_{a}", evaluate=lam(a)))
-    for a in range(1, n + 1):
-        monitors.append(FormMonitor(name=f"rho_{a}", evaluate=rho_diag(a)))
-    for a in range(1, n):
-        monitors.append(FormMonitor(name=f"rho_{a}_{a + 1}", evaluate=rho_upper(a)))
-    return monitors
+    return (
+        [FormMonitor(f"cbar_{a + 1}_{a}", lambda s, a=a: 2.0 * s.p_omega[a - 1]) for a in range(1, n)]
+        + [FormMonitor(f"lambda_{a}", lam(a)) for a in range(1, n + 1)]
+        + [FormMonitor(f"rho_{a}", lambda s, lam_a=lam(a): 2.0 * lam_a(s)) for a in range(1, n + 1)]
+        + [FormMonitor(f"rho_{a}_{a + 1}", lambda s, a=a: xdot_xinv(s)[..., a - 1, a]) for a in range(1, n)]
+    )
 
 
 def monitors_n2(sys: TodaSystem) -> list[FormMonitor]:
     """The three right-invariant charges of the two-particle lift.
 
-    In the relative variables q = q_1 - q_2, z = omega_1 (velocities implied
-    by the momenta):
+    In the relative variables q = q_1 - q_2, z = omega_1, with the
+    velocities qdot = p_{q_1} - p_{q_2} and zdot = 2 p_omega exp(2q) implied
+    by the momenta, each velocity form equals a momentum expression, which
+    is the one evaluated (the velocity form is inf * 0 after scattering):
 
-        C_1 = exp(-2q) zdot / 2            (= p_omega)
-        C_2 = -z qdot + (1 - z^2 exp(-2q)) zdot / 2
-        C_3 = qdot / 2 + z exp(-2q) zdot / 2
+        C_1 = exp(-2q) zdot / 2                    = p_omega
+        C_2 = -z qdot + (1 - z^2 exp(-2q)) zdot / 2 = -z qdot + p_omega (exp(2q) - z^2)
+        C_3 = qdot / 2 + z exp(-2q) zdot / 2       = qdot / 2 + z p_omega
 
-    C_1 = g_1 picks out the trajectories of the chain, and differentiating
-    C_3 under that condition gives the reduced equation of motion
-    qddot = -4 g_1^2 exp(2q).
+    The relative motion is a geodesic of the half-plane with coordinates
+    (z, e^q).  C_1 is the charge of the translation of z, C_3 = (lambda_1 -
+    lambda_2)/2 that of the dilation (q + s, z e^s), and -C_2 that of the
+    special conformal map; p_omega^2 exp(2q) <= H bounds C_2's exp(2q).
+    C_1 = g_1 picks out the trajectories of the chain, and
+    differentiating C_3 under that condition gives the reduced equation of
+    motion qddot = -4 g_1^2 exp(2q).
     """
     if sys.n != 2:
         raise DomainError("the explicit three-charge family is specific to n = 2")
 
-    def rel(s):
-        return s.q[0] - s.q[1], s.p_q[0] - s.p_q[1], s.omega_dot()[0]
-
-    def c1(s):
-        qrel, _, zdot = rel(s)
-        return 0.5 * np.exp(-2.0 * qrel) * zdot
-
     def c2(s):
-        qrel, qdot, zdot = rel(s)
         z = s.omega[0]
-        return -z * qdot + (0.5 - 0.5 * z**2 * np.exp(-2.0 * qrel)) * zdot
-
-    def c3(s):
-        qrel, qdot, zdot = rel(s)
-        z = s.omega[0]
-        return 0.5 * qdot + 0.5 * z * np.exp(-2.0 * qrel) * zdot
+        return -z * (s.p_q[0] - s.p_q[1]) + s.p_omega[0] * (np.exp(2.0 * (s.q[0] - s.q[1])) - z**2)
 
     return [
-        FormMonitor(name="C_1", evaluate=c1),
-        FormMonitor(name="C_2", evaluate=c2),
-        FormMonitor(name="C_3", evaluate=c3),
+        FormMonitor("C_1", lambda s: s.p_omega[0]),
+        FormMonitor("C_2", c2),
+        FormMonitor("C_3", lambda s: 0.5 * (s.p_q[0] - s.p_q[1]) + s.omega[0] * s.p_omega[0]),
     ]
 
 
@@ -577,6 +554,10 @@ class ReductionReport:
 
 
 def reduction_check(sys: TodaSystem, traj: Trajectory) -> ReductionReport:
+    """The reduction identities along a generalised-lift trajectory.  The omega
+    kinetic form sum_a exp(-2(q_a - q_{a+1})) omega_dot_a^2 / 2 is evaluated as
+    the momentum form it equals, sum_a p_omega_a omega_dot_a (the omega-translation
+    charges against the velocities), which stays finite after scattering."""
     n = sys.n
     if traj.states.ndim != 2 or traj.states.shape[1] != GENERALIZED.dim(n):
         raise DomainError("trajectory was not produced by the generalised lift")
@@ -589,7 +570,7 @@ def reduction_check(sys: TodaSystem, traj: Trajectory) -> ReductionReport:
     v = np.sum(g**2 * gap, axis=0)
     scale = np.maximum(1.0, 2.0 * v)
     ydot = np.sum(g * od, axis=0)
-    kin = 0.5 * np.sum(np.exp(-2.0 * (q[:-1] - q[1:])) * od**2, axis=0)
+    kin = np.sum(p_omega * od, axis=0)
     block = np.abs(ydot**2 / (4.0 * np.where(v > 0.0, v, 1.0)) - 0.5 * kin) / scale
     return ReductionReport(
         n_samples=len(traj),

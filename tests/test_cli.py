@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from todalift import cli, toda
+from todalift import cli, oplift, toda
 from todalift.errors import ConfigError
 from todalift.integrate import Trajectory
 
@@ -17,6 +17,10 @@ CALM = {
     "p": [0.1, 0.0, -0.1],
     "t_final": 5.0,
 }
+
+# starts whose particles scatter far apart: exp(-2 (q_a - q_{a+1})) overflows
+SCATTERING_3 = {"n": 3, "g": [1.0, 1.0], "q": [0.0, 0.0, 0.0], "p": [-10.0, -10.0, 20.0], "t_final": 20.0}
+SCATTERING_2 = {"n": 2, "g": [1.0], "q": [0.0, 0.0], "p": [-10.0, 10.0], "t_final": 40.0}
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -154,6 +158,17 @@ class TestCommands:
         for line in lines[1:]:
             assert line == ",".join(f"{float(v):.17g}" for v in line.split(","))
 
+    def test_oplift_exact_mode_json_matches_csv(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        cfgp = write_cfg(tmp_path, CALM)
+        assert cli.run_command(["oplift", "run", "--mode", "exact", "-c", cfgp]) == 0
+        assert cli.run_command(["oplift", "run", "--mode", "exact", "-c", cfgp, "--format", "json"]) == 0
+        header, *rows = (tmp_path / "oplift_exact.csv").read_text().splitlines()
+        doc = json.loads((tmp_path / "oplift_exact.json").read_text())
+        assert list(doc) == header.split(",")
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert np.array_equal(np.array(list(doc.values())).T, table)
+
     def test_oplift_hamiltonian_mode(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
         cfgp = write_cfg(tmp_path, CALM)
@@ -170,20 +185,51 @@ class TestCommands:
         assert "C_1" in header and "C_3" in header
 
     def test_forms_monitor_fails_on_a_non_finite_gated_monitor(self, tmp_path, monkeypatch, capsys):
-        # the particles separate until exp(-2 (q_a - q_{a+1})) overflows inside cbar and rho
+        # the charges stay finite on every valid start, so poison cbar_3_2 once q_3 - q_2 passes 30
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
-        doc = {"n": 3, "g": [1.0, 1.0], "q": [0.0, 0.0, 0.0], "p": [-10.0, -10.0, 20.0], "t_final": 20.0}
+        real = oplift.monitors_general
+
+        def poisoned(sys_):
+            mons = real(sys_)
+            cbar = next(m for m in mons if m.name == "cbar_3_2")
+            bad = oplift.FormMonitor("cbar_3_2", lambda s: np.where(s.q[2] - s.q[1] > 30.0, np.nan, cbar.evaluate(s)))
+            return [bad if m is cbar else m for m in mons]
+
+        monkeypatch.setattr(oplift, "monitors_general", poisoned)
         with np.errstate(over="ignore", invalid="ignore"):
-            rc = cli.run_command(["forms", "monitor", "--set", "general", "-c", write_cfg(tmp_path, doc)])
+            rc = cli.run_command(["forms", "monitor", "--set", "general", "-c", write_cfg(tmp_path, SCATTERING_3)])
         line = capsys.readouterr().out
-        match = re.match(r"FAIL forms-general max_drift=nan at (\w+) t=(\S+) cbar_vs_2pw=nan ", line)
+        match = re.match(r"FAIL forms-general max_drift=nan at cbar_3_2 t=(\S+) cbar_vs_2pw=nan ", line)
         assert rc == 1 and match, line
-        name, at = match.groups()
-        assert name in ("cbar_2_1", "cbar_3_2", "lambda_1", "lambda_2", "lambda_3", "rho_1", "rho_2", "rho_3")
         header, *rows = (tmp_path / "forms_general.csv").read_text().splitlines()
         table = np.array([[float(v) for v in row.split(",")] for row in rows])
-        column = table[:, header.split(",").index(name)]
-        assert float(at) == float(f"{table[np.flatnonzero(~np.isfinite(column))[0], 0]:.6g}")
+        column = table[:, header.split(",").index("cbar_3_2")]
+        first = np.flatnonzero(~np.isfinite(column))[0]
+        assert first > 0 and float(match.group(1)) == float(f"{table[first, 0]:.6g}")
+
+    def test_forms_monitor_passes_on_a_scattering_start(self, tmp_path, monkeypatch, capsys):
+        # the particles separate until exp(-2 (q_a - q_{a+1})) overflows; the
+        # gated charges are read off the momenta, so they stay finite
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.run_command(["forms", "monitor", "--set", "general", "-c", write_cfg(tmp_path, SCATTERING_3)])
+        line = capsys.readouterr().out
+        assert rc == 0 and line.startswith("PASS forms-general max_drift=") and " cbar_vs_2pw=0.000e+00 " in line, line
+        header, *rows = (tmp_path / "forms_general.csv").read_text().splitlines()
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        finite = np.all(np.isfinite(table), axis=0)
+        # only the reported, ungated rho_a_{a+1} overflow
+        assert [name for name, ok in zip(header.split(","), finite) if not ok] == ["rho_1_2", "rho_2_3"]
+
+    def test_forms_monitor_n2_passes_on_a_scattering_start(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        rc = cli.run_command(["forms", "monitor", "--set", "n2", "-c", write_cfg(tmp_path, SCATTERING_2)])
+        line = capsys.readouterr().out
+        assert rc == 0 and line.startswith("PASS forms-n2 max_drift="), line
+        header, *rows = (tmp_path / "forms_n2.csv").read_text().splitlines()
+        table = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert np.all(np.isfinite(table))
+        assert {"C_1", "C_2", "C_3"} <= set(header.split(","))
 
     @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
     def test_worst_drift_takes_a_nan_in_either_order(self, order):
@@ -203,6 +249,32 @@ class TestCommands:
         doc = json.loads((tmp_path / "reduce_check.json").read_text())
         assert doc["max_ydot_residual"] < 1e-8
         assert doc["eisenhart_sup_dq"] < 1e-6
+
+    @pytest.mark.parametrize("doc", [SCATTERING_3, SCATTERING_2], ids=["n3", "n2"])
+    def test_reduce_check_passes_on_a_scattering_start(self, tmp_path, monkeypatch, capsys, doc):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        assert cli.run_command(["reduce", "check", "-c", write_cfg(tmp_path, doc)]) == 0
+        assert capsys.readouterr().out.startswith("PASS reduce-check max_residual=")
+
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        report = json.loads((tmp_path / "reduce_check.json").read_text(), parse_constant=reject)
+        assert max(report["max_ydot_residual"], report["max_kinetic_residual"], report["max_block_residual"]) < 1e-8
+
+    def test_reduce_check_fails_on_a_nan_residual(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        monkeypatch.setattr(oplift, "reduction_check", lambda sys_, traj: oplift.ReductionReport(
+            n_samples=len(traj), max_ydot_residual=0.0, max_kinetic_residual=float("nan"), max_block_residual=0.0))
+        assert cli.run_command(["reduce", "check", "-c", write_cfg(tmp_path, CALM)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL reduce-check max_residual=nan ")
+
+    def test_unwritable_output_exits_one(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        cfgp = write_cfg(tmp_path, MINIMAL)
+        assert cli.run_command(["toda", "run", "-c", cfgp, "--out", "missing/run.csv"]) == 1
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert not (tmp_path / "missing").exists()
 
     def test_killing_extract_and_verify(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))

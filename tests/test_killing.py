@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_chain
 from todalift import eisenhart, killing, oplift, toda
-from todalift.errors import DomainError, NotHomogeneousError
+from todalift.errors import ConditioningError, DomainError, NotHomogeneousError
 
 
 def monomial_polynomial(rng, rank, dim):
@@ -115,6 +115,11 @@ class TestExtraction:
     def test_non_homogeneous_rejected(self):
         with pytest.raises(NotHomogeneousError):
             killing.extract_tensor(lambda pos, mom: float(np.sum(mom) + 1.0), 1, 3, np.zeros(3))
+
+    def test_non_polynomial_fails_the_contraction_gate(self):
+        # homogeneous of degree 2, so the scaling probe passes, but no rank-2 tensor contracts to it
+        with pytest.raises(ConditioningError, match="contraction gate"):
+            killing.extract_tensor(lambda pos, mom: float(np.sqrt(mom[0] ** 4 + mom[1] ** 4)), 2, 2, np.zeros(2))
 
     def test_bad_rank(self):
         with pytest.raises(DomainError):

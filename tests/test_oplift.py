@@ -6,7 +6,7 @@ import pytest
 from conftest import calm_chain, random_chain
 from todalift import eisenhart, oplift, toda
 from todalift.errors import ConstraintError, DomainError
-from todalift.integrate import IntegratorConfig, integrate_at_times
+from todalift.integrate import IntegratorConfig, Trajectory, integrate_at_times
 from todalift.linalg import basis_matrix, mat_exp
 
 
@@ -97,6 +97,13 @@ class TestXPoint:
     def test_wrong_determinant_rejected(self):
         with pytest.raises(ConstraintError):
             oplift.XPoint(2.0 * np.eye(2))
+
+
+class TestOPState:
+    def test_uncentered_rejected(self):
+        with pytest.raises(ConstraintError, match="centered"):
+            oplift.OPState(q=[0.5, 0.0], omega=[0.0], p_q=[0.0, 0.0], p_omega=[1.0])
+        oplift.OPState(q=[0.5, 0.0], omega=[0.0], p_q=[0.0, 0.0], p_omega=[1.0], centered=False)
 
 
 class TestGeneralizedHamiltonian:
@@ -374,6 +381,84 @@ class TestMonitors:
         sys, _ = random_chain(rng, 3)
         with pytest.raises(DomainError):
             oplift.monitors_n2(sys)
+
+
+class TestMomentumForms:
+    """The charges read off the momenta against their velocity forms.
+
+    The oracle takes omega_dot from the omega rows of the flow field, and
+    contracts it with exp(-2(q_a - q_{a+1})), on random states whose
+    neighbouring positions lie within 5 of each other.
+    """
+
+    @staticmethod
+    def random_states(rng, n, samples=40):
+        gaps = rng.uniform(-5.0, 5.0, (samples, n - 1))
+        q = np.concatenate([np.zeros((samples, 1)), -np.cumsum(gaps, axis=1)], axis=1)
+        q -= q.mean(axis=1, keepdims=True)
+        rest = rng.uniform(-2.0, 2.0, (samples, 3 * n - 2))
+        return np.concatenate([q, rest], axis=1)
+
+    @staticmethod
+    def velocity_forms(sys, row):
+        n = sys.n
+        q, omega, p_q, p_omega = oplift.GENERALIZED.split(row, n)
+        od = oplift.flow_field_generalized(sys)(0.0, row)[n : 2 * n - 1]
+        back = np.exp(-2.0 * (q[:-1] - q[1:]))  # exp(-2(q_a - q_{a+1}))
+        want = {f"cbar_{a + 1}_{a}": back[a - 1] * od[a - 1] for a in range(1, n)}
+        for a in range(1, n + 1):
+            rho = 2.0 * p_q[a - 1]
+            if a <= n - 1:
+                rho += back[a - 1] * omega[a - 1] * od[a - 1]
+            if a >= 2:
+                rho -= back[a - 2] * omega[a - 2] * od[a - 2]
+            want[f"rho_{a}"] = rho
+        if n == 2:
+            z, zdot, qdot = omega[0], od[0], p_q[0] - p_q[1]
+            want["C_1"] = 0.5 * back[0] * zdot
+            want["C_2"] = -z * qdot + (1.0 - z**2 * back[0]) * zdot / 2.0
+            want["C_3"] = qdot / 2.0 + z * back[0] * zdot / 2.0
+        return want
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_monitors_match_the_velocity_forms(self, rng, n, monkeypatch):
+        sys = toda.TodaSystem(n, rng.uniform(0.3, 1.5, n - 1))
+        states = self.random_states(rng, n)
+        forms = oplift.monitors_general(sys) + (oplift.monitors_n2(sys) if n == 2 else [])
+        by_name = {fm.name: fm for fm in forms}
+        batch = oplift.GENERALIZED.monitors(sys, 1, forms)
+        wants = [self.velocity_forms(sys, row) for row in states]
+        # none of the momentum forms needs the velocities
+        monkeypatch.setattr(oplift.OPState, "omega_dot", None)
+        for name in wants[0]:
+            want = np.array([w[name] for w in wants])
+            got = batch[name](states)
+            one = [by_name[name].evaluate(oplift.GENERALIZED.unpack(sys, row, centered=False)) for row in states]
+            for values in (got, np.array(one)):
+                assert np.all(np.abs(values - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), name
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_reduction_kinetic_term_matches_the_velocity_form(self, rng, n, monkeypatch):
+        # momenta a hair off g make the kinetic residual |kin - 2V| / max(1, 2V)
+        # a measurable number; an error e in kin moves it by at most e / max(1, 2V)
+        sys = toda.TodaSystem(n, rng.uniform(0.3, 1.5, n - 1))
+        states = self.random_states(rng, n)
+        states[:, 3 * n - 1 :] = sys.g * (1.0 + 2e-9)
+        want, bound = 0.0, 0.0
+        for row in states:
+            q = row[:n]
+            od = oplift.flow_field_generalized(sys)(0.0, row)[n : 2 * n - 1]
+            gap = np.exp(2.0 * (q[:-1] - q[1:]))
+            kin = 0.5 * float(np.sum(od**2 / gap))
+            v = float(np.sum(sys.g**2 * gap))
+            scale = max(1.0, 2.0 * v)
+            want = max(want, abs(kin - 2.0 * v) / scale)
+            bound = max(bound, 1e-13 * max(1.0, kin) / scale)
+        monkeypatch.setattr(oplift.OPState, "omega_dot", None)
+        traj = Trajectory(times=np.arange(len(states), dtype=float), states=states)
+        got = oplift.reduction_check(sys, traj).max_kinetic_residual
+        assert want > 1e-12
+        assert abs(got - want) <= bound
 
 
 class TestAdjointExpansion:
