@@ -15,6 +15,7 @@ $TODALIFT_OUTDIR when that is set.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import eisenhart, findings, killing, linalg, oplift, toda
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .integrate import IntegratorConfig, Trajectory, integrate_at_times
 
 __all__ = ["ExperimentConfig", "parse_config", "write_trajectory", "run_command", "main"]
@@ -44,16 +45,11 @@ class ExperimentConfig:
     g: np.ndarray
     q: np.ndarray
     p: np.ndarray
-    t_final: float
+    integrator: IntegratorConfig
     y: float = 0.0
     p_y: float = 1.0
     omega: np.ndarray = field(default=None)
     p_omega: np.ndarray = field(default=None)
-    method: str = "adaptive"
-    dt: float = 1e-3
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    stride: int = 10
     output_path: str | None = None
     output_format: str = "csv"
     seed: int = 0
@@ -61,15 +57,15 @@ class ExperimentConfig:
     def system(self) -> toda.TodaSystem:
         return toda.TodaSystem(n=self.n, g=self.g)
 
-    def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(
-            method=self.method,
-            dt=self.dt,
-            rtol=self.rtol,
-            atol=self.atol,
-            t_final=self.t_final,
-            stride=self.stride,
-        )
+    def state(self, picture: toda.Picture):
+        """The start of picture's record: q and p, both centred on a centred picture, and
+        the fibre fields, whose configuration keys carry the fields' names (y, p_y or omega, p_omega)."""
+        q, fibre, p, p_fibre = picture.fields
+        values = {q: self.q, p: self.p}
+        if picture.centred:
+            values = {q: self.q - self.q.mean(), p: self.p - self.p.mean()}
+        values.update({name: getattr(self, name) for name in (fibre, p_fibre) if name})
+        return picture.state(**values)
 
 
 def _number(key: str, val) -> float:
@@ -83,11 +79,19 @@ def _number(key: str, val) -> float:
     return float(val)
 
 
-def _positive(key: str, val) -> float:
-    val = _number(key, val)
-    if not (val > 0.0):
-        raise ConfigError(f"key {key!r}: must be positive, got {val}")
-    return val
+def _integrator(base: IntegratorConfig, **settings) -> IntegratorConfig:
+    """base with settings replaced, checked by IntegratorConfig; its DomainError becomes a
+    ConfigError naming the first key that fails together with the keys before it."""
+    try:
+        return dataclasses.replace(base, **settings)
+    except DomainError:
+        pass
+    keys = list(settings)
+    for i, key in enumerate(keys):
+        try:
+            dataclasses.replace(base, **{k: settings[k] for k in keys[: i + 1]})
+        except DomainError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from exc
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -104,11 +108,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("configuration must be a JSON object")
 
-    known = {
-        "n", "g", "q", "p", "t_final", "y", "p_y", "omega", "p_omega",
-        "method", "dt", "rtol", "atol", "stride", "output_path",
-        "output_format", "seed",
-    }
+    # the keys are the fields of both records, the integrator's settings in place of the integrator
+    known = {f.name for f in dataclasses.fields(ExperimentConfig) + dataclasses.fields(IntegratorConfig)} - {"integrator"}
     for key in doc:
         if key not in known:
             raise ConfigError(f"unknown configuration key {key!r}")
@@ -139,37 +140,28 @@ def parse_config(text: str) -> ExperimentConfig:
     omega = vector("omega", n - 1, default=np.zeros(n - 1))
     p_omega = vector("p_omega", n - 1, default=g.copy())
 
-    def positive(key, default):
-        return _positive(key, doc.get(key, default))
-
     method = doc.get("method", "adaptive")
     if method not in ("adaptive", "rk4"):
         raise ConfigError(f"key 'method': unknown method {method!r}")
-    stride = doc.get("stride", 10)
-    if type(stride) is not int or stride < 1:
-        raise ConfigError("key 'stride': need an integer >= 1")
     fmt = doc.get("output_format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"key 'output_format': must be csv or json, got {fmt!r}")
     seed = doc.get("seed", 0)
     if type(seed) is not int:
         raise ConfigError("key 'seed': need an integer")
+    # in the order a failing key is looked for: t_final, whose check reads dt, last
+    settings = {key: doc[key] for key in ("method", "stride", "rtol", "atol", "dt", "t_final") if key in doc}
 
     return ExperimentConfig(
         n=n,
         g=g,
         q=q,
         p=p,
-        t_final=positive("t_final", None),
+        integrator=_integrator(IntegratorConfig(method="adaptive", dt=1e-3), **settings),
         y=_number("y", doc.get("y", 0.0)),
         p_y=_number("p_y", doc.get("p_y", 1.0)),
         omega=omega,
         p_omega=p_omega,
-        method=method,
-        dt=positive("dt", 1e-3),
-        rtol=positive("rtol", 1e-10),
-        atol=positive("atol", 1e-12),
-        stride=stride,
         output_path=doc.get("output_path"),
         output_format=fmt,
         seed=seed,
@@ -183,9 +175,22 @@ def _resolve_path(path: str) -> str:
 
 
 def _write_json(path: str, doc) -> None:
+    """doc as indented JSON; each NaN or infinity, which strict parsers reject, is written as null."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_nulled(doc), indent=2)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _nulled(doc):
+    """doc with None in place of every non-finite float."""
+    if isinstance(doc, dict):
+        return {key: _nulled(v) for key, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_nulled(v) for v in doc]
+    return None if isinstance(doc, float) and not math.isfinite(doc) else doc
 
 
 def _write_csv(path: str, header: list[str], rows: np.ndarray) -> None:
@@ -257,72 +262,50 @@ def _report(tag: str, ok: bool, detail: str, path: str | None, traj: Trajectory 
 def _load_config(args) -> ExperimentConfig:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = parse_config(fh.read())
-    for key in ("t_final", "rtol"):
-        if getattr(args, key, None) is not None:
-            setattr(cfg, key, _positive(key, getattr(args, key)))
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "out", None) is not None:
-        cfg.output_path = args.out
-    if getattr(args, "format", None) is not None:
-        cfg.output_format = args.format
+    overrides = {key: getattr(args, key) for key in ("t_final", "rtol") if getattr(args, key, None) is not None}
+    cfg.integrator = _integrator(cfg.integrator, **overrides)
+    for flag, key in (("seed", "seed"), ("out", "output_path"), ("format", "output_format")):
+        if getattr(args, flag, None) is not None:
+            setattr(cfg, key, getattr(args, flag))
     return cfg
 
 
-def _out_path(cfg: ExperimentConfig, default_name: str) -> str:
-    name = cfg.output_path or default_name
-    return _resolve_path(name)
+def _run(cfg: ExperimentConfig, picture: toda.Picture, tag: str, stem: str, gated=None, extra=None, **options) -> int:
+    """Run picture from the configured start, write the trajectory and gate the drift of the
+    gated monitors (all by default); extra(cfg, traj) -> (ok, detail, gate) is one more gate."""
+    traj = picture.run(cfg.system(), cfg.state(picture), cfg.integrator, **options)
+    path = _resolve_path(cfg.output_path or f"{stem}.{cfg.output_format}")
+    write_trajectory(traj, cfg.output_format, path)
+    worst, where = _worst_drift(traj, gated)
+    if extra is None:
+        return _report(tag, worst < _GATE_DRIFT, f"{where} (gate {_GATE_DRIFT:g})", path, traj)
+    ok, detail, gate = extra(cfg, traj)
+    return _report(tag, worst < _GATE_DRIFT and ok, f"{where} {detail} (gates {_GATE_DRIFT:g}, {gate:g})", path, traj)
 
 
 def _cmd_toda_run(args) -> int:
-    cfg = _load_config(args)
-    sys_ = cfg.system()
-    traj = toda.run(sys_, toda.PhaseState(q=cfg.q, p=cfg.p), cfg.integrator())
-    path = _out_path(cfg, f"toda_run.{cfg.output_format}")
-    write_trajectory(traj, cfg.output_format, path)
-    worst, where = _worst_drift(traj)
-    return _report("toda-run", worst < _GATE_DRIFT, f"{where} (gate {_GATE_DRIFT:g})", path, traj)
+    return _run(_load_config(args), toda.CHAIN, "toda-run", "toda_run")
+
+
+def _p_y_gate(cfg, traj):
+    return traj.drift["p_y"] < 1e-10, f"p_y_drift={traj.drift['p_y']:.3e}", 1e-10
 
 
 def _cmd_eisenhart_run(args) -> int:
-    cfg = _load_config(args)
-    sys_ = cfg.system()
-    state = eisenhart.EisenhartState(q=cfg.q, y=cfg.y, p=cfg.p, p_y=cfg.p_y)
-    traj = eisenhart.run_geodesic(sys_, state, cfg.integrator())
-    path = _out_path(cfg, f"eisenhart_run.{cfg.output_format}")
-    write_trajectory(traj, cfg.output_format, path)
-    worst, where = _worst_drift(traj)
-    ok = worst < _GATE_DRIFT and traj.drift["p_y"] < 1e-10
-    return _report(
-        "eisenhart-run",
-        ok,
-        f"{where} p_y_drift={traj.drift['p_y']:.3e} (gates {_GATE_DRIFT:g}, 1e-10)",
-        path,
-        traj,
-    )
-
-
-def _op_initial_state(cfg: ExperimentConfig) -> oplift.OPState:
-    q = cfg.q - cfg.q.mean()
-    p = cfg.p - cfg.p.mean()
-    return oplift.OPState(q=q, omega=cfg.omega, p_q=p, p_omega=cfg.p_omega)
+    return _run(_load_config(args), eisenhart.EISENHART, "eisenhart-run", "eisenhart_run", extra=_p_y_gate)
 
 
 def _cmd_oplift_run(args) -> int:
     cfg = _load_config(args)
-    sys_ = cfg.system()
-    state = _op_initial_state(cfg)
     if args.mode == "hamiltonian":
-        traj = oplift.run_geodesic_generalized(sys_, state, cfg.integrator())
-        path = _out_path(cfg, f"oplift_run.{cfg.output_format}")
-        write_trajectory(traj, cfg.output_format, path)
-        worst, where = _worst_drift(traj)
-        return _report("oplift-run", worst < _GATE_DRIFT, f"{where} (gate {_GATE_DRIFT:g})", path, traj)
+        return _run(cfg, oplift.GENERALIZED, "oplift-run", "oplift_run")
     # exact mode: the closed-form geodesic at 201 samples, gated on det x(t) and,
     # where its q-projection is a Toda chain with couplings p_omega (omega = 0), on I_1..I_n
-    times = np.linspace(0.0, cfg.t_final, 201)
+    sys_ = cfg.system()
+    state = cfg.state(oplift.GENERALIZED)
+    times = np.linspace(0.0, cfg.integrator.t_final, 201)
     q, omega, qdot = oplift.exact_coordinates(state, sys_, times)
-    path = _out_path(cfg, f"oplift_exact.{cfg.output_format}")
+    path = _resolve_path(cfg.output_path or f"oplift_exact.{cfg.output_format}")
     labels = ["t", *oplift.GENERALIZED.labels(sys_.n)[: 2 * sys_.n - 1]]
     rows = np.column_stack([times, q, omega])
     if cfg.output_format == "csv":
@@ -341,13 +324,11 @@ def _cmd_oplift_run(args) -> int:
 def _cmd_oplift_compare(args) -> int:
     cfg = _load_config(args)
     sys_ = cfg.system()
-    state = _op_initial_state(cfg)
-    icfg = cfg.integrator()
-    ttraj = toda.run(sys_, toda.PhaseState(q=state.q, p=state.p_q), icfg, kmax=1)
-    otraj = integrate_at_times(oplift.flow_field_generalized(sys_), oplift.GENERALIZED.pack(state), ttraj.times, icfg)
-    n = sys_.n
-    q_toda = ttraj.states[:, :n]
-    q_ham = otraj.states[:, :n]
+    state = cfg.state(oplift.GENERALIZED)
+    ttraj = toda.run(sys_, toda.PhaseState(q=state.q, p=state.p_q), cfg.integrator, kmax=1)
+    otraj = integrate_at_times(oplift.flow_field_generalized(sys_), oplift.GENERALIZED.pack(state), ttraj.times,
+                               cfg.integrator)
+    q_toda, q_ham = ttraj.states[:, : sys_.n], otraj.states[:, : sys_.n]
     q_exact = oplift.exact_coordinates(state, sys_, ttraj.times)[0]
     per_sample = {
         "toda_vs_hamiltonian": np.max(np.abs(q_toda - q_ham), axis=1),
@@ -355,12 +336,10 @@ def _cmd_oplift_compare(args) -> int:
         "hamiltonian_vs_exact": np.max(np.abs(q_ham - q_exact), axis=1),
     }
     pairs = {k: float(np.max(v)) for k, v in per_sample.items()}
-    path = _out_path(cfg, "oplift_compare.csv" if cfg.output_format == "csv" else "oplift_compare.json")
+    path = _resolve_path(cfg.output_path or f"oplift_compare.{cfg.output_format}")
     if cfg.output_format == "csv":
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("pair,sup_dq\n")
-            for k, v in pairs.items():
-                fh.write(f"{k},{v:.17g}\n")
+            fh.write("pair,sup_dq\n" + "".join(f"{k},{v:.17g}\n" for k, v in pairs.items()))
     else:
         _write_json(path, pairs)
     worst = max(pairs, key=pairs.__getitem__)
@@ -368,41 +347,31 @@ def _cmd_oplift_compare(args) -> int:
     return _report("oplift-compare", ok, detail, path)
 
 
+def _cbar_gate(cfg, traj):
+    # np.max, unlike max, keeps a NaN deviation, which then fails the gate
+    cbar_dev = float(np.max([
+        np.max(np.abs(traj.monitors[f"cbar_{a + 1}_{a}"] - 2.0 * pw)) / max(1.0, abs(2.0 * pw))
+        for a, pw in enumerate(cfg.p_omega, start=1)
+    ]))
+    return cbar_dev < _GATE_CBAR, f"cbar_vs_2pw={cbar_dev:.3e}", _GATE_CBAR
+
+
 def _cmd_forms_monitor(args) -> int:
     cfg = _load_config(args)
-    sys_ = cfg.system()
-    state = _op_initial_state(cfg)
-    mons = oplift.monitors_n2(sys_) if args.set == "n2" else oplift.monitors_general(sys_)
-    traj = oplift.run_geodesic_generalized(sys_, state, cfg.integrator(), kmax=1, extra_monitors=mons)
-    path = _out_path(cfg, f"forms_{args.set}.{cfg.output_format}")
-    write_trajectory(traj, cfg.output_format, path)
-    if args.set == "n2":
-        gated = [m.name for m in mons]
-    else:
-        # the strictly-upper rho_a_{a+1} contractions are reported, not gated
-        gated = [m.name for m in mons if not (m.name.startswith("rho_") and m.name.count("_") == 2)]
-    worst, where = _worst_drift(traj, gated)
-    if args.set == "general":
-        # np.max, unlike max, keeps a NaN deviation, which then fails the gate
-        cbar_dev = float(np.max([
-            np.max(np.abs(traj.monitors[f"cbar_{a + 1}_{a}"] - 2.0 * pw)) / max(1.0, abs(2.0 * pw))
-            for a, pw in enumerate(state.p_omega, start=1)
-        ]))
-        ok = worst < _GATE_DRIFT and cbar_dev < _GATE_CBAR
-        detail = f"{where} cbar_vs_2pw={cbar_dev:.3e} (gates {_GATE_DRIFT:g}, {_GATE_CBAR:g})"
-    else:
-        ok = worst < _GATE_DRIFT
-        detail = f"{where} (gate {_GATE_DRIFT:g})"
-    return _report(f"forms-{args.set}", ok, detail, path, traj)
+    mons = oplift.monitors_n2(cfg.system()) if args.set == "n2" else oplift.monitors_general(cfg.system())
+    # the strictly-upper rho_a_{a+1} contractions of the general set are reported, not gated
+    gated = [m.name for m in mons if args.set == "n2" or not (m.name.startswith("rho_") and m.name.count("_") == 2)]
+    extra = _cbar_gate if args.set == "general" else None
+    return _run(cfg, oplift.GENERALIZED, f"forms-{args.set}", f"forms_{args.set}", gated, extra,
+                kmax=1, extra_monitors=mons)
 
 
 def _cmd_reduce_check(args) -> int:
     cfg = _load_config(args)
     sys_ = cfg.system()
-    state = _op_initial_state(cfg)
-    sup_dq, traj = oplift.compare_reduced_eisenhart(sys_, state, cfg.integrator())
+    sup_dq, traj = oplift.compare_reduced_eisenhart(sys_, cfg.state(oplift.GENERALIZED), cfg.integrator)
     report = oplift.reduction_check(sys_, traj)
-    path = _out_path(cfg, "reduce_check.json")
+    path = _resolve_path(cfg.output_path or "reduce_check.json")
     doc = {
         "max_ydot_residual": report.max_ydot_residual,
         "max_kinetic_residual": report.max_kinetic_residual,
@@ -414,18 +383,15 @@ def _cmd_reduce_check(args) -> int:
     # np.max, unlike max, keeps a NaN residual, which then fails the gate
     worst = float(np.max([report.max_ydot_residual, report.max_kinetic_residual, report.max_block_residual]))
     ok = worst < _GATE_DRIFT and sup_dq < _GATE_TRAJ
-    return _report(
-        "reduce-check", ok, f"max_residual={worst:.3e} eisenhart_sup_dq={sup_dq:.3e} (gates {_GATE_DRIFT:g}, {_GATE_TRAJ:g})", path
-    )
+    detail = f"max_residual={worst:.3e} eisenhart_sup_dq={sup_dq:.3e} (gates {_GATE_DRIFT:g}, {_GATE_TRAJ:g})"
+    return _report("reduce-check", ok, detail, path)
 
 
 def _cmd_killing_extract(args) -> int:
     cfg = _load_config(args)
     picture = killing.LIFTS[args.lift]
-    q = cfg.q - cfg.q.mean() if picture.centred else cfg.q
-    # the configuration names the fibre like the state field: y or omega
-    position = np.concatenate([q, np.atleast_1d(getattr(cfg, picture.fields[1]))])
-    dim = len(position)
+    dim = picture.dim(cfg.n) // 2
+    position = picture.pack(cfg.state(picture))[:dim]
     inv = picture.invariant(cfg.system(), args.k)
     table = killing.extract_tensor(inv, args.k, dim, position)
     rng = np.random.default_rng(cfg.seed)
@@ -434,7 +400,7 @@ def _cmd_killing_extract(args) -> int:
         mom = rng.uniform(-1.0, 1.0, dim)
         want = inv(position, mom)
         resid = max(resid, abs(killing.contract_table(table, args.k, mom) - want) / max(1.0, abs(want)))
-    path = _out_path(cfg, f"killing_k{args.k}_{args.lift}.json")
+    path = _resolve_path(cfg.output_path or f"killing_k{args.k}_{args.lift}.json")
     components = {" ".join(map(str, idx)): val for idx, val in table.items()}
     _write_json(path, {"lift": args.lift, "k": args.k, "components": components, "contraction_residual": resid})
     return _report("killing-extract", resid < _GATE_EXTRACT, f"contraction_residual={resid:.3e} (gate {_GATE_EXTRACT:g})", path)
@@ -445,7 +411,7 @@ def _cmd_killing_verify(args) -> int:
     sys_ = cfg.system()
     ks = [args.k] if args.k is not None else list(range(1, sys_.n + 1))
     reports = [killing.verify_killing(sys_, args.lift, k, seed=cfg.seed) for k in ks]
-    path = _out_path(cfg, f"killing_verify_{args.lift}.json")
+    path = _resolve_path(cfg.output_path or f"killing_verify_{args.lift}.json")
     _write_json(path, [r.to_dict() for r in reports])
     worst_b = max(r.bracket_max for r in reports)
     worst_d = max(r.drift_max for r in reports)

@@ -168,7 +168,11 @@ class IntegratorConfig:
             value = getattr(self, name)
             if name == "dt" and value is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (0.0 < value < math.inf):
+            try:
+                ok = not isinstance(value, bool) and isinstance(value, numbers.Real) and 0.0 < float(value) < math.inf
+            except OverflowError:  # an integer beyond the float range
+                ok = False
+            if not ok:
                 raise DomainError(f"{name} must be a positive finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
         # an unset dt is the default of the stepper that runs; without a

@@ -34,7 +34,7 @@ from .errors import ConstraintError, DefinitenessError, DomainError
 # integrate is not called here, but the benchmark's tracer tests read it off this module
 from .integrate import IntegratorConfig, Trajectory, integrate, integrate_at_times  # noqa: F401
 from .linalg import udu_decompose, unitriangular_inverse
-from .toda import Picture, PictureState, TodaSystem, _graded_factor, check_dims, gap_buffer, lax_traces
+from .toda import Picture, PictureState, TodaSystem, _blocks, _graded_factor, check_dims, gap_buffer, lax_traces
 
 __all__ = [
     "OPState",
@@ -300,24 +300,37 @@ def exact_coordinates(state: OPState, sys: TodaSystem, times) -> tuple[np.ndarra
         qdot_a  = d/dt q_a = sum_i lam_i (Q_t)_ij^2 / 2,
         omega_a = Z(t)_{a,a+1} = (U_t)_{j-1,j}     (a < n),
 
-    the last by Cramer's rule on the UDU factorisation of x[a:, a:].  Shapes
-    (T, n), (T, n-1), (T, n) for T times.
+    the last by Cramer's rule on the UDU factorisation of x[a:, a:].  Where
+    omega_a = 0 and p_omega_a = 0, x0 and xdot0 are block diagonal, so x(t)
+    is too: the chain splits there, and each block is factored on its own
+    (its D_a are the block's minors).  Shapes (T, n), (T, n-1), (T, n) for T
+    times.
     """
     _require_velocity_state(state, sys)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim != 1 or not np.all((times >= 0.0) & np.isfinite(times)):
         raise DomainError("times must be a 1-d array of finite non-negative values")
-    z, zd = _chain_z(state.omega, state.omega_dot())
-    # w^{-1} xdot0 w^{-T} = 2 diag(p_q) + h^{-1} K h + (h^{-1} K h)^T with K = Z^{-1} Zdot
-    wing = (_chain_z(-state.omega)[0] @ zd) * np.exp(state.q[None, :] - state.q[:, None])
-    lam, qmat = np.linalg.eigh(np.diag(2.0 * state.p_q) + wing + wing.T)
-    lam, qmat = lam[::-1], qmat[:, ::-1]
-    m = (z * np.exp(state.q)) @ qmat
     ascending, back = np.unique(times, return_inverse=True)
-    qt, log_diag, unit = _graded_factor(0.5 * (lam - lam[0]), m[::-1].T, ascending)
-    q = log_diag[:, ::-1] + 0.5 * lam[0] * ascending[:, None]
-    qdot = 0.5 * (lam @ qt**2)[:, ::-1]
-    return q[back], np.diagonal(unit, 1, axis1=1, axis2=2)[back, ::-1], qdot[back]
+    q, qdot = np.empty((2, len(ascending), sys.n))
+    omega = np.zeros((len(ascending), sys.n - 1))  # 0 at each cut
+    for lo, hi in _blocks((state.omega == 0.0) & (state.p_omega == 0.0)):
+        q[:, lo:hi], omega[:, lo : hi - 1], qdot[:, lo:hi] = _exact_block(
+            state.q[lo:hi], state.omega[lo : hi - 1], state.p_q[lo:hi], state.p_omega[lo : hi - 1], ascending
+        )
+    return q[back], omega[back], qdot[back]
+
+
+def _exact_block(q0, omega0, p_q, p_omega, times):
+    """(q, omega, qdot) at the ascending times of one block of exact_coordinates."""
+    z, zd = _chain_z(omega0, 2.0 * p_omega * np.exp(2.0 * (q0[:-1] - q0[1:])))
+    # w^{-1} xdot0 w^{-T} = 2 diag(p_q) + h^{-1} K h + (h^{-1} K h)^T with K = Z^{-1} Zdot
+    wing = (_chain_z(-omega0)[0] @ zd) * np.exp(q0[None, :] - q0[:, None])
+    lam, qmat = np.linalg.eigh(np.diag(2.0 * p_q) + wing + wing.T)
+    lam, qmat = lam[::-1], qmat[:, ::-1]
+    m = (z * np.exp(q0)) @ qmat
+    qt, log_diag, unit = _graded_factor(0.5 * (lam - lam[0]), m[::-1].T, times)
+    q = log_diag[:, ::-1] + 0.5 * lam[0] * times[:, None]
+    return q, np.diagonal(unit, 1, axis1=1, axis2=2)[:, ::-1], 0.5 * (lam @ qt**2)[:, ::-1]
 
 
 def exact_geodesic(x0: XPoint, xdot0, t: float) -> XPoint:

@@ -421,11 +421,16 @@ def evolve_A(sys: TodaSystem, traj: Trajectory) -> list[np.ndarray]:
     q = state.q
     off = np.diagonal(lmat, -1) * np.exp(q[:-1] - q[1:])  # the symmetric gauge's couplings
     mats = np.broadcast_to(np.eye(sys.n), (len(times), sys.n, sys.n)).copy()
-    cuts = [0, *(np.flatnonzero(off == 0.0) + 1), sys.n]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
+    for lo, hi in _blocks(off == 0.0):
         if hi - lo > 1:
             mats[1:, lo:hi, lo:hi] = _evolve_block(np.diagonal(lmat)[lo:hi], off[lo : hi - 1], q[lo:hi], times)
     return list(mats)
+
+
+def _blocks(split) -> list[tuple[int, int]]:
+    """Particle ranges [lo, hi) of the blocks of a chain cut after particle i + 1 wherever split[i] is set."""
+    cuts = [0, *(np.flatnonzero(split) + 1), len(split) + 1]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _evolve_block(p, off, q, times) -> np.ndarray:
@@ -466,7 +471,8 @@ def _graded_factor(rate, frame, times):
     lo, start, log_diag, unit = 0, 0.0, np.zeros(m), np.eye(m)
     qs, logs, units = np.empty((len(times), m, m)), np.empty((len(times), m)), np.empty((len(times), m, m))
     while lo < len(times):
-        if np.all(np.diff(log_diag) < -746.0):
+        # only after a QR: for one row (m = 1) np.diff is empty, and the test would pass at once
+        if start > 0.0 and np.all(np.diff(log_diag) < -746.0):
             qs[lo:], logs[lo:], units[lo:] = frame, log_diag + np.multiply.outer(times[lo:] - start, rate), unit
             break
         hi = lo + int(np.count_nonzero(times[lo:] - start <= reach))

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from todalift import cli, oplift, toda
+from todalift import cli, eisenhart, oplift, toda
 from todalift.errors import ConfigError
 from todalift.integrate import Trajectory
 
@@ -32,10 +32,10 @@ def write_cfg(tmp_path, doc, name="cfg.json"):
 class TestParseConfig:
     def test_minimal_with_defaults(self):
         cfg = cli.parse_config(json.dumps(MINIMAL))
-        assert cfg.method == "adaptive"
-        assert cfg.rtol == 1e-10
-        assert cfg.atol == 1e-12
-        assert cfg.stride == 10
+        assert cfg.integrator.method == "adaptive"
+        assert cfg.integrator.rtol == 1e-10
+        assert cfg.integrator.atol == 1e-12
+        assert cfg.integrator.stride == 10
         assert cfg.p_y == 1.0
         assert np.array_equal(cfg.omega, [0.0])
         assert np.array_equal(cfg.p_omega, [1.0])
@@ -47,7 +47,7 @@ class TestParseConfig:
 
     def test_tolerance_override(self):
         doc = dict(MINIMAL, rtol=1e-8)
-        assert cli.parse_config(json.dumps(doc)).rtol == 1e-8
+        assert cli.parse_config(json.dumps(doc)).integrator.rtol == 1e-8
 
     def test_missing_key_named(self):
         doc = {k: v for k, v in MINIMAL.items() if k != "q"}
@@ -58,6 +58,26 @@ class TestParseConfig:
         doc = dict(MINIMAL, rtol=-1.0)
         with pytest.raises(ConfigError, match="'rtol'"):
             cli.parse_config(json.dumps(doc))
+
+    def test_integrator_settings_fail_at_parse_time_naming_the_key(self):
+        for changes, key in (({"dt": 0.0}, "dt"), ({"atol": -1.0}, "atol"), ({"stride": 0}, "stride"),
+                             ({"stride": 2.0}, "stride"), ({"t_final": 1e300, "dt": 1e-300}, "t_final")):
+            with pytest.raises(ConfigError, match=f"^key '{key}': "):
+                cli.parse_config(json.dumps(dict(MINIMAL, **changes)))
+
+    @pytest.mark.parametrize("picture", [toda.CHAIN, eisenhart.EISENHART, oplift.GENERALIZED], ids=lambda p: p.name)
+    def test_state_of_each_record(self, picture):
+        doc = dict(MINIMAL, q=[0.5, -0.1], p=[0.3, 0.1], y=0.25, p_y=1.5, omega=[0.7], p_omega=[0.9])
+        cfg = cli.parse_config(json.dumps(doc))
+        state = cfg.state(picture)
+        assert type(state) is picture.state
+        q, fibre, p, p_fibre = picture.split(picture.pack(state), 2)
+        if picture.centred:  # only the generalised lift lives on sum q = 0, and centres its start
+            assert np.array_equal(q, cfg.q - 0.2) and np.array_equal(p, cfg.p - 0.2)
+        else:
+            assert np.array_equal(q, cfg.q) and np.array_equal(p, cfg.p)
+        fibres = {"chain": ([], []), "eisenhart": ([0.25], [1.5]), "generalized": ([0.7], [0.9])}[picture.name]
+        assert (fibre.tolist(), p_fibre.tolist()) == fibres
 
     def test_unknown_key_rejected(self):
         doc = dict(MINIMAL, tfinal=3.0)
@@ -221,6 +241,30 @@ class TestCommands:
         # only the reported, ungated rho_a_{a+1} overflow
         assert [name for name, ok in zip(header.split(","), finite) if not ok] == ["rho_1_2", "rho_2_3"]
 
+    def test_json_writes_null_for_non_finite_values(self, tmp_path, monkeypatch, capsys):
+        # the reported rho_a_{a+1} overflow on this start; strict parsers reject NaN and Infinity
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.run_command(["forms", "monitor", "--set", "general", "-c",
+                                  write_cfg(tmp_path, dict(SCATTERING_3, output_format="json"))])
+        assert rc == 0 and capsys.readouterr().out.startswith("PASS forms-general ")
+
+        def reject(name):
+            raise ValueError(f"non-finite JSON constant {name}")
+
+        doc = json.loads((tmp_path / "forms_general.json").read_text(), parse_constant=reject)
+        nulls = {name for name, series in doc["monitors"].items() if None in series}
+        assert nulls == {"rho_1_2", "rho_2_3"}
+        assert all(v is None or np.isfinite(v) for v in doc["monitors"]["rho_1_2"])
+        assert {name for name, v in doc["drift"].items() if v is None} <= nulls
+
+    def test_json_of_a_finite_document_is_the_plain_dump(self, tmp_path):
+        doc = {"a": [0.1, 1e-300, -2.5], "b": {"c": 3, "d": "x"}}
+        cli._write_json(str(tmp_path / "d.json"), doc)
+        assert (tmp_path / "d.json").read_text() == json.dumps(doc, indent=2) + "\n"
+        cli._write_json(str(tmp_path / "e.json"), {"a": [float("nan"), 1.0, float("-inf")], "b": (float("inf"),)})
+        assert json.loads((tmp_path / "e.json").read_text()) == {"a": [None, 1.0, None], "b": [None]}
+
     def test_forms_monitor_n2_passes_on_a_scattering_start(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
         rc = cli.run_command(["forms", "monitor", "--set", "n2", "-c", write_cfg(tmp_path, SCATTERING_2)])
@@ -352,12 +396,15 @@ class TestCommands:
             "inf", "inf-flag", "nan-flag", "step-overflow", "bool-stride", "bool-seed",
         ],
     )
-    def test_non_numeric_or_non_finite_scalars_exit_two(self, tmp_path, monkeypatch, capsys, changes, flags):
+    def test_non_numeric_or_non_finite_scalars_exit_two(self, request, tmp_path, monkeypatch, capsys, changes, flags):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
         cfgp = write_cfg(tmp_path, dict(MINIMAL, **changes))
         assert cli.run_command(["toda", "run", "-c", cfgp] + flags) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err or "invalid experiment" in err
+        # an integrator setting fails at parse time, by IntegratorConfig's own checks
+        if request.node.callspec.id in ("inf", "inf-flag", "nan-flag", "step-overflow", "huge-int"):
+            assert err.startswith("configuration error: key '"), err
 
     def test_gate_failure_exits_one_with_report(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
@@ -451,7 +498,7 @@ class TestDriftGateLine:
         assert path == str(tmp_path / "o.csv")
         if argv[0] == "toda":
             cfg = cli.parse_config(json.dumps(CALM))
-            stats = toda.run(cfg.system(), toda.PhaseState(q=cfg.q, p=cfg.p), cfg.integrator()).stats
+            stats = toda.run(cfg.system(), toda.PhaseState(q=cfg.q, p=cfg.p), cfg.integrator).stats
             assert (nfev, accepted, rejected) == (stats["nfev"], stats["accepted"], stats["rejected"])
 
 
@@ -524,3 +571,21 @@ class TestExactPath:
         assert capsys.readouterr().out.startswith("PASS oplift-exact ")
         rows = np.loadtxt(tmp_path / "oplift_exact.csv", delimiter=",", skiprows=1)
         assert rows.shape == (201, 4) and np.all(np.isfinite(rows))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 3, "g": [1.0, 0.0], "q": [0.0, 0.0, 0.0], "p": [0.5, 0.5, -1.0], "t_final": 50.0},
+            {"n": 3, "g": [0.0, 1.0], "q": [0.3, 0.0, -0.3], "p": [1.0, -0.5, -0.5], "t_final": 10.0},
+        ],
+        ids=["cut-2-3", "cut-1-2"],
+    )
+    def test_exact_mode_passes_on_a_split_chain(self, tmp_path, monkeypatch, capsys, doc):
+        # omega = 0 with a zero p_omega (= g) splits the chain; these failed det_drift and I_drift
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        assert cli.run_command(["oplift", "run", "--mode", "exact", "-c", write_cfg(tmp_path, doc)]) == 0
+        out = capsys.readouterr().out
+        status, tag, _, _, _, _, _, _, _, _ = self.LINE.match(out).groups()
+        assert (status, tag) == ("PASS", "oplift-exact") and " I_drift=" in out
+        rows = np.loadtxt(tmp_path / "oplift_exact.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (201, 6) and np.all(np.isfinite(rows))

@@ -221,6 +221,44 @@ def test_momenta_of_a_split_chain():
     assert np.max(np.abs(qdot[0] - [-0.5, 1.5, -1.0])) < 1e-14
 
 
+# omega = 0 starts whose zero p_omega_a splits the chain after particle a: (q, p_q, p_omega, t_final)
+SPLIT_STARTS = {
+    "cut-2-3": ([0.0, 0.0, 0.0], [0.5, 0.5, -1.0], [1.0, 0.0], 50.0),
+    "cut-1-2": ([0.3, 0.0, -0.3], [1.0, -0.5, -0.5], [0.0, 1.0], 10.0),
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_STARTS)
+def test_split_chain_matches_high_accuracy_flow(name):
+    # each block's frame is factored on its own; the whole chain's frame has vanishing
+    # leading minors, which left R's diagonal out of order and q_1 at -inf by t = 1000
+    q0, p, p_omega, t_final = SPLIT_STARTS[name]
+    sys = toda.TodaSystem(3, p_omega)
+    state = oplift.OPState(q=q0, omega=[0.0, 0.0], p_q=p, p_omega=p_omega)
+    cfg = IntegratorConfig(rtol=1e-13, atol=1e-15, t_final=t_final, stride=1)
+    traj = oplift.run_geodesic_generalized(sys, state, cfg, kmax=1)
+    q, omega, qdot = oplift.exact_coordinates(state, sys, traj.times)
+    ref_q, ref_omega, ref_p, _ = oplift.GENERALIZED.split(traj.states.T, 3)
+    assert np.max(np.abs(q - ref_q.T)) < 1e-11
+    assert np.max(np.abs(qdot - ref_p.T)) < 1e-12
+    assert np.max(np.abs(omega - ref_omega.T)) < 1e-12
+    q, omega, qdot = oplift.exact_coordinates(state, sys, [1e3, 1e6])
+    cut = p_omega.index(0.0)
+    assert np.all(np.isfinite(q)) and np.all(omega[:, cut] == 0.0) and np.all(np.isfinite(omega))
+    assert np.max(np.abs(q.sum(axis=1))) < 1e-15 * 1e6
+
+
+def test_fully_split_chain_moves_freely():
+    # p_omega = 0 at omega = 0: every particle is its own block, with equal rates, so one
+    # QR serves every time; the whole chain's frame took one QR per 600 of grading
+    sys = toda.TodaSystem(3, [1.0, 1.0])
+    state = oplift.OPState(q=[0.0, 0.0, 0.0], omega=[0.0, 0.0], p_q=[1.0, 1.0, -2.0], p_omega=[0.0, 0.0])
+    times = np.array([1.0, 1e5, 1e8])
+    q, omega, qdot = oplift.exact_coordinates(state, sys, times)
+    assert np.max(np.abs(q - np.multiply.outer(times, state.p_q))) <= 1e-15 * times[-1]
+    assert np.all(omega == 0.0) and np.all(qdot == state.p_q)
+
+
 def test_validates_the_start():
     sys = toda.TodaSystem(3, [1.0, 1.0])
     moving = oplift.OPState(q=[-0.5, 0.0, 0.5], omega=[0.0, 0.0], p_q=[0.1, 0.0, 0.0], p_omega=[1.0, 1.0])

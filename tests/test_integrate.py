@@ -171,6 +171,14 @@ def test_config_validation():
         IntegratorConfig(stride=0)
 
 
+@pytest.mark.parametrize("name", ["dt", "rtol", "atol", "t_final"])
+def test_integer_beyond_the_float_range_is_a_domain_error(name):
+    # 10**400 passes 0 < value < inf as an int, and float() of it overflows
+    with pytest.raises(DomainError, match=name):
+        IntegratorConfig(**{name: 10**400})
+    assert getattr(IntegratorConfig(**{name: 10**300}), name) == 1e300
+
+
 @pytest.mark.parametrize("method, dt", [(None, 1e-3), ("adaptive", 1e-3), ("rk4", 1e-3), ("extrapolation", 0.1)])
 def test_unset_dt_is_the_steppers_default(method, dt):
     base = IntegratorConfig(method=method, rtol=1e-10, atol=1e-12, t_final=0.05, stride=1)

@@ -511,6 +511,11 @@ class TestGradedFactor:
         assert qs[0].tobytes() == qs[2].tobytes() and logs[0].tobytes() == logs[2].tobytes()
         assert np.max(np.abs((qs[2] * np.exp(logs[2])) @ units[2] - frame)) < 1e-14 * len(rate)
 
+    def test_one_row(self):
+        # a lone row has no neighbour to stop the march on: its factor is still its QR, |c| = e^log_diag
+        qs, logs, units = toda._graded_factor(np.zeros(1), np.array([[-3.0]]), np.array([0.0, 1.0, 1e300]))
+        assert np.all(qs == -1.0) and np.all(logs == math.log(3.0)) and np.all(units == 1.0)
+
 def test_trajectory_write_helpers(rng):
     sys, st = random_chain(rng, 2)
     assert toda.CHAIN.labels(sys.n) == ("q_1", "q_2", "p_1", "p_2")
