@@ -422,15 +422,11 @@ def _cmd_killing_verify(args) -> int:
 
 
 def _cmd_identities_check(args) -> int:
-    n = args.n
     rng = np.random.default_rng(args.seed)
-    out: dict = {"product_identities": {}, "z_closed_form": 0.0, "z_inverse_sign_rule": 0.0, "udu_round_trip": 0.0}
-    worst_products = 0.0
-    for dim in range(2, n + 1):
-        res = linalg.product_identity_residuals(dim)
-        out["product_identities"][f"dim={dim}"] = res
-        worst_products = max(worst_products, max(res.values()))
-    for dim in range(2, min(n, 8) + 1):
+    products = {f"dim={dim}": linalg.product_identity_residuals(dim) for dim in range(2, args.n + 1)}
+    out = {"product_identities": products, "z_closed_form": 0.0, "z_inverse_sign_rule": 0.0, "udu_round_trip": 0.0}
+    worst_products = max((v for res in products.values() for v in res.values()), default=0.0)
+    for dim in range(2, min(args.n, 8) + 1):
         omega = rng.uniform(-2.0, 2.0, dim - 1)
         z = oplift.z_from_omega(omega, dim)
         gen = sum(omega[a] * linalg.basis_matrix("upper", a + 1, a + 2, dim=dim) for a in range(dim - 1))

@@ -34,7 +34,7 @@ from .errors import ConstraintError, DefinitenessError, DomainError
 # integrate is not called here, but the benchmark's tracer tests read it off this module
 from .integrate import IntegratorConfig, Trajectory, integrate, integrate_at_times  # noqa: F401
 from .linalg import udu_decompose, unitriangular_inverse
-from .toda import Picture, PictureState, TodaSystem, _blocks, _graded_factor, check_dims, gap_buffer, lax_traces
+from .toda import Picture, PictureState, TodaSystem, _blocks, _graded_factor, check_dims, gap_buffer, gaps, lax_traces
 
 __all__ = [
     "OPState",
@@ -90,7 +90,7 @@ class OPState(PictureState):
 
     def omega_dot(self) -> np.ndarray:
         """Velocities 2 p_omega_a exp(2 (q_a - q_{a+1})) implied by the momenta."""
-        return 2.0 * self.p_omega * np.exp(2.0 * (self.q[:-1] - self.q[1:]))
+        return 2.0 * self.p_omega * gaps(self.q)
 
 
 @dataclass(frozen=True)
@@ -322,7 +322,7 @@ def exact_coordinates(state: OPState, sys: TodaSystem, times) -> tuple[np.ndarra
 
 def _exact_block(q0, omega0, p_q, p_omega, times):
     """(q, omega, qdot) at the ascending times of one block of exact_coordinates."""
-    z, zd = _chain_z(omega0, 2.0 * p_omega * np.exp(2.0 * (q0[:-1] - q0[1:])))
+    z, zd = _chain_z(omega0, 2.0 * p_omega * gaps(q0))
     # w^{-1} xdot0 w^{-T} = 2 diag(p_q) + h^{-1} K h + (h^{-1} K h)^T with K = Z^{-1} Zdot
     wing = (_chain_z(-omega0)[0] @ zd) * np.exp(q0[None, :] - q0[:, None])
     lam, qmat = np.linalg.eigh(np.diag(2.0 * p_q) + wing + wing.T)
@@ -422,7 +422,7 @@ def monitors_n2(sys: TodaSystem) -> list[FormMonitor]:
 
     def c2(s):
         z = s.omega[0]
-        return -z * (s.p_q[0] - s.p_q[1]) + s.p_omega[0] * (np.exp(2.0 * (s.q[0] - s.q[1])) - z**2)
+        return -z * (s.p_q[0] - s.p_q[1]) + s.p_omega[0] * (gaps(s.q)[0] - z**2)
 
     return [
         FormMonitor("C_1", lambda s: s.p_omega[0]),
@@ -578,7 +578,7 @@ def reduction_check(sys: TodaSystem, traj: Trajectory) -> ReductionReport:
     g = sys.g[:, None]
     if float(np.max(np.abs(p_omega - g))) > 1e-8 * max(1.0, float(np.max(np.abs(sys.g)))):
         raise DomainError("reduction identities need a trajectory with p_omega = g")
-    gap = np.exp(2.0 * (q[:-1] - q[1:]))
+    gap = gaps(q)
     od = 2.0 * p_omega * gap
     v = np.sum(g**2 * gap, axis=0)
     scale = np.maximum(1.0, 2.0 * v)

@@ -35,6 +35,7 @@ __all__ = [
     "check_dims",
     "Picture",
     "CHAIN",
+    "gaps",
     "gap_buffer",
     "flow_field",
     "run",
@@ -130,9 +131,7 @@ def lax_pair(sys: TodaSystem, state: PhaseState) -> tuple[np.ndarray, np.ndarray
             raise DomainError(f"packed state must have shape ({2 * n},), got {y.shape}")
         q, p = y[:n], y[n:]
     lmat, _, upper = _lax_stack(q[:, None], p[:, None], sys.g[:, None])
-    mmat = np.zeros((n, n))
-    mmat.reshape(-1)[1 :: n + 1] = 2.0 * upper[:, 0]
-    return lmat[0], mmat
+    return lmat[0], np.diag(2.0 * upper[:, 0], 1)
 
 
 def power_traces(lmat: np.ndarray, kmax: int) -> np.ndarray:
@@ -165,7 +164,7 @@ def _lax_stack(q, p, couplings):
     q_{i+1})).  Returns (L, gap, upper = c gap).
     """
     n, m = p.shape
-    gap = np.exp(2.0 * (q[:-1] - q[1:]))
+    gap = gaps(q)
     upper = couplings * gap
     lmat = np.zeros((m, n, n))
     # entry (i, j) sits at i n + j of each flattened matrix: the diagonal is
@@ -213,7 +212,7 @@ def lax_trace_gradient(q, p, couplings, k: int):
 
 def lax_energy(q, p, couplings) -> np.ndarray:
     """sum(p^2)/2 + sum_i c_i^2 exp(2 (q_i - q_{i+1})) of component-first batches."""
-    return 0.5 * np.sum(p * p, axis=0) + np.sum(couplings**2 * np.exp(2.0 * (q[:-1] - q[1:])), axis=0)
+    return 0.5 * np.sum(p * p, axis=0) + np.sum(couplings**2 * gaps(q), axis=0)
 
 
 @dataclass(frozen=True)
@@ -331,7 +330,7 @@ class Picture:
         if q.shape != (n,):
             raise DomainError(f"position vector must have length {n}")
         jac_t = self.coupling_grad(np.eye(n - 1), sys.g[:, None])
-        fibre = (jac_t * (2.0 * np.exp(2.0 * (q[:-1] - q[1:])))) @ jac_t.T
+        fibre = (jac_t * (2.0 * gaps(q))) @ jac_t.T
         if not np.all(np.diagonal(fibre) > 0.0):
             raise DegenerateMetricError("lift metric degenerates where a fibre block entry vanishes")
         out = np.eye(n + len(fibre))
@@ -362,16 +361,26 @@ class Picture:
         return lambda pos, mom: float(self.invariants(sys, np.concatenate([pos, mom])[None, :], k)[k - 1, 0])
 
 
-def gap_buffer(x, n: int):
-    """(buffer, gap): gap_i = exp(2 (q_i - q_{i+1})) of one packed state or batch x, as the
-    rows 1..n-1 of a zero buffer of n+1 rows.  Once a flow field scales gap in place into
-    the forces f_i, buffer[:-1] - buffer[1:] are the momentum rates f_{i-1} - f_i."""
-    buf = np.zeros((n + 1,) + x.shape[1:])
-    gap = buf[1:n]
-    np.subtract(x[: n - 1], x[1:n], out=gap)
+# just below exp's overflow at 709.78; an array, since np.minimum converts a float on every call
+_GAP_EXPONENT_CAP = np.array(709.0)
+
+
+def gaps(q, out=None) -> np.ndarray:
+    """gap_i = exp(2 (q_i - q_{i+1})) along the first axis of q, into out if given.  The exponent
+    is capped at 709, where exp is still finite, so a zero coupling times its gap is 0, not NaN:
+    uncoupled particles pass each other freely.  Below the cap the value is exp's, bit for bit."""
+    gap = np.subtract(q[:-1], q[1:], out=out)
     gap += gap  # doubling by addition is exact, and cheaper than by 2.0
-    np.exp(gap, out=gap)
-    return buf, gap
+    np.minimum(gap, _GAP_EXPONENT_CAP, out=gap)
+    return np.exp(gap, out=gap)
+
+
+def gap_buffer(x, n: int):
+    """(buffer, gap): the gaps of one packed state or batch x, as the rows 1..n-1 of a
+    zero buffer of n+1 rows.  Once a flow field scales gap in place into the forces
+    f_i, buffer[:-1] - buffer[1:] are the momentum rates f_{i-1} - f_i."""
+    buf = np.zeros((n + 1,) + x.shape[1:])
+    return buf, gaps(x[:n], out=buf[1:n])
 
 
 def flow_field(sys: TodaSystem):

@@ -1,5 +1,6 @@
 import json
 import re
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -21,6 +22,22 @@ CALM = {
 # starts whose particles scatter far apart: exp(-2 (q_a - q_{a+1})) overflows
 SCATTERING_3 = {"n": 3, "g": [1.0, 1.0], "q": [0.0, 0.0, 0.0], "p": [-10.0, -10.0, 20.0], "t_final": 20.0}
 SCATTERING_2 = {"n": 2, "g": [1.0], "q": [0.0, 0.0], "p": [-10.0, 10.0], "t_final": 40.0}
+
+# starts with a zero coupling whose particles pass each other until exp(2 (q_1 - q_2)) overflows
+FREE_2 = {"n": 2, "g": [0.0], "q": [0.0, 0.0], "p": [10.0, -10.0], "t_final": 40.0}
+FREE_3 = {"n": 3, "g": [0.0, 1.0], "q": [0.0, 0.0, 0.0], "p": [10.0, -10.0, 0.0], "t_final": 40.0}
+
+# tag of each command's PASS line: its argv and the file it writes
+COMMANDS = {
+    "toda-run": (["toda", "run"], "toda_run.csv"),
+    "eisenhart-run": (["eisenhart", "run"], "eisenhart_run.csv"),
+    "oplift-run": (["oplift", "run", "--mode", "hamiltonian"], "oplift_run.csv"),
+    "oplift-exact": (["oplift", "run", "--mode", "exact"], "oplift_exact.csv"),
+    "oplift-compare": (["oplift", "compare"], "oplift_compare.csv"),
+    "reduce-check": (["reduce", "check"], "reduce_check.json"),
+    "forms-n2": (["forms", "monitor", "--set", "n2"], "forms_n2.csv"),
+    "forms-general": (["forms", "monitor", "--set", "general"], "forms_general.csv"),
+}
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -240,6 +257,28 @@ class TestCommands:
         finite = np.all(np.isfinite(table), axis=0)
         # only the reported, ungated rho_a_{a+1} overflow
         assert [name for name, ok in zip(header.split(","), finite) if not ok] == ["rho_1_2", "rho_2_3"]
+
+    @pytest.mark.parametrize("doc, tag", [
+        pytest.param(doc, tag, id=f"n{doc['n']}-{tag}")
+        for doc in (FREE_2, FREE_3) for tag in COMMANDS if doc["n"] == 2 or tag != "forms-n2"
+    ])
+    def test_zero_coupling_start_is_free_motion(self, tmp_path, monkeypatch, capsys, doc, tag):
+        # these exited 1 with a step underflow, or FAIL I_drift=nan for the exact mode
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        argv, name = COMMANDS[tag]
+        # only the reported rho_a_{a+1}, read off xdot x^-1, overflow
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore") if tag == "forms-general" else nullcontext():
+            rc = cli.run_command(argv + ["-c", write_cfg(tmp_path, doc)])
+        out = capsys.readouterr().out
+        assert rc == 0 and out.startswith(f"PASS {tag} "), out
+        text = (tmp_path / name).read_text()
+        if name.endswith(".json"):
+            # the writer nulls each non-finite value
+            non_finite = {key for key, v in json.loads(text, parse_constant=lambda c: None).items() if v is None}
+        else:
+            header, *rows = (line.split(",") for line in text.splitlines())
+            non_finite = {key for row in rows for key, v in zip(header, row) if v in ("nan", "inf", "-inf")}
+        assert all(re.fullmatch(r"rho_\d+_\d+", key) for key in non_finite), non_finite
 
     def test_json_writes_null_for_non_finite_values(self, tmp_path, monkeypatch, capsys):
         # the reported rho_a_{a+1} overflow on this start; strict parsers reject NaN and Infinity

@@ -72,6 +72,22 @@ def test_batch_columns_equal_single_states_bit_for_bit(rng, picture, n):
 
 
 @pytest.mark.parametrize("picture", PICTURES, ids=picture_id)
+@pytest.mark.parametrize("size", [None, 3], ids=["one-state", "batch"])
+def test_zero_coupling_far_apart_is_free_motion(rng, picture, size):
+    # 2 (q_1 - q_2) = 800: exp overflows there, and a zero coupling times it is 0, not NaN
+    x = picture.random_states(rng, 2, 1 if size is None else size)
+    q, _, p, p_fibre = picture.split(x, 2)
+    q[:] = [[200.0], [-200.0]]
+    if picture is oplift.GENERALIZED:
+        p_fibre[:] = 0.0  # its coupling is p_omega
+    want = np.zeros(x.shape)
+    want[:2] = p  # the q rates are p, every other rate is 0
+    if size is None:
+        x, want = x[:, 0].copy(), want[:, 0]
+    assert np.array_equal(picture.flow_field(toda.TodaSystem(2, [0.0]))(0.0, x), want)
+
+
+@pytest.mark.parametrize("picture", PICTURES, ids=picture_id)
 @pytest.mark.parametrize("size", [None, 4], ids=["one-state", "batch"])
 def test_field_returns_a_fresh_array_and_leaves_its_input(rng, picture, size):
     sys = system(rng, 4)

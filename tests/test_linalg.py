@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from todalift import linalg
 from todalift.errors import DefinitenessError, DomainError
 from todalift.linalg import (
     basis_matrix,
@@ -55,6 +56,23 @@ def test_product_identities_exact(dim):
     }
     for name, value in residuals.items():
         assert value == 0.0, name
+
+
+def test_product_identities_see_a_broken_basis(monkeypatch):
+    # a transposed lower kind is the upper M_ba: the lower rules must see it, the upper ones not
+    real = linalg.basis_matrix
+
+    def transposed_lower(kind, a, b=None, *, dim):
+        return real(kind, a, b, dim=dim).T if kind == "lower" else real(kind, a, b, dim=dim)
+
+    monkeypatch.setattr(linalg, "basis_matrix", transposed_lower)
+    assert product_identity_residuals(4) == {
+        "upper_product": 0.0,
+        "upper_diagonal_rule": 0.0,
+        "lower_diagonal_rule": 3.0,
+        "mixed_product": 1.0,
+        "upper_square_zero": 0.0,
+    }
 
 
 class TestMatExp:
