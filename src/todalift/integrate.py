@@ -50,8 +50,11 @@ float t, and, under extrapolation, also with a (d, C) batch of columns and
 a (C,) array holding each column's time: the substep states of the rows
 still substepping, C = rows x B, or rows x B x (1 + rides) under
 integrate_at_times.  rhs must return an array of y's shape and
-must not write into y, which may be a view into the stepper's buffers.
-Every call counts once in a trajectory's nfev, whatever its batch width.
+must not write into y.  The t and y handed to rhs may be views into the
+stepper's buffers, which later calls overwrite: the extrapolation stepper
+builds its tableau once per run and refills it on every trial step, so an
+rhs must copy what it keeps.  Every call counts once in a trajectory's
+nfev, whatever its batch width.
 
 Fixed-step RK4 places its steps on the grid t0 + i*dt, with the last step
 shortened to land on the requested time.
@@ -113,7 +116,7 @@ _DP_DENSE = np.array([
 # 1 / ((n_j / n_{j-k})^2 - 1) of rows j = k..5.
 _GBS_SEQUENCE = (2, 4, 6, 8, 10, 12)
 _GBS_SUBSTEPS, _GBS_ROWS = np.array(_GBS_SEQUENCE), np.arange(len(_GBS_SEQUENCE))
-_GBS_SUBSTEPS_COLUMN = _GBS_SUBSTEPS[:, None]
+_GBS_SUBSTEPS_GRID = _GBS_SUBSTEPS[:, None, None]
 _GBS_STEP_INDEX = np.arange(_GBS_SEQUENCE[-1], dtype=float)[:, None]
 _GBS_FIRST_ROW = tuple(
     next(j for j, n in enumerate(_GBS_SEQUENCE) if n > m) for m in range(1, _GBS_SEQUENCE[-1])
@@ -270,6 +273,64 @@ def _dp54_step(rhs: Rhs, t: float, y: np.ndarray, dt: float, k1: np.ndarray):
     return (y5.reshape(y.shape), err.reshape(y.shape), k) if batch else (y5, err, k)
 
 
+class _Tableau:
+    """The buffers of Gragg-Bulirsch-Stoer trial steps on one batch shape.
+
+    The batch is `groups` copies of a (d, width) state: column g width + b
+    is start column b stepped by the g-th step (groups > 1 only for ride
+    columns, see _ExtrapolationStepper.trial).  Column j groups width + c of
+    a substep batch is tableau row j's state from column c.  Everything here
+    depends on the shape alone, so it is built once and every trial step of
+    that shape refills it in place.
+    """
+
+    def __init__(self, d: int, groups: int, width: int):
+        rows = len(_GBS_SEQUENCE)
+        columns = groups * width
+        self.groups = groups
+        self.h = np.empty((rows, groups, width))  # h[j, g, b] = step_g / n_j
+        self.h_cols = self.h.reshape(-1)
+        self.two_h = np.empty_like(self.h_cols)
+        self.times = np.empty((_GBS_SEQUENCE[-1], rows * columns))  # times[m] = t + m h_j per column
+        # zs[m] is every row's state after m substeps, a (d, rows columns) batch
+        self.zs = np.empty((_GBS_SEQUENCE[-1] + 1, d, rows * columns))
+        self.start = self.zs[0].reshape(d, rows, groups, width)
+        self.first = self.zs[1].reshape(self.start.shape)
+        # each row's end value zs[n_j, :, j] is read through this view
+        self.ends = self.zs.reshape(len(self.zs), d, rows, columns)
+        # (z_{m+1}, z_m, z_{m-1}, t_m, 2 h) over the rows still substepping at m
+        self.substeps = []
+        for m, first in enumerate(_GBS_FIRST_ROW, 1):
+            active = slice(first * columns, None)
+            zs = self.zs[:, :, active]
+            self.substeps.append((zs[m + 1], zs[m], zs[m - 1], self.times[m, active], self.two_h[active]))
+
+    def step(self, rhs: Rhs, t: float, y: np.ndarray, steps, f0: np.ndarray):
+        """(y12, error_estimate), each (d, groups width), of one trial step
+        from the (d,) or (d, width) state y with f0 = rhs(t, y); steps
+        broadcasts against (groups, width)."""
+        d = len(y)
+        np.divide(steps, _GBS_SUBSTEPS_GRID, out=self.h)
+        np.add(self.h_cols, self.h_cols, out=self.two_h)
+        np.multiply(_GBS_STEP_INDEX, self.h_cols, out=self.times)
+        self.times += t  # t + m h_j: addition commutes, so in place keeps its bits
+        self.start[...] = y.reshape(d, 1, 1, -1)
+        np.multiply(f0.reshape(d, 1, 1, -1), self.h, out=self.first)
+        self.first += self.start
+        for z_next, z, z_prev, t_m, two_h in self.substeps:
+            np.multiply(rhs(t_m, z), two_h, out=z_next)
+            z_next += z_prev
+        # Aitken-Neville, one tableau column at a time over all its rows,
+        # on a fresh array, so no result aliases the buffers
+        column = self.ends[_GBS_SUBSTEPS, :, _GBS_ROWS]
+        for weights in _GBS_WEIGHTS:
+            prev = column
+            column = prev[1:] - prev[:-1]
+            column *= weights
+            column += prev[1:]
+        return column[0], column[0] - prev[-1]
+
+
 def _gbs_step(rhs: Rhs, t: float, y: np.ndarray, dt, f0: np.ndarray):
     """One trial Gragg-Bulirsch-Stoer step: returns (y12, error_estimate).
 
@@ -284,35 +345,11 @@ def _gbs_step(rhs: Rhs, t: float, y: np.ndarray, dt, f0: np.ndarray):
     12 and 10).  dt is one step for every column or, for a (d, B) batch, a
     (B,) array of per-column steps; either way h_j = dt_b / n_j is one
     division, so a column's bits do not depend on the steps beside it.
+    The stepper runs the same _Tableau, built once per run.
     """
     d = len(y)
-    width = y.size // d  # B, or 1 for one state
-    rows = len(_GBS_SEQUENCE)
-    h = dt / _GBS_SUBSTEPS_COLUMN  # (rows, 1) for one step, (rows, B) per column
-    # column j B + b of a substep batch is row j's state from start b
-    h_cols = h.repeat(width) if h.shape[1] == 1 else h.reshape(-1)
-    two_h = h_cols + h_cols
-    times = t + _GBS_STEP_INDEX * h_cols  # times[m] = t + m h_j per column
-    # zs[m] is every row's state after m substeps, a (d, rows B) batch
-    zs = np.empty((_GBS_SEQUENCE[-1] + 1, d, rows * width))
-    start = zs[0].reshape(d, rows, width)
-    start[...] = y.reshape(d, 1, width)
-    np.multiply(f0.reshape(d, 1, width), h, out=zs[1].reshape(start.shape))
-    zs[1] += zs[0]
-    for m, first in enumerate(_GBS_FIRST_ROW, 1):
-        active = slice(first * width, None)
-        z_next = zs[m + 1, :, active]
-        np.multiply(rhs(times[m, active], zs[m, :, active]), two_h[active], out=z_next)
-        z_next += zs[m - 1, :, active]
-    # Aitken-Neville, one tableau column at a time over all its rows, from
-    # each row's end value zs[n_j, :, j]
-    column = zs.reshape(len(zs), d, rows, width)[_GBS_SUBSTEPS, :, _GBS_ROWS]
-    for weights in _GBS_WEIGHTS:
-        prev = column
-        column = prev[1:] - prev[:-1]
-        column *= weights
-        column += prev[1:]
-    return column[0].reshape(y.shape), (column[0] - prev[-1]).reshape(y.shape)
+    y12, err = _Tableau(d, 1, y.size // d).step(rhs, t, y, dt, f0)
+    return y12.reshape(y.shape), err.reshape(y.shape)
 
 
 class _Stepper:
@@ -455,40 +492,52 @@ class _ExtrapolationStepper(_AdaptiveStepper):
     # the error estimate is roundoff at small steps, so start large
     default_dt = 0.1
 
+    def __init__(self, rhs: Rhs, y0: np.ndarray, cfg: IntegratorConfig):
+        super().__init__(rhs, y0, cfg)
+        self.sample_times = None
+        # the tableau of plain trials, kept for the run, and that of the
+        # latest ride count, kept until the count changes; built when first needed
+        self.tableau = self.ride_tableau = None
+
     def nfev(self) -> int:
         # one call at the start, one per substep index per trial step (rhs at
         # the step's start is shared by the six rows) and one at each
         # accepted state
         return 1 + len(_GBS_FIRST_ROW) * (self.accepted + self.rejected) + self.accepted
 
-    def trial(self, dt: float):
-        return (*_gbs_step(self.rhs, self.t, self.y, dt, self.k1), None)
-
     def sample_at(self, sample_times: np.ndarray) -> None:
         """Make every later trial step also take the sample times strictly
         inside it, as ride columns of its batch; interpolate returns them."""
         self.sample_times = sample_times
-        self.trial = self._trial_with_rides
 
-    def _trial_with_rides(self, dt: float):
-        """A trial step whose batch also holds, for each sample time t_s in
-        (t, t + dt), one ride column per main column: that column's start,
-        stepped by t_s - t.  It returns the main columns' new state and error
-        estimate alone, so the error norm, the finiteness check and the
-        accept/reject decision never see a ride."""
+    def trial(self, dt: float):
+        """(new state, error estimate, None) of one trial step.
+
+        Once sample_at has run, the batch also holds, for each sample time
+        t_s in (t, t + dt), one ride column per main column: that column's
+        start, stepped by t_s - t.  Only the main columns' new state and
+        error estimate are returned, so the error norm, the finiteness check
+        and the accept/reject decision never see a ride.
+        """
         t, y = self.t, self.y
-        lo = np.searchsorted(self.sample_times, t, side="right")
-        hi = np.searchsorted(self.sample_times, t + dt, side="left")
-        if lo == hi:
-            return (*_gbs_step(self.rhs, t, y, dt, self.k1), None)
-        rides = self.sample_times[lo:hi] - t
         d = len(y)
         width = y.size // d  # B, or 1 for one state
-        # column s B + b is start b stepped by the main step (s = 0) or by ride s
-        shape = (d, 1 + len(rides), width)
-        starts = np.broadcast_to(y.reshape(d, 1, width), shape).reshape(d, -1)
-        f0 = np.broadcast_to(self.k1.reshape(d, 1, width), shape).reshape(d, -1)
-        y12, err = _gbs_step(self.rhs, t, starts, np.concatenate(([dt], rides)).repeat(width), f0)
+        rides = ()
+        if self.sample_times is not None:
+            lo = np.searchsorted(self.sample_times, t, side="right")
+            hi = np.searchsorted(self.sample_times, t + dt, side="left")
+            rides = self.sample_times[lo:hi] - t
+        if not len(rides):
+            if self.tableau is None:
+                self.tableau = _Tableau(d, 1, width)
+            y12, err = self.tableau.step(self.rhs, t, y, dt, self.k1)
+            return y12.reshape(y.shape), err.reshape(y.shape), None
+        # group 0 is the main step, group s ride s
+        groups = 1 + len(rides)
+        if self.ride_tableau is None or self.ride_tableau.groups != groups:
+            self.ride_tableau = _Tableau(d, groups, width)
+        steps = np.concatenate(([dt], rides))[:, None]
+        y12, err = self.ride_tableau.step(self.rhs, t, y, steps, self.k1)
         self.ride_states = y12[:, width:].reshape(d, len(rides), width).transpose(1, 0, 2).reshape(rides.shape + y.shape)
         return y12[:, :width].reshape(y.shape), err[:, :width].reshape(y.shape), None
 

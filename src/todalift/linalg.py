@@ -33,6 +33,8 @@ _EXP_TRUNCATION = 1e-19
 # Inputs are scaled down below this max-norm bound before the series.
 _EXP_SCALE_LIMIT = 0.5
 _SYMMETRY_RTOL = 1e-10
+# product_identity_residuals holds about this many floats of pair products at a time
+_PRODUCT_CHUNK_FLOATS = 2**18
 
 
 def _as_square(a, name: str = "matrix") -> np.ndarray:
@@ -221,10 +223,15 @@ def product_identity_residuals(dim: int) -> dict[str, float]:
         return max(worst(m @ d_test, dvals[b, None, None] * m), worst(d_test @ m, dvals[a, None, None] * m))
 
     def product_rule(right, c, d) -> float:  # M_ab R_cd = delta_bc E_ad, over every pair
-        lhs = upper[:, None] @ right
-        i, j = np.nonzero(up[1][:, None] == c)
-        lhs[i, j, up[0][i], d[j]] -= 1.0  # less the expected stack, in place
-        return float(np.max(np.abs(lhs, out=lhs)))
+        # a chunk of left factors at a time, so memory grows as dim^4, not dim^6
+        chunk = max(1, _PRODUCT_CHUNK_FLOATS // right.size)
+        out = 0.0
+        for s in range(0, len(upper), chunk):
+            lhs = upper[s : s + chunk, None] @ right
+            i, j = np.nonzero(up[1][s : s + chunk, None] == c)
+            lhs[i, j, up[0][s + i], d[j]] -= 1.0  # less the expected stack, in place
+            out = max(out, float(np.max(np.abs(lhs, out=lhs))))
+        return out
 
     return {
         "upper_product": product_rule(upper, *up),

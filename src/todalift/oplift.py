@@ -345,8 +345,22 @@ def xdot_xinv(state) -> np.ndarray:
 
     One (n, n) matrix for an OPState, (S, n, n) for a component-first batch
     of states.  Constant along geodesics; its basis coefficients are the
-    contracted right-invariant forms.
+    contracted right-invariant forms.  For n = 2 it is read off the momenta,
+    with c = exp(-2(q_1 - q_2)) omega_dot = 2 p_omega, so it stays finite
+    on scattering starts:
+
+        [[2 qdot_1 + omega c, omega_dot + 2 omega (qdot_2 - qdot_1) - omega^2 c],
+         [c,                  2 qdot_2 - omega c]]
     """
+    if len(state.q) == 2:
+        omega, omega_dot, c = state.omega[0], state.omega_dot()[0], 2.0 * state.p_omega[0]
+        rate_1, rate_2 = 2.0 * state.p_q[0], 2.0 * state.p_q[1]
+        out = np.empty(np.shape(omega) + (2, 2))
+        out[..., 0, 0] = rate_1 + omega * c
+        out[..., 0, 1] = omega_dot + omega * (rate_2 - rate_1) - omega**2 * c
+        out[..., 1, 0] = c
+        out[..., 1, 1] = rate_2 - omega * c
+        return out
     z, zd = _chain_z(state.omega, state.omega_dot())
     # Z = exp(N) for nilpotent N, so Z^-1 = exp(-N) is the chain Z at -omega
     zinv = _chain_z(-state.omega)[0]

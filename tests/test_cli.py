@@ -27,6 +27,11 @@ SCATTERING_2 = {"n": 2, "g": [1.0], "q": [0.0, 0.0], "p": [-10.0, 10.0], "t_fina
 FREE_2 = {"n": 2, "g": [0.0], "q": [0.0, 0.0], "p": [10.0, -10.0], "t_final": 40.0}
 FREE_3 = {"n": 3, "g": [0.0, 1.0], "q": [0.0, 0.0, 0.0], "p": [10.0, -10.0, 0.0], "t_final": 40.0}
 
+# the example config of the README
+README_CONFIG = {"n": 3, "g": [0.5, 0.4], "q": [-0.7, 0.0, 0.7], "p": [0.1, 0.0, -0.1], "t_final": 10.0}
+# a lift geodesic with p_y = 0: the fibre momentum switches the couplings off
+STILL_FIBRE = {"n": 3, "g": [1.0, 1.0], "q": [0.0, 0.2, -0.2], "p": [0.5, 0.0, -0.5], "t_final": 40.0, "p_y": 0.0}
+
 # tag of each command's PASS line: its argv and the file it writes
 COMMANDS = {
     "toda-run": (["toda", "run"], "toda_run.csv"),
@@ -258,16 +263,13 @@ class TestCommands:
         # only the reported, ungated rho_a_{a+1} overflow
         assert [name for name, ok in zip(header.split(","), finite) if not ok] == ["rho_1_2", "rho_2_3"]
 
-    @pytest.mark.parametrize("doc, tag", [
-        pytest.param(doc, tag, id=f"n{doc['n']}-{tag}")
-        for doc in (FREE_2, FREE_3) for tag in COMMANDS if doc["n"] == 2 or tag != "forms-n2"
-    ])
-    def test_zero_coupling_start_is_free_motion(self, tmp_path, monkeypatch, capsys, doc, tag):
-        # these exited 1 with a step underflow, or FAIL I_drift=nan for the exact mode
+    @staticmethod
+    def passes_with_finite_gates(tmp_path, monkeypatch, capsys, doc, tag, overflows):
+        """Run one command on doc: exit 0, PASS, and no non-finite value in its file but,
+        where `overflows`, in the reported, ungated rho_a_{a+1} read off xdot x^-1."""
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
         argv, name = COMMANDS[tag]
-        # only the reported rho_a_{a+1}, read off xdot x^-1, overflow
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore") if tag == "forms-general" else nullcontext():
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore") if overflows else nullcontext():
             rc = cli.run_command(argv + ["-c", write_cfg(tmp_path, doc)])
         out = capsys.readouterr().out
         assert rc == 0 and out.startswith(f"PASS {tag} "), out
@@ -278,7 +280,27 @@ class TestCommands:
         else:
             header, *rows = (line.split(",") for line in text.splitlines())
             non_finite = {key for row in rows for key, v in zip(header, row) if v in ("nan", "inf", "-inf")}
-        assert all(re.fullmatch(r"rho_\d+_\d+", key) for key in non_finite), non_finite
+        assert all(re.fullmatch(r"rho_\d+_\d+", key) for key in non_finite) if overflows else not non_finite, non_finite
+
+    @pytest.mark.parametrize("doc, tag", [
+        pytest.param(doc, tag, id=f"n{doc['n']}-{tag}")
+        for doc in (FREE_2, FREE_3) for tag in COMMANDS if doc["n"] == 2 or tag != "forms-n2"
+    ])
+    def test_zero_coupling_start_is_free_motion(self, tmp_path, monkeypatch, capsys, doc, tag):
+        # these exited 1 with a step underflow, or FAIL I_drift=nan for the exact mode;
+        # rho_a_{a+1} overflows for n >= 3, and for n = 2 is read off the momenta
+        overflows = tag == "forms-general" and doc["n"] > 2
+        self.passes_with_finite_gates(tmp_path, monkeypatch, capsys, doc, tag, overflows)
+
+    @pytest.mark.parametrize("doc, tag", [
+        pytest.param(doc, tag, id=f"{label}-{tag}")
+        for label, doc in (("py0", STILL_FIBRE), ("long", dict(README_CONFIG, t_final=1e4)))
+        for tag in COMMANDS if tag != "forms-n2"
+    ])
+    def test_extreme_valid_start_passes(self, tmp_path, monkeypatch, capsys, doc, tag):
+        # by t = 1e4 the README chain has scattered until exp(2 q) overflows in rho_a_{a+1}
+        overflows = tag == "forms-general" and doc["t_final"] > 1e3
+        self.passes_with_finite_gates(tmp_path, monkeypatch, capsys, doc, tag, overflows)
 
     def test_json_writes_null_for_non_finite_values(self, tmp_path, monkeypatch, capsys):
         # the reported rho_a_{a+1} overflow on this start; strict parsers reject NaN and Infinity

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,9 @@ from todalift import eisenhart, oplift, toda
 from todalift.errors import DivergenceError, DomainError, StiffnessError
 from todalift.integrate import (
     _GBS_SEQUENCE,
+    _STEPPERS,
     IntegratorConfig,
+    _ExtrapolationStepper,
     _gbs_step,
     integrate,
     integrate_at_times,
@@ -682,6 +686,64 @@ class TestRideSamples:
         assert sampled.stats == stepped.stats
         assert sampled.states[-1].tobytes() == stepped.states[-1].tobytes()
         assert np.isnan(sampled.states[1]).all()
+
+
+class TestStepperTableau:
+    """The extrapolation stepper builds its tableau once and refills it on
+    every trial, whatever the trial's step and ride count."""
+
+    SAMPLES = np.array([0.0, 0.45, 0.6, 0.7, 10.0])
+    # (t, dt, rides): the samples strictly inside (t, t + dt) are the rides
+    TRIALS = [(0.0, 0.3, ()), (0.4, 0.25, (0.45, 0.6)), (0.5, 0.15, (0.6,)), (0.75, 0.05, ())]
+
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_trials_of_changing_rides_and_steps_are_the_row_steps(self, rng, width):
+        n = 4
+        rhs = toda.CHAIN.flow_field(toda.TodaSystem(n, rng.uniform(0.5, 1.5, n - 1)))
+        starts = toda.CHAIN.random_states(rng, n, len(self.TRIALS) * (width or 1))
+        starts = np.split(starts, len(self.TRIALS), axis=1) if width else starts.T.copy()
+        stepper = _ExtrapolationStepper(rhs, starts[0], IntegratorConfig(method="extrapolation"))
+        stepper.sample_at(self.SAMPLES)
+        kept = []
+        for (t, dt, rides), y in zip(self.TRIALS, starts):
+            # a fresh state each time, so no buffer can carry the last trial's values
+            stepper.t, stepper.y, stepper.k1 = t, y, rhs(t, y)
+            y12, err, stages = stepper.trial(dt)
+            assert stages is None
+            for got, want in zip((y12, err), gbs_step_by_rows(rhs, t, y, dt, stepper.k1)):
+                assert got.shape == y.shape and got.tobytes() == want.tobytes()
+            results = [y12, err]
+            if rides:
+                assert stepper.ride_states.shape == (len(rides),) + y.shape
+                for got, t_s in zip(stepper.ride_states, rides):
+                    assert got.tobytes() == gbs_step_by_rows(rhs, t, y, t_s - t, stepper.k1)[0].tobytes()
+                results.append(stepper.ride_states)
+            kept.append([(a, a.tobytes()) for a in results])
+        # no trial's results alias a buffer that a later trial refills
+        assert all(a.tobytes() == data for results in kept for a, data in results)
+
+    @pytest.mark.parametrize("samples", [None, np.linspace(0.0, 5.0, 31)], ids=["integrate", "at_times"])
+    def test_stepper_is_freed_on_return(self, monkeypatch, samples):
+        # no reference cycle: the stepper goes with its last reference, without the cycle collector
+        refs = []
+
+        class Recorded(_ExtrapolationStepper):
+            def __init__(self, *args):
+                super().__init__(*args)
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setitem(_STEPPERS, "extrapolation", Recorded)
+        cfg = IntegratorConfig(method="extrapolation", rtol=1e-10, atol=1e-12, t_final=5.0)
+        gc.disable()
+        try:
+            if samples is None:
+                traj = integrate(one_dof_rhs, [0.0, 0.0], cfg)
+            else:
+                traj = integrate_at_times(one_dof_rhs, [0.0, 0.0], samples, cfg)
+            assert traj.stats["accepted"] > 0 and len(refs) == 1
+            assert refs[0]() is None
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("method", ["adaptive", "rk4", "extrapolation"])

@@ -75,6 +75,26 @@ def test_product_identities_see_a_broken_basis(monkeypatch):
     }
 
 
+@pytest.mark.parametrize("floats", [1, 100, 2**30])
+def test_product_identities_do_not_depend_on_the_chunk(monkeypatch, floats):
+    # one left factor per chunk, a few, and all at once see the same broken basis
+    real = linalg.basis_matrix
+
+    def shifted_lower(kind, a, b=None, *, dim):
+        m = real(kind, a, b, dim=dim)
+        return np.roll(m, 1, axis=0) if kind == "lower" else m
+
+    monkeypatch.setattr(linalg, "basis_matrix", shifted_lower)
+    monkeypatch.setattr(linalg, "_PRODUCT_CHUNK_FLOATS", floats)
+    assert product_identity_residuals(5) == {
+        "upper_product": 0.0,
+        "upper_diagonal_rule": 0.0,
+        "lower_diagonal_rule": 4.0,
+        "mixed_product": 1.0,
+        "upper_square_zero": 0.0,
+    }
+
+
 class TestMatExp:
     def test_zero(self):
         assert np.array_equal(mat_exp(np.zeros((3, 3))), np.eye(3))

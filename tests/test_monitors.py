@@ -116,6 +116,36 @@ def test_batched_velocity_matrix(rng, n):
         assert_close(batch[f"rho_{a}_{a + 1}"](states), want)
 
 
+def product_xdot_xinv(state):
+    """xdot x^-1 as the product Zdot Z^-1 + Z (2 qdot) Z^-1 + Z h2 Zdot^T Z^-T h2^-1 Z^-1, h2 = exp(2q)."""
+    z, zd = oplift._chain_z(state.omega, state.omega_dot())
+    zinv = oplift._chain_z(-state.omega)[0]
+    h2 = np.exp(2.0 * state.q).T[..., None, :]
+    qdot = state.p_q.T[..., None, :]
+    term3 = ((z * h2) @ np.swapaxes(zd, -1, -2)) @ (np.swapaxes(zinv, -1, -2) * (1.0 / h2)) @ zinv
+    return zd @ zinv + (z * (2.0 * qdot)) @ zinv + term3
+
+
+@pytest.mark.parametrize("batch", [None, 9])
+def test_two_body_velocity_matrix_is_the_product_form(rng, batch):
+    # n = 2 reads xdot x^-1 off the momenta; on bounded states it is the product form
+    dim = oplift.GENERALIZED.dim(2)
+    for _ in range(20):
+        x = rng.uniform(-3.0, 3.0, dim if batch is None else (dim, batch))
+        state = oplift.GENERALIZED.view(x, 2)
+        got, want = oplift.xdot_xinv(state), product_xdot_xinv(state)
+        assert got.shape == want.shape == x.shape[1:] + (2, 2)
+        assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+def test_two_body_velocity_matrix_is_finite_far_apart():
+    # 2 (q_1 - q_2) = 1600: the product form is NaN, its value is finite
+    state = oplift.OPState(q=np.array([400.0, -400.0]), omega=np.array([0.5]), p_q=np.array([10.0, -10.0]),
+                           p_omega=np.array([0.0]), centered=False)
+    got = oplift.xdot_xinv(state)
+    assert got.tolist() == [[20.0, 0.5 * (-40.0)], [0.0, -20.0]]
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_chain_z_batch_matches_closed_form(rng, n):
     omega = rng.uniform(-2.0, 2.0, (n - 1, 7))

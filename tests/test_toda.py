@@ -407,6 +407,9 @@ class TestEvolutionMatrix:
         for i in np.flatnonzero(sys.g == 0.0):
             assert all(np.all(amat[: i + 1, i + 1 :] == 0.0) for amat in mats)
 
+    # a large rejected trial step meets forces so large that its error norm
+    # overflows to inf, which the step controller rejects by design
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
     def test_negligible_coupling_is_kept(self):
         # g e^(q_1 - q_2) = e^-40 is far below the rounding of p, yet the
         # particles approach and scatter near t = 20: cutting the chain there
