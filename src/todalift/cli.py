@@ -225,15 +225,17 @@ def write_trajectory(traj: Trajectory, fmt: str, path: str) -> None:
         raise ConfigError(f"unknown output format {fmt!r}")
 
 
-def _worst_drift(traj: Trajectory, names=None) -> tuple[float, str]:
-    """Largest drift over the named monitors, with the monitor and the time of its worst sample.
+def _worst_key(values: dict) -> str:
+    """The key of the largest value, or of the first non-finite one: max keeps a
+    finite value over a NaN that follows it, and a NaN must fail its gate."""
+    bad = [k for k, v in values.items() if not math.isfinite(v)]
+    return bad[0] if bad else max(values, key=values.__getitem__)
 
-    max keeps a finite drift over a NaN that follows it, so the first non-finite
-    drift is taken before any finite one, at its first non-finite sample.
-    """
-    names = list(names or traj.drift)
-    bad = [m for m in names if not math.isfinite(traj.drift[m])]
-    name = bad[0] if bad else max(names, key=traj.drift.__getitem__)
+
+def _worst_drift(traj: Trajectory, names=None) -> tuple[float, str]:
+    """Largest drift over the named monitors, with the monitor and the time of its worst
+    sample; a non-finite drift is taken before any finite one, at its first non-finite sample."""
+    name = _worst_key({m: traj.drift[m] for m in names or traj.drift})
     series = traj.monitors[name]
     finite = np.isfinite(series)
     i = int(np.argmin(finite)) if not finite.all() else int(np.argmax(np.abs(series - series[0])))
@@ -342,7 +344,7 @@ def _cmd_oplift_compare(args) -> int:
             fh.write("pair,sup_dq\n" + "".join(f"{k},{v:.17g}\n" for k, v in pairs.items()))
     else:
         _write_json(path, pairs)
-    worst = max(pairs, key=pairs.__getitem__)
+    worst = _worst_key(pairs)
     ok, detail = _worst_sample("max_sup_dq", per_sample[worst], ttraj.times, _GATE_TRAJ, f" {worst}")
     return _report("oplift-compare", ok, detail, path)
 
@@ -395,11 +397,12 @@ def _cmd_killing_extract(args) -> int:
     inv = picture.invariant(cfg.system(), args.k)
     table = killing.extract_tensor(inv, args.k, dim, position)
     rng = np.random.default_rng(cfg.seed)
-    resid = 0.0
+    resids = [0.0]
     for _ in range(10):
         mom = rng.uniform(-1.0, 1.0, dim)
         want = inv(position, mom)
-        resid = max(resid, abs(killing.contract_table(table, args.k, mom) - want) / max(1.0, abs(want)))
+        resids.append(abs(killing.contract_table(table, args.k, mom) - want) / max(1.0, abs(want)))
+    resid = float(np.max(resids))  # np.max, unlike max, keeps a NaN residual, which then fails the gate
     path = _resolve_path(cfg.output_path or f"killing_k{args.k}_{args.lift}.json")
     components = {" ".join(map(str, idx)): val for idx, val in table.items()}
     _write_json(path, {"lift": args.lift, "k": args.k, "components": components, "contraction_residual": resid})
@@ -413,8 +416,8 @@ def _cmd_killing_verify(args) -> int:
     reports = [killing.verify_killing(sys_, args.lift, k, seed=cfg.seed) for k in ks]
     path = _resolve_path(cfg.output_path or f"killing_verify_{args.lift}.json")
     _write_json(path, [r.to_dict() for r in reports])
-    worst_b = max(r.bracket_max for r in reports)
-    worst_d = max(r.drift_max for r in reports)
+    worst_b = float(np.max([r.bracket_max for r in reports]))  # a NaN shows, as it fails its report
+    worst_d = float(np.max([r.drift_max for r in reports]))
     ok = all(r.passed for r in reports)
     return _report(
         f"killing-verify-{args.lift}", ok, f"bracket_max={worst_b:.3e} drift_max={worst_d:.3e} (gates 1e-05, 1e-08)", path
@@ -424,24 +427,26 @@ def _cmd_killing_verify(args) -> int:
 def _cmd_identities_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     products = {f"dim={dim}": linalg.product_identity_residuals(dim) for dim in range(2, args.n + 1)}
-    out = {"product_identities": products, "z_closed_form": 0.0, "z_inverse_sign_rule": 0.0, "udu_round_trip": 0.0}
-    worst_products = max((v for res in products.values() for v in res.values()), default=0.0)
+    # per check, its residual at each dim; np.max, unlike max, keeps a NaN, which then fails the gate
+    checks = {"z_closed_form": [0.0], "z_inverse_sign_rule": [0.0], "udu_round_trip": [0.0]}
     for dim in range(2, min(args.n, 8) + 1):
         omega = rng.uniform(-2.0, 2.0, dim - 1)
         z = oplift.z_from_omega(omega, dim)
         gen = sum(omega[a] * linalg.basis_matrix("upper", a + 1, a + 2, dim=dim) for a in range(dim - 1))
-        out["z_closed_form"] = max(out["z_closed_form"], float(np.max(np.abs(z - linalg.mat_exp(gen)))))
+        checks["z_closed_form"].append(float(np.max(np.abs(z - linalg.mat_exp(gen)))))
         zinv = linalg.unitriangular_inverse(z)
         signs = np.array([[(-1.0) ** (b - a) if b > a else 0.0 for b in range(dim)] for a in range(dim)])
         predicted = np.eye(dim) + signs * z
-        out["z_inverse_sign_rule"] = max(out["z_inverse_sign_rule"], float(np.max(np.abs(zinv - predicted))))
+        checks["z_inverse_sign_rule"].append(float(np.max(np.abs(zinv - predicted))))
         hsq = rng.uniform(0.2, 3.0, dim)
         zi = np.eye(dim) + np.triu(rng.uniform(-1.0, 1.0, (dim, dim)), 1)
         x = (zi * hsq) @ zi.T
         fac = linalg.udu_decompose(x)
         recomposed = linalg.udu_compose(fac.z, fac.hsq)
         scale = max(1.0, float(np.max(np.abs(x))))
-        out["udu_round_trip"] = max(out["udu_round_trip"], float(np.max(np.abs(recomposed - x))) / scale)
+        checks["udu_round_trip"].append(float(np.max(np.abs(recomposed - x))) / scale)
+    out = {"product_identities": products, **{name: float(np.max(v)) for name, v in checks.items()}}
+    worst_products = float(np.max([0.0, *(v for res in products.values() for v in res.values())]))
     path = _resolve_path(args.out or "identities.json")
     _write_json(path, out)
     ok = (

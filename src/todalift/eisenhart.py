@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .toda import Picture, PictureState, TodaSystem, check_dims, gap_buffer, lax_pair, power_traces
+from .toda import Picture, PictureState, TodaSystem, check_dims, gaps, lax_pair, power_traces
 
 __all__ = [
     "EisenhartState",
@@ -81,15 +81,15 @@ def flow_field(sys: TodaSystem):
     gsq_col = gsq[:, None]
 
     def rhs(t: float, vec: np.ndarray) -> np.ndarray:
-        buf, w = gap_buffer(vec, n)
+        buf = np.zeros((n + 1,) + vec.shape[1:])  # as in the chain's field
+        w = gaps(vec[:n], out=buf[1:n])
         w *= gsq if vec.ndim == 1 else gsq_col
         p_y = vec[2 * n + 1]
-        out = np.empty(vec.shape)
+        out = np.zeros(vec.shape)  # p_y is conserved
         out[:n] = vec[n + 1 : 2 * n + 1]
         out[n] = 2.0 * p_y * np.add.reduce(w, axis=0)
         w *= 2.0 * p_y**2  # the forces
         np.subtract(buf[:-1], buf[1:], out=out[n + 1 : 2 * n + 1])
-        out[2 * n + 1] = 0.0
         return out
 
     return rhs

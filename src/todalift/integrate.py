@@ -304,6 +304,15 @@ class _Tableau:
             active = slice(first * columns, None)
             zs = self.zs[:, :, active]
             self.substeps.append((zs[m + 1], zs[m], zs[m - 1], self.times[m, active], self.two_h[active]))
+        # Aitken-Neville's columns 1..4 go to buffers; for columns 2..5 the
+        # (upper rows, lower rows) of the column before, its weights and its
+        # buffer are made here once.  Column 5 is fresh, so no result aliases a buffer.
+        prev = self.first_column = np.empty((rows - 1, d, columns))
+        self.columns = []
+        for k, weights in enumerate(_GBS_WEIGHTS[1:], 2):
+            out = np.empty((rows - k, d, columns)) if k < rows - 1 else None
+            self.columns.append((prev[1:], prev[:-1], weights, out))
+            prev = out
 
     def step(self, rhs: Rhs, t: float, y: np.ndarray, steps, f0: np.ndarray):
         """(y12, error_estimate), each (d, groups width), of one trial step
@@ -321,14 +330,15 @@ class _Tableau:
             np.multiply(rhs(t_m, z), two_h, out=z_next)
             z_next += z_prev
         # Aitken-Neville, one tableau column at a time over all its rows,
-        # on a fresh array, so no result aliases the buffers
+        # from column 0: the rows' end values, gathered afresh
         column = self.ends[_GBS_SUBSTEPS, :, _GBS_ROWS]
-        for weights in _GBS_WEIGHTS:
-            prev = column
-            column = prev[1:] - prev[:-1]
+        first = (column[1:], column[:-1], _GBS_WEIGHTS[0], self.first_column)
+        for upper, lower, weights, out in (first, *self.columns):
+            column = np.subtract(upper, lower, out)
             column *= weights
-            column += prev[1:]
-        return column[0], column[0] - prev[-1]
+            column += upper
+        # the orders-12 and -10 values: column 5 and the last row of column 4
+        return column[0], column[0] - upper[0]
 
 
 def _gbs_step(rhs: Rhs, t: float, y: np.ndarray, dt, f0: np.ndarray):

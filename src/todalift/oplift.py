@@ -34,7 +34,7 @@ from .errors import ConstraintError, DefinitenessError, DomainError
 # integrate is not called here, but the benchmark's tracer tests read it off this module
 from .integrate import IntegratorConfig, Trajectory, integrate, integrate_at_times  # noqa: F401
 from .linalg import udu_decompose, unitriangular_inverse
-from .toda import Picture, PictureState, TodaSystem, _blocks, _graded_factor, check_dims, gap_buffer, gaps, lax_traces
+from .toda import Picture, PictureState, TodaSystem, _blocks, _graded_factor, check_dims, gaps, lax_traces
 
 __all__ = [
     "OPState",
@@ -525,9 +525,10 @@ def flow_field_generalized(sys: TodaSystem):
     n = sys.n
 
     def rhs(t: float, vec: np.ndarray) -> np.ndarray:
-        buf, gap = gap_buffer(vec, n)
+        buf = np.zeros((n + 1,) + vec.shape[1:])  # as in the chain's field
+        gap = gaps(vec[:n], out=buf[1:n])
         p_w = vec[3 * n - 1 :]
-        out = np.empty(vec.shape)
+        out = np.zeros(vec.shape)  # p_omega is conserved
         out[:n] = vec[2 * n - 1 : 3 * n - 1]
         rate = out[n : 2 * n - 1]
         np.add(p_w, p_w, out=rate)  # 2 p_w, exactly
@@ -535,7 +536,6 @@ def flow_field_generalized(sys: TodaSystem):
         gap *= p_w * p_w
         gap += gap  # the forces 2 p_w^2 gap
         np.subtract(buf[:-1], buf[1:], out=out[2 * n - 1 : 3 * n - 1])
-        out[3 * n - 1 :] = 0.0
         return out
 
     return rhs

@@ -36,7 +36,6 @@ __all__ = [
     "Picture",
     "CHAIN",
     "gaps",
-    "gap_buffer",
     "flow_field",
     "run",
     "evolve_A",
@@ -85,15 +84,20 @@ class PictureState:
 
     def _store(self, **lengths) -> None:
         """Store each named field as a finite float vector of the given length."""
+        values = []
         for name, length in lengths.items():
             value = np.asarray(getattr(self, name), dtype=float)
             if value.ndim == 0:
                 value = value.reshape(1)
             if value.shape != (length,):
                 raise DomainError(f"{name} must be a vector of length {length}, got shape {value.shape}")
-            # half the cost of np.all(np.isfinite(v)); extraction builds a state per evaluation
-            if not np.isfinite(value).all():
-                raise DomainError(f"state entries must be finite, got {name} = {value}")
+            values.append(value)
+        # one finiteness check per state, since extraction builds a state per
+        # evaluation; only a failure looks field by field, to name the first bad one
+        if not np.isfinite(np.concatenate(values)).all():
+            name, value = next((name, v) for name, v in zip(lengths, values) if not np.isfinite(v).all())
+            raise DomainError(f"state entries must be finite, got {name} = {value}")
+        for name, value in zip(lengths, values):
             object.__setattr__(self, name, value)
 
 
@@ -142,7 +146,7 @@ def power_traces(lmat: np.ndarray, kmax: int) -> np.ndarray:
     out = np.empty((kmax,) + lmat.shape[:-2])
     power = lmat
     for k in range(1, kmax + 1):
-        out[k - 1] = np.trace(power, axis1=-2, axis2=-1) / k
+        out[k - 1] = power.trace(axis1=-2, axis2=-1) / k
         if k < kmax:
             power = power @ lmat
     return out
@@ -375,21 +379,16 @@ def gaps(q, out=None) -> np.ndarray:
     return np.exp(gap, out=gap)
 
 
-def gap_buffer(x, n: int):
-    """(buffer, gap): the gaps of one packed state or batch x, as the rows 1..n-1 of a
-    zero buffer of n+1 rows.  Once a flow field scales gap in place into the forces
-    f_i, buffer[:-1] - buffer[1:] are the momentum rates f_{i-1} - f_i."""
-    buf = np.zeros((n + 1,) + x.shape[1:])
-    return buf, gaps(x[:n], out=buf[1:n])
-
-
 def flow_field(sys: TodaSystem):
     """Vector field over packed states [q, p]: one (2n,) state or a component-first (2n, B) batch."""
     n = sys.n
     two_gsq = 2.0 * sys.g**2
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        buf, force = gap_buffer(y, n)
+        # the forces f_i fill rows 1..n-1 of a zero buffer of n+1 rows, so
+        # buf[:-1] - buf[1:] are the momentum rates f_{i-1} - f_i
+        buf = np.zeros((n + 1,) + y.shape[1:])
+        force = gaps(y[:n], out=buf[1:n])
         force *= two_gsq if y.ndim == 1 else two_gsq[:, None]
         out = np.empty(y.shape)
         out[:n] = y[n:]

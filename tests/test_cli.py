@@ -5,7 +5,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from todalift import cli, eisenhart, oplift, toda
+from todalift import cli, eisenhart, killing, linalg, oplift, toda
 from todalift.errors import ConfigError
 from todalift.integrate import Trajectory
 
@@ -373,6 +373,54 @@ class TestCommands:
             n_samples=len(traj), max_ydot_residual=0.0, max_kinetic_residual=float("nan"), max_block_residual=0.0))
         assert cli.run_command(["reduce", "check", "-c", write_cfg(tmp_path, CALM)]) == 1
         assert capsys.readouterr().out.startswith("FAIL reduce-check max_residual=nan ")
+
+    # Each NaN below follows a finite value of the same gate, which max would keep
+    def test_oplift_compare_fails_on_a_nan_pair(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        real = oplift.exact_coordinates
+
+        def exact(*args):
+            q, omega, qdot = real(*args)
+            q = q.copy()
+            q[1:] = np.nan  # toda_vs_exact and hamiltonian_vs_exact, after the finite toda_vs_hamiltonian
+            return q, omega, qdot
+
+        monkeypatch.setattr(oplift, "exact_coordinates", exact)
+        assert cli.run_command(["oplift", "compare", "-c", write_cfg(tmp_path, CALM)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL oplift-compare max_sup_dq=nan toda_vs_exact at sample 1 ")
+
+    def test_killing_extract_fails_on_a_nan_residual(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        real, calls = killing.contract_table, []
+
+        def contract(*args):
+            # calls 1-3 are extract_tensor's own gate, 4-13 the command's momenta
+            calls.append(None)
+            return float("nan") if len(calls) == 5 else real(*args)
+
+        monkeypatch.setattr(killing, "contract_table", contract)
+        assert cli.run_command(["killing", "extract", "-k", "2", "-c", write_cfg(tmp_path, CALM)]) == 1
+        assert capsys.readouterr().out.startswith("FAIL killing-extract contraction_residual=nan ")
+        assert len(calls) == 13
+
+    @pytest.mark.parametrize("name, check", [
+        ("product_identity_residuals", "products"), ("mat_exp", "z_form"),
+        ("unitriangular_inverse", "z_inv"), ("udu_compose", "udu"),
+    ])
+    def test_identities_check_fails_on_a_nan_at_the_second_dim(self, tmp_path, monkeypatch, capsys, name, check):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        real = getattr(linalg, name)
+
+        def broken(*args):
+            out = real(*args)
+            if name == "product_identity_residuals":
+                return {key: float("nan") for key in out} if args[0] == 3 else out
+            return out * np.nan if len(out) == 3 else out
+
+        monkeypatch.setattr(linalg, name, broken)
+        assert cli.run_command(["identities", "check", "-n", "4"]) == 1
+        line = capsys.readouterr().out
+        assert line.startswith("FAIL identities-check ") and f" {check}=nan " in f" {line}"
 
     def test_unwritable_output_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))

@@ -130,3 +130,94 @@ def test_evolve_A_rhs_returns_fresh_arrays_and_leaves_its_input(rng, monkeypatch
     assert all(out.tobytes() == kept.tobytes() for out, kept in returned)
     monkeypatch.undo()
     assert all(a.tobytes() == b.tobytes() for a, b in zip(mats, evolution_oracle.co_integrated_A(sys, traj)))
+
+
+# The flow fields as they were written before their buffers were trimmed: a
+# zero buffer from a helper, fresh `out` filled explicitly.  Every product
+# keeps its operands and order in the trimmed fields, so they must agree
+# with these to the bit, at zero couplings, at gaps past the exponent cap and
+# at subnormal fibre momenta too.
+def _gap_buffer(x, n):
+    buf = np.zeros((n + 1,) + x.shape[1:])
+    return buf, toda.gaps(x[:n], out=buf[1:n])
+
+
+def _chain_field(sys):
+    n, two_gsq = sys.n, 2.0 * sys.g**2
+
+    def rhs(t, y):
+        buf, force = _gap_buffer(y, n)
+        force *= two_gsq if y.ndim == 1 else two_gsq[:, None]
+        out = np.empty(y.shape)
+        out[:n] = y[n:]
+        np.subtract(buf[:-1], buf[1:], out=out[n:])
+        return out
+
+    return rhs
+
+
+def _eisenhart_field(sys):
+    n, gsq = sys.n, sys.g**2
+
+    def rhs(t, vec):
+        buf, w = _gap_buffer(vec, n)
+        w *= gsq if vec.ndim == 1 else gsq[:, None]
+        p_y = vec[2 * n + 1]
+        out = np.empty(vec.shape)
+        out[:n] = vec[n + 1 : 2 * n + 1]
+        out[n] = 2.0 * p_y * np.add.reduce(w, axis=0)
+        w *= 2.0 * p_y**2
+        np.subtract(buf[:-1], buf[1:], out=out[n + 1 : 2 * n + 1])
+        out[2 * n + 1] = 0.0
+        return out
+
+    return rhs
+
+
+def _generalized_field(sys):
+    n = sys.n
+
+    def rhs(t, vec):
+        buf, gap = _gap_buffer(vec, n)
+        p_w = vec[3 * n - 1 :]
+        out = np.empty(vec.shape)
+        out[:n] = vec[2 * n - 1 : 3 * n - 1]
+        rate = out[n : 2 * n - 1]
+        np.add(p_w, p_w, out=rate)
+        rate *= gap
+        gap *= p_w * p_w
+        gap += gap
+        np.subtract(buf[:-1], buf[1:], out=out[2 * n - 1 : 3 * n - 1])
+        out[3 * n - 1 :] = 0.0
+        return out
+
+    return rhs
+
+
+REFERENCE_FIELDS = {"chain": _chain_field, "eisenhart": _eisenhart_field, "generalized": _generalized_field}
+
+
+@pytest.mark.parametrize("picture", PICTURES, ids=picture_id)
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_field_bits_equal_the_reference_expressions(rng, picture, n):
+    # columns: generic states; a zero coupling's pair 800 apart, past the
+    # cap; a small coupling's pair past the cap; subnormal fibre momenta;
+    # fibre momenta whose square is subnormal, at a gap past the cap
+    sys = toda.TodaSystem(n, np.concatenate([[0.0], rng.uniform(1e-3, 1e-2, n - 2)]))
+    x = picture.random_states(rng, n, 8)
+    q, _, _, p_fibre = picture.split(x, n)
+    q[:2, 4] = [400.0, -400.0]
+    q[-2:, 5] = [400.0, -400.0]
+    p_fibre[:, 6] = 3e-310
+    q[-2:, 7] = [400.0, -400.0]
+    p_fibre[:, 7] = 1e-160
+    if picture is oplift.GENERALIZED:
+        p_fibre[0, 4] = 0.0  # the zero coupling
+        p_fibre[-1, 5] = 1e-3
+    field, reference = picture.flow_field(sys), REFERENCE_FIELDS[picture.name](sys)
+    want = reference(0.0, x)
+    assert np.isfinite(want).all()
+    assert field(0.0, x).tobytes() == want.tobytes()
+    for b in range(x.shape[1]):
+        column = x[:, b].copy()
+        assert field(0.0, column).tobytes() == reference(0.0, column).tobytes()

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_chain
+from polarization_oracle import loop_polarization
 from todalift import eisenhart, killing, oplift, toda
 from todalift.errors import ConditioningError, DomainError, NotHomogeneousError
 
@@ -124,6 +125,24 @@ class TestExtraction:
     def test_bad_rank(self):
         with pytest.raises(DomainError):
             killing.extract_tensor(lambda pos, mom: 0.0, 0, 3, np.zeros(3))
+
+    # the gates read not (x <= gate): max(1, |NaN|) is 1, and NaN > gate is false
+    def test_nan_fails_the_homogeneity_gate(self):
+        probe = (1.0 + np.arange(3)) / 3
+
+        def inv(pos, mom):
+            return float("nan") if np.array_equal(mom, 2.0 * probe) else float(np.sum(mom) ** 2)
+
+        with pytest.raises(NotHomogeneousError):
+            killing.extract_tensor(inv, 2, 3, np.zeros(3))
+
+    def test_nan_fails_the_contraction_gate(self):
+        # the polarization vectors and the scaling probes are non-negative; the gate's momenta are not
+        def inv(pos, mom):
+            return float("nan") if np.any(mom < 0.0) else float(np.sum(mom) ** 2)
+
+        with pytest.raises(ConditioningError, match="contraction gate"):
+            killing.extract_tensor(inv, 2, 3, np.zeros(3))
 
 
 class TestPoissonBracket:
@@ -320,6 +339,15 @@ class TestVerifyKilling:
             with pytest.raises(DomainError):
                 killing.verify_killing(sys, lift, 1)
 
+    def test_a_nan_drift_fails(self, monkeypatch):
+        # the second geodesic's drift is NaN, after a finite one: max would keep the finite one
+        drifts = iter([1e-12, float("nan")])
+        real = killing.monitor_drift
+        monkeypatch.setattr(killing, "monitor_drift", lambda values: next(drifts, None) or real(values))
+        sys = toda.TodaSystem(3, [0.8, 1.1])
+        report = killing.verify_killing(sys, "eisenhart", 2, samples=5, seed=5, geodesics=3, t_final=2.0)
+        assert math.isnan(report.drift_max) and not report.passed
+
     def test_report_serialises(self):
         sys = toda.TodaSystem(2, [1.0])
         report = killing.verify_killing(sys, "eisenhart", 1, samples=5, geodesics=1, t_final=2.0)
@@ -417,3 +445,69 @@ class TestPolarizationMemo:
 
         killing.extract_tensor(inv, rank, dim, np.zeros(dim))
         assert len(calls) == math.comb(dim + rank, rank) - 1 + 5
+
+
+def power_sum_invariant(rank, dim, terms=3):
+    """I(pos, p) = sum_j w_j(pos) (u_j(pos) . p)^rank: a homogeneous rank-degree polynomial in p."""
+    j = np.arange(1, terms + 1)[:, None]
+    mu = np.arange(1, dim + 1)
+
+    def inv(pos, mom):
+        u = np.cos(j * mu + j * pos)
+        return float(np.sin(j[:, 0] + np.sum(pos)) @ (u @ mom) ** rank)
+
+    return inv
+
+
+def same_bits(table, reference):
+    """Same keys in the same order, and every component equal as floats (-0.0 and 0.0 apart)."""
+    return list(table) == list(reference) and all(
+        np.float64(table[idx]).tobytes() == np.float64(reference[idx]).tobytes() for idx in reference
+    )
+
+
+class TestArrayPolarization:
+    """extract_tensor's array polarization against the loop in polarization_oracle, bit for bit."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=1, max_value=7),
+        st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=7, max_size=7),
+    )
+    def test_tables_equal_the_loop(self, rank, dim, position):
+        inv = power_sum_invariant(rank, dim)
+        pos = np.array(position[:dim])
+        calls = []
+        table = killing.extract_tensor(lambda p, m: calls.append(None) or inv(p, m), rank, dim, pos)
+        assert same_bits(table, loop_polarization(inv, rank, dim, pos))
+        # each sub-multiset of 1..rank entries once, two scaling probes and three gate momenta
+        assert len(calls) == sum(math.comb(dim + s - 1, s) for s in range(1, rank + 1)) + 5
+
+    def test_signed_zero_terms_sum_as_the_loop(self):
+        # every term is +-0.0: the loop's sum from 0.0 is 0.0, never -0.0
+        for rank in (1, 2, 3):
+            table = killing._polarize(lambda pos, mom: -0.0, rank, 2, np.zeros(2))
+            assert same_bits(table, loop_polarization(lambda pos, mom: -0.0, rank, 2, np.zeros(2)))
+
+    @pytest.mark.parametrize("rank, dim", [(1, 64), (2, 40)])
+    def test_keys_past_a_base_rank_plus_one_code(self, rank, dim):
+        # (rank + 1)^dim > 2^63: a count vector read as a base-(rank + 1) number would overflow int64
+        assert (rank + 1) ** dim > 2**63
+        inv, pos = power_sum_invariant(rank, dim), np.linspace(-1.0, 1.0, dim)
+        assert same_bits(killing.extract_tensor(inv, rank, dim, pos), loop_polarization(inv, rank, dim, pos))
+
+    def test_chunk_size_does_not_change_the_table(self, monkeypatch):
+        inv, pos = power_sum_invariant(4, 5), np.linspace(-1.0, 1.0, 5)
+        whole = killing.extract_tensor(inv, 4, 5, pos)
+        for chunk in (1, 37):
+            monkeypatch.setattr(killing, "_POLARIZATION_CHUNK", chunk)
+            assert same_bits(killing.extract_tensor(inv, 4, 5, pos), whole)
+
+    def test_unindexable_polarization_is_refused(self):
+        # C(1008, 8) > 2^62 sub-multisets: refused before anything is allocated or evaluated
+        calls = []
+        inv = lambda pos, mom: calls.append(None) or float(np.sum(mom)) ** 8  # noqa: E731
+        with pytest.raises(DomainError, match="sub-multisets"):
+            killing.extract_tensor(inv, 8, 1000, np.zeros(1000))
+        assert len(calls) == 2  # the scaling probes

@@ -28,6 +28,20 @@ class TestTypes:
         with pytest.raises(DomainError):
             toda.PhaseState([float("nan")], [0.0])
 
+    def test_state_finiteness_names_the_first_bad_field(self):
+        # one check over all fields finds a bad entry; the message still names its field
+        q, omega = np.array([0.1, -0.1, 0.0]), np.array([0.2, 0.3])
+        cases = [
+            (lambda: oplift.OPState(q=q, omega=omega, p_q=q, p_omega=[0.0, np.inf]), "p_omega"),
+            (lambda: oplift.OPState(q=q, omega=[np.nan, 0.0], p_q=[np.inf] * 3, p_omega=omega), "omega"),
+            (lambda: eisenhart.EisenhartState(q=q, y=np.nan, p=q, p_y=np.inf), "y"),
+        ]
+        for make, name in cases:
+            with pytest.raises(DomainError, match=f"state entries must be finite, got {name} = "):
+                make()
+        state = oplift.OPState(q=q, omega=omega, p_q=q, p_omega=omega)
+        assert state.p_omega.dtype == float and state.n == 3
+
 
 class TestHamiltonian:
     def test_resting_pair(self):
