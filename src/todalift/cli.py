@@ -98,8 +98,10 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment document.
 
     Required keys: n, g, q, p, t_final.  Optional keys take the documented
-    defaults (method=adaptive, rtol=1e-10, atol=1e-12, stride=10, p_y=1,
-    y=0, omega=0, p_omega=g, seed=0, output_format=csv).
+    defaults (method=adaptive, dt=the stepper's default, rtol=1e-10,
+    atol=1e-12, stride=10, p_y=1, y=0, omega=0, p_omega=g, seed=0,
+    output_format=csv).  method names a stepper of IntegratorConfig, which
+    checks it.
     """
     try:
         doc = json.loads(text)
@@ -140,9 +142,12 @@ def parse_config(text: str) -> ExperimentConfig:
     omega = vector("omega", n - 1, default=np.zeros(n - 1))
     p_omega = vector("p_omega", n - 1, default=g.copy())
 
-    method = doc.get("method", "adaptive")
-    if method not in ("adaptive", "rk4"):
-        raise ConfigError(f"key 'method': unknown method {method!r}")
+    if doc.get("method", "adaptive") is None:
+        # null would leave the stepper to IntegratorConfig's choice by rtol
+        raise ConfigError("key 'method': need a method name, got None")
+    output_path = doc.get("output_path")
+    if output_path is not None and not isinstance(output_path, str):
+        raise ConfigError(f"key 'output_path': need a string, got {output_path!r}")
     fmt = doc.get("output_format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"key 'output_format': must be csv or json, got {fmt!r}")
@@ -157,12 +162,12 @@ def parse_config(text: str) -> ExperimentConfig:
         g=g,
         q=q,
         p=p,
-        integrator=_integrator(IntegratorConfig(method="adaptive", dt=1e-3), **settings),
+        integrator=_integrator(IntegratorConfig(method="adaptive"), **settings),
         y=_number("y", doc.get("y", 0.0)),
         p_y=_number("p_y", doc.get("p_y", 1.0)),
         omega=omega,
         p_omega=p_omega,
-        output_path=doc.get("output_path"),
+        output_path=output_path,
         output_format=fmt,
         seed=seed,
     )

@@ -1,5 +1,5 @@
-"""First-order ODE integration: fixed-step RK4, an adaptive 5(4) pair and
-adaptive order-12 extrapolation.
+"""First-order ODE integration: an adaptive 5(4) pair and adaptive order-12
+extrapolation.
 
 The adaptive method ("adaptive") is the Dormand-Prince embedded pair with
 the standard step controller (safety 0.9, growth clamped to [0.2, 5.0]).
@@ -33,8 +33,7 @@ column per state column to that trial's batch, started from the column's
 state at t and stepped by t_s - t.  The rides go through the same eleven
 batched calls, so they cost wider batches and no extra call; the error
 norm, the finiteness check and the accept/reject decision read the main
-columns alone, and on acceptance the rides are the samples.  RK4 has
-neither: it shortens a step to land on every sample time.  Conserved
+columns alone, and on acceptance the rides are the samples.  Conserved
 quantities are monitored at the recorded samples: each monitor is called
 once, on the (samples, d) array of recorded states, and returns one value
 per sample.  Their relative drift is recorded on the returned trajectory.
@@ -56,9 +55,6 @@ builds its tableau once per run and refills it on every trial step, so an
 rhs must copy what it keeps.  Every call counts once in a trajectory's
 nfev, whatever its batch width.
 
-Fixed-step RK4 places its steps on the grid t0 + i*dt, with the last step
-shortened to land on the requested time.
-
 Everything here is deterministic: identical inputs produce bit-identical
 trajectories.
 """
@@ -77,7 +73,6 @@ from .errors import DivergenceError, DomainError, StiffnessError
 __all__ = [
     "IntegratorConfig",
     "Trajectory",
-    "rk4_step",
     "integrate",
     "integrate_at_times",
     "checked_sample_times",
@@ -142,14 +137,13 @@ class IntegratorConfig:
     Gragg-Bulirsch-Stoer, for tight tolerances; its rhs must also take a (d, C)
     batch with a (C,) array of column times, and integrate_at_times takes
     its samples as ride columns of the trial batches, see the module
-    docstring), "rk4" or None.  None lets the integrator choose: integrate
-    runs extrapolation when rtol < 1e-10, where it is the cheaper method,
-    and Dormand-Prince otherwise; integrate_at_times always runs
-    Dormand-Prince.  dt is the fixed step for rk4 and the initial trial step
-    for the adaptive methods; unset, the stepper that runs starts at 1e-3,
-    or at 0.1 for extrapolation, whose error estimate is roundoff at small
-    steps, so that the controller grows dt only about 2x per step from a
-    small start.
+    docstring) or None.  None lets the integrator choose: integrate runs
+    extrapolation when rtol < 1e-10, where it is the cheaper method, and
+    Dormand-Prince otherwise; integrate_at_times always runs Dormand-Prince.
+    dt is the initial trial step; unset, the stepper that runs starts at
+    1e-3, or at 0.1 for extrapolation, whose error estimate is roundoff at
+    small steps, so that the controller grows dt only about 2x per step
+    from a small start.
     stride decimates the output: every stride-th accepted step is recorded
     (the endpoints always are).  dt, rtol, atol and t_final are finite
     positive reals, not bools, and are stored as floats; t_final / dt must
@@ -179,10 +173,10 @@ class IntegratorConfig:
                 raise DomainError(f"{name} must be a positive finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
         # an unset dt is the default of the stepper that runs; without a
-        # method, the smallest default any stepper has
+        # method, Dormand-Prince's, the smaller of the two
         dt = self.dt
         if dt is None:
-            dt = (_STEPPERS[self.method] if self.method else _Stepper).default_dt
+            dt = _STEPPERS[self.method or "adaptive"].default_dt
         if not math.isfinite(self.t_final / dt):
             raise DomainError(f"t_final / dt overflows: {self.t_final} / {dt}")
         if isinstance(self.stride, bool) or not isinstance(self.stride, numbers.Integral) or self.stride < 1:
@@ -198,7 +192,7 @@ class Trajectory:
     nfev right-hand-side calls (a batched call counts once), accepted and
     rejected steps, and the smallest and largest accepted step, dt_min and
     dt_max (0.0 when no step was taken).  method names the stepper that ran
-    ("adaptive", "extrapolation" or "rk4"); it is None on a trajectory
+    ("adaptive" or "extrapolation"); it is None on a trajectory
     built by hand.
     """
 
@@ -220,32 +214,6 @@ def monitor_drift(values: np.ndarray) -> float:
         return 0.0
     ref = values[0]
     return float(np.max(np.abs(values - ref)) / max(1.0, abs(ref)))
-
-
-def rk4_step(rhs: Rhs, y: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical fourth-order Runge-Kutta step."""
-    if not (dt > 0.0):
-        raise DomainError("rk4 step size must be positive")
-    y = np.asarray(y, dtype=float)
-    k1 = rhs(t, y)
-    k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = rhs(t + dt, y + dt * k3)
-    out = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError(f"rk4 produced a non-finite state at t={t}")
-    return out
-
-
-def _rk4_grid(t0: float, t1: float, dt: float):
-    """Step ends t0 + i*dt for i = 1, 2, ..., the last one moved onto t1.
-
-    Each point is built from t0 rather than by summing steps, so rounding
-    cannot add a sliver step at the end; a remainder below 1e-9 dt is
-    absorbed into the last step.
-    """
-    nsteps = max(1, math.ceil((t1 - t0) / dt - 1e-9))
-    return (t1 if i == nsteps else t0 + i * dt for i in range(1, nsteps + 1))
 
 
 def _dp54_step(rhs: Rhs, t: float, y: np.ndarray, dt: float, k1: np.ndarray):
@@ -315,9 +283,22 @@ class _Tableau:
             prev = out
 
     def step(self, rhs: Rhs, t: float, y: np.ndarray, steps, f0: np.ndarray):
-        """(y12, error_estimate), each (d, groups width), of one trial step
-        from the (d,) or (d, width) state y with f0 = rhs(t, y); steps
-        broadcasts against (groups, width)."""
+        """One trial Gragg-Bulirsch-Stoer step: returns (y12, error_estimate),
+        each (d, groups width), from the (d,) or (d, width) state y.
+
+        Row j of the tableau is Gragg's modified midpoint rule over the step
+        with n_j = _GBS_SEQUENCE[j] substeps of h_j = step / n_j, evaluating
+        rhs at the true substep times; f0 = rhs(t, y) is shared by every row.
+        The rows do not depend on each other, so substep m of every row still
+        substepping (n_j > m) is one rhs call on the (d, C) batch of their
+        states, with the (C,) array of their times t + m h_j: eleven calls
+        per trial step.  Each column meets the same arithmetic as a row run
+        on its own.  The error estimate is the difference of the last two
+        extrapolated values (orders 12 and 10).  steps broadcasts against
+        (groups, width): one step for every column, or per-column steps;
+        either way h_j = step_b / n_j is one division, so a column's bits do
+        not depend on the steps beside it.
+        """
         d = len(y)
         np.divide(steps, _GBS_SUBSTEPS_GRID, out=self.h)
         np.add(self.h_cols, self.h_cols, out=self.two_h)
@@ -341,34 +322,14 @@ class _Tableau:
         return column[0], column[0] - upper[0]
 
 
-def _gbs_step(rhs: Rhs, t: float, y: np.ndarray, dt, f0: np.ndarray):
-    """One trial Gragg-Bulirsch-Stoer step: returns (y12, error_estimate).
+class _AdaptiveStepper:
+    """The current (t, y) of a Dormand-Prince integration and a record of its
+    accepted steps; advances to requested target times."""
 
-    Row j of the tableau is Gragg's modified midpoint rule over dt with
-    n_j = _GBS_SEQUENCE[j] substeps of h_j = dt / n_j, evaluating rhs at the
-    true substep times; f0 = rhs(t, y) is shared by every row.  The rows do
-    not depend on each other, so substep m of every row still substepping
-    (n_j > m) is one rhs call on the (d, C) batch of their states, with the
-    (C,) array of their times t + m h_j: eleven calls per trial step.  Each
-    column meets the same arithmetic as a row run on its own.  The error
-    estimate is the difference of the last two extrapolated values (orders
-    12 and 10).  dt is one step for every column or, for a (d, B) batch, a
-    (B,) array of per-column steps; either way h_j = dt_b / n_j is one
-    division, so a column's bits do not depend on the steps beside it.
-    The stepper runs the same _Tableau, built once per run.
-    """
-    d = len(y)
-    y12, err = _Tableau(d, 1, y.size // d).step(rhs, t, y, dt, f0)
-    return y12.reshape(y.shape), err.reshape(y.shape)
-
-
-class _Stepper:
-    """The current (t, y) of an integration and a record of its accepted steps."""
-
-    method: str  # the IntegratorConfig.method that selects this stepper
-    # whether interpolate() can evaluate the solution inside the last accepted step
-    dense = False
-    # the fixed or initial trial step when the config leaves dt unset
+    method = "adaptive"  # the IntegratorConfig.method that selects this stepper
+    # the step controller scales dt by err ** exponent; the error estimate is O(dt^5)
+    exponent = -0.2
+    # the initial trial step when the config leaves dt unset
     default_dt = 1e-3
 
     def __init__(self, rhs: Rhs, y0: np.ndarray, cfg: IntegratorConfig):
@@ -381,35 +342,6 @@ class _Stepper:
         self.rejected = 0
         self.dt_min = math.inf
         self.dt_max = 0.0
-
-    def nfev(self) -> int:
-        raise NotImplementedError
-
-    def stats(self) -> dict[str, float]:
-        return {
-            "nfev": self.nfev(),
-            "accepted": self.accepted,
-            "rejected": self.rejected,
-            "dt_min": self.dt_min if self.accepted else 0.0,
-            "dt_max": self.dt_max,
-        }
-
-    def _count(self, dt: float) -> None:
-        self.accepted += 1
-        self.dt_min = min(self.dt_min, dt)
-        self.dt_max = max(self.dt_max, dt)
-
-
-class _AdaptiveStepper(_Stepper):
-    """Advances a Dormand-Prince integration to requested target times."""
-
-    method = "adaptive"
-    # the step controller scales dt by err ** exponent; the error estimate is O(dt^5)
-    exponent = -0.2
-    dense = True
-
-    def __init__(self, rhs: Rhs, y0: np.ndarray, cfg: IntegratorConfig):
-        super().__init__(rhs, y0, cfg)
         if not np.all(np.isfinite(self.y)):
             raise DivergenceError("initial state is not finite")
         self.k1 = rhs(0.0, self.y)
@@ -422,6 +354,15 @@ class _AdaptiveStepper(_Stepper):
         # one evaluation at the start, then six per trial step (the seventh
         # stage is reused as the next step's first)
         return 1 + 6 * (self.accepted + self.rejected)
+
+    def stats(self) -> dict[str, float]:
+        return {
+            "nfev": self.nfev(),
+            "accepted": self.accepted,
+            "rejected": self.rejected,
+            "dt_min": self.dt_min if self.accepted else 0.0,
+            "dt_max": self.dt_max,
+        }
 
     def sample_at(self, sample_times: np.ndarray) -> None:
         """Prepare to sample at sample_times; the continuous extension needs nothing."""
@@ -484,7 +425,9 @@ class _AdaptiveStepper(_Stepper):
                 self.y = y_new
                 abs_y = abs_new
                 self.k1 = self.rhs(self.t, y_new) if stages is None else stages[6]
-                self._count(dt)
+                self.accepted += 1
+                self.dt_min = min(self.dt_min, dt)
+                self.dt_max = max(self.dt_max, dt)
                 if on_accept is not None:
                     on_accept(self.t, self.y)
             else:
@@ -557,26 +500,7 @@ class _ExtrapolationStepper(_AdaptiveStepper):
         return self.ride_states
 
 
-class _RK4Stepper(_Stepper):
-    """Advances fixed-step RK4 to requested target times, on the grid
-    t + i*dt of each segment (see _rk4_grid)."""
-
-    method = "rk4"
-
-    def nfev(self) -> int:
-        return 4 * self.accepted
-
-    def advance_to(self, t_target: float, on_accept=None) -> None:
-        for t_next in _rk4_grid(self.t, t_target, self.dt):
-            dt = t_next - self.t
-            self.y = rk4_step(self.rhs, self.y, self.t, dt)
-            self.t = t_next
-            self._count(dt)
-            if on_accept is not None:
-                on_accept(self.t, self.y)
-
-
-_STEPPERS = {cls.method: cls for cls in (_RK4Stepper, _AdaptiveStepper, _ExtrapolationStepper)}
+_STEPPERS = {cls.method: cls for cls in (_AdaptiveStepper, _ExtrapolationStepper)}
 
 
 def _finish(times, states, monitors_spec, labels, stepper):
@@ -659,34 +583,28 @@ def integrate_at_times(
     computed trajectory.  Dormand-Prince steps straight to the last sample
     and interpolates the samples inside its steps; extrapolation steps
     straight there too and takes those samples as ride columns of its trial
-    batches; RK4 shortens a step to land on each sample.  Without
-    cfg.method, the run is Dormand-Prince.
+    batches.  Without cfg.method, the run is Dormand-Prince.
     """
     sample_times = checked_sample_times(sample_times)
     y0 = np.asarray(y0, dtype=float)
     states = np.empty(sample_times.shape + y0.shape)
     states[0] = y0
     stepper = _STEPPERS[cfg.method or "adaptive"](rhs, y0, cfg)
-    if stepper.dense:
-        stepper.sample_at(sample_times)
-        done = 1
+    stepper.sample_at(sample_times)
+    done = 1
 
-        def record(t, y):
-            # the samples in (t_prev, t]: interpolated inside, copied at t
-            nonlocal done
-            if sample_times[done] > t:
-                return
-            end = done + int(np.searchsorted(sample_times[done:], t, side="right"))
-            inside = end - 1 if sample_times[end - 1] == t else end
-            if inside > done:
-                states[done:inside] = stepper.interpolate(sample_times[done:inside])
-            if inside < end:
-                states[inside] = y
-            done = end
+    def record(t, y):
+        # the samples in (t_prev, t]: interpolated inside, copied at t
+        nonlocal done
+        if sample_times[done] > t:
+            return
+        end = done + int(np.searchsorted(sample_times[done:], t, side="right"))
+        inside = end - 1 if sample_times[end - 1] == t else end
+        if inside > done:
+            states[done:inside] = stepper.interpolate(sample_times[done:inside])
+        if inside < end:
+            states[inside] = y
+        done = end
 
-        stepper.advance_to(sample_times[-1], on_accept=record)
-    else:
-        for i, target in enumerate(sample_times[1:], 1):
-            stepper.advance_to(target)
-            states[i] = stepper.y
+    stepper.advance_to(sample_times[-1], on_accept=record)
     return _finish(sample_times, states, monitors, labels, stepper)

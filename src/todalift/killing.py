@@ -52,6 +52,8 @@ _RESIDUAL_GATE = 1e-9
 _FD_STEP = 1e-5
 # entries per array of one polarization chunk: (multi-index, subset mask) keys or count-vector entries
 _POLARIZATION_CHUNK = 2**16
+# the most invariant evaluations one polarization may take, C(dim + rank, rank) - 1
+_MAX_POLARIZATION_EVALS = 2**20
 # sample times of each checked geodesic, evenly spaced over [0, t_final]
 _DRIFT_SAMPLES = 31
 
@@ -79,11 +81,16 @@ def _polarize(invariant: Invariant, rank: int, dim: int, pos: np.ndarray) -> dic
     offset_s + sum_i C(a_i + i, i + 1), the colex rank of the combination
     {a_i + i} (Knuth, TAOCP 4A, 7.2.1.3) after the multisets of each size
     below s.  The empty multiset has key 0 and value 0.0.  Multi-indices
-    and sub-multisets go in chunks, so memory stays bounded.
+    and sub-multisets go in chunks, so memory stays bounded.  More than
+    _MAX_POLARIZATION_EVALS non-empty sub-multisets are refused before the
+    first evaluation.
     """
     total = math.comb(dim + rank, rank)
-    if 2 * total > np.iinfo(np.int64).max:
-        raise DomainError(f"cannot index the {total} sub-multisets of a rank-{rank} polarization in dim {dim}")
+    if total - 1 > _MAX_POLARIZATION_EVALS:
+        raise DomainError(
+            f"a rank-{rank} polarization in dim {dim} evaluates {total - 1} sub-multisets,"
+            f" over the limit of {_MAX_POLARIZATION_EVALS}"
+        )
     binom = np.array([[math.comb(b, i) for i in range(rank + 1)] for b in range(dim + rank)], dtype=np.int64)
     offsets = np.cumsum([0] + [math.comb(dim + s - 1, s) for s in range(rank)])
 

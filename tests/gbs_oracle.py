@@ -1,4 +1,4 @@
-"""The row-by-row Gragg-Bulirsch-Stoer trial step, the test oracle of integrate._gbs_step.
+"""The row-by-row Gragg-Bulirsch-Stoer trial step, the test oracle of integrate._Tableau.step.
 
 It runs each row of the tableau on its own, one rhs call per substep on one
 state or batch at a time, with the same arithmetic per row as the batched

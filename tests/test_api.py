@@ -101,7 +101,7 @@ def test_benchmark_spans_are_recorded():
 @pytest.mark.parametrize(
     "fname, method",
     [("integrate", "adaptive"), ("integrate_at_times", "adaptive"),
-     ("integrate_at_times", "extrapolation"), ("integrate_at_times", "rk4")],
+     ("integrate_at_times", "extrapolation")],
 )
 def test_each_integrator_call_is_one_span_over_its_rhs_spans(fname, method):
     # the benchmark counts RHS evaluations as spans inside the integrator's

@@ -451,6 +451,23 @@ class TestCommands:
         assert cli.run_command(["killing", *action, "-c", cfgp, "--seed", "3", "--out", "k.json"]) == 0
         assert (tmp_path / "k.json").exists()
 
+    def test_oversized_extract_exits_two_before_evaluating(self, tmp_path, monkeypatch, capsys):
+        # rank 8 in the generalised lift's dim 59 would take 6.5e9 invariant evaluations
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        n = 30
+        cfgp = write_cfg(tmp_path, {"n": n, "g": [1.0] * (n - 1), "q": [0.0] * n, "p": [0.0] * n, "t_final": 1.0})
+        calls, invariant = [], toda.Picture.invariant
+
+        def counted(picture, sys, k):
+            inv = invariant(picture, sys, k)
+            return lambda pos, mom: calls.append(None) or inv(pos, mom)
+
+        monkeypatch.setattr(toda.Picture, "invariant", counted)
+        assert cli.run_command(["killing", "extract", "-k", "8", "--lift", "generalized", "-c", cfgp]) == 2
+        assert "invalid experiment" in capsys.readouterr().err
+        assert len(calls) == 2  # the scaling probes, and no polarization evaluation
+        assert not list(tmp_path.glob("killing_*"))
+
     def test_identities_check(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
         assert cli.run_command(["identities", "check", "-n", "5"]) == 0
@@ -474,10 +491,26 @@ class TestCommands:
     def test_unknown_subcommand_usage_error(self, capsys):
         assert cli.run_command(["frobnicate"]) == 2
 
-    def test_unknown_method_exits_two(self, tmp_path):
-        with pytest.raises(ConfigError, match="'method'"):
-            cli.parse_config(json.dumps(dict(MINIMAL, method="euler")))
-        assert cli.run_command(["toda", "run", "-c", write_cfg(tmp_path, dict(MINIMAL, method="euler"))]) == 2
+    def test_unknown_method_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        # rk4 was a method once; null would let the integrator choose by rtol
+        for method in ("euler", "rk4", None, ["adaptive"]):
+            with pytest.raises(ConfigError, match="^key 'method': "):
+                cli.parse_config(json.dumps(dict(MINIMAL, method=method)))
+            assert cli.run_command(["toda", "run", "-c", write_cfg(tmp_path, dict(MINIMAL, method=method))]) == 2
+            assert capsys.readouterr().err.startswith("configuration error: key 'method': ")
+        assert not list(tmp_path.glob("toda_run*"))
+
+    def test_every_integrator_method_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        for method in ("adaptive", "extrapolation"):
+            cfgp = write_cfg(tmp_path, dict(README_CONFIG, method=method))
+            assert cli.parse_config(json.dumps(dict(README_CONFIG, method=method))).integrator.method == method
+            assert cli.run_command(["toda", "run", "-c", cfgp, "--out", f"{method}.csv"]) == 0
+        # the same motion by either stepper
+        adaptive, extrapolation = (np.loadtxt(tmp_path / f"{m}.csv", delimiter=",", skiprows=1) for m in ("adaptive", "extrapolation"))
+        assert adaptive[-1, 0] == extrapolation[-1, 0] == README_CONFIG["t_final"]
+        assert np.allclose(adaptive[-1, 1:7], extrapolation[-1, 1:7], rtol=0.0, atol=1e-8)
 
     def test_config_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -493,16 +526,17 @@ class TestCommands:
             ({"y": "0.5"}, []),
             ({"g": {}}, []),
             ({"t_final": 10**400}, []),
-            ({"t_final": float("inf"), "method": "rk4"}, []),
-            ({"method": "rk4"}, ["--t-final", "inf"]),
+            ({"t_final": float("inf"), "method": "adaptive"}, []),
+            ({"method": "adaptive"}, ["--t-final", "inf"]),
             ({}, ["--rtol", "nan"]),
-            ({"t_final": 1e300, "dt": 1e-300, "method": "rk4"}, []),
+            ({"t_final": 1e300, "dt": 1e-300, "method": "adaptive"}, []),
             ({"stride": True}, []),
             ({"seed": False}, []),
+            ({"output_path": 5}, []),
         ],
         ids=[
             "null", "list", "object", "string", "object-vector", "huge-int",
-            "inf", "inf-flag", "nan-flag", "step-overflow", "bool-stride", "bool-seed",
+            "inf", "inf-flag", "nan-flag", "step-overflow", "bool-stride", "bool-seed", "int-output-path",
         ],
     )
     def test_non_numeric_or_non_finite_scalars_exit_two(self, request, tmp_path, monkeypatch, capsys, changes, flags):
@@ -511,8 +545,9 @@ class TestCommands:
         assert cli.run_command(["toda", "run", "-c", cfgp] + flags) == 2
         err = capsys.readouterr().err
         assert "configuration error" in err or "invalid experiment" in err
-        # an integrator setting fails at parse time, by IntegratorConfig's own checks
-        if request.node.callspec.id in ("inf", "inf-flag", "nan-flag", "step-overflow", "huge-int"):
+        # an integrator setting fails at parse time, by IntegratorConfig's own checks, and so
+        # does an output path that is no string, before anything is integrated
+        if request.node.callspec.id in ("inf", "inf-flag", "nan-flag", "step-overflow", "huge-int", "int-output-path"):
             assert err.startswith("configuration error: key '"), err
 
     def test_gate_failure_exits_one_with_report(self, tmp_path, monkeypatch):

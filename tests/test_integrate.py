@@ -14,11 +14,10 @@ from todalift.integrate import (
     _STEPPERS,
     IntegratorConfig,
     _ExtrapolationStepper,
-    _gbs_step,
+    _Tableau,
     integrate,
     integrate_at_times,
     monitor_drift,
-    rk4_step,
 )
 
 
@@ -63,61 +62,6 @@ def test_energy_monitor_drift():
     assert traj.drift["E"] < 1e-9
 
 
-class TestRK4Step:
-    def test_zero_rhs(self):
-        y = np.array([1.0, -2.0])
-        assert np.array_equal(rk4_step(lambda t, y: np.zeros(2), y, 0.0, 0.1), y)
-
-    def test_scalar_exponential(self):
-        out = rk4_step(lambda t, y: y, np.array([1.0]), 0.0, 0.1)
-        assert abs(out[0] - math.exp(0.1)) < 1e-7
-
-    def test_one_step_error_scales_as_dt5(self, rng):
-        sys = toda.TodaSystem(2, [1.0])
-        st = toda.PhaseState([0.2, -0.2], [0.3, -0.3])
-        rhs = toda.flow_field(sys)
-        y0 = toda.CHAIN.pack(st)
-        ref_cfg = IntegratorConfig(rtol=1e-13, atol=1e-15, t_final=0.2)
-
-        def one_step_error(dt):
-            y = rk4_step(rhs, y0, 0.0, dt)
-            ref = integrate_at_times(rhs, y0, [0.0, dt], ref_cfg).states[-1]
-            return np.max(np.abs(y - ref))
-
-        ratio = one_step_error(0.05) / one_step_error(0.025)
-        assert 24.0 < ratio < 40.0
-
-    def test_bad_step(self):
-        with pytest.raises(DomainError):
-            rk4_step(lambda t, y: y, np.array([1.0]), 0.0, 0.0)
-
-
-def test_rk4_global_order(rng):
-    sys = toda.TodaSystem(2, [1.0])
-    st = toda.PhaseState([0.3, -0.3], [0.1, -0.1])
-    rhs = toda.flow_field(sys)
-    y0 = toda.CHAIN.pack(st)
-    ref = integrate(rhs, y0, IntegratorConfig(rtol=1e-13, atol=1e-15, t_final=2.0)).states[-1]
-    dts = np.array([0.1, 0.05, 0.025, 0.0125])
-    errs = []
-    for dt in dts:
-        out = integrate(rhs, y0, IntegratorConfig(method="rk4", dt=dt, t_final=2.0)).states[-1]
-        errs.append(np.max(np.abs(out - ref)))
-    slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
-    assert slope >= 3.9
-
-
-def test_adaptive_matches_fixed_step():
-    sys = toda.TodaSystem(2, [1.0])
-    st = toda.PhaseState([0.3, -0.3], [0.1, -0.1])
-    rhs = toda.flow_field(sys)
-    y0 = toda.CHAIN.pack(st)
-    rtol = 1e-10
-    adaptive = integrate(rhs, y0, IntegratorConfig(rtol=rtol, atol=1e-12, t_final=2.0)).states[-1]
-    fixed = integrate(rhs, y0, IntegratorConfig(method="rk4", dt=2e-4, t_final=2.0)).states[-1]
-    assert np.max(np.abs(adaptive - fixed)) < 10.0 * rtol
-
-
 def test_deterministic():
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=3.0, stride=3)
     a = integrate(one_dof_rhs, [0.1, -0.2], cfg)
@@ -127,11 +71,15 @@ def test_deterministic():
 
 
 def test_final_time_exact_and_strided():
-    cfg = IntegratorConfig(method="rk4", dt=0.3, t_final=1.0, stride=2)
-    traj = integrate(lambda t, y: np.array([1.0]), [0.0], cfg)
+    cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=1.0, stride=1)
+    whole = integrate(one_dof_rhs, [0.0, 0.0], cfg)
+    traj = integrate(one_dof_rhs, [0.0, 0.0], replace(cfg, stride=2))
+    # the start, every second accepted step, and the last step landing on t_final
+    kept = np.append(np.arange(0, len(whole) - 1, 2), len(whole) - 1)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == 1.0
-    assert abs(traj.states[-1][0] - 1.0) < 1e-14
+    assert np.array_equal(traj.times, whole.times[kept])
+    assert np.array_equal(traj.states, whole.states[kept])
 
 
 def test_integrate_at_times_hits_samples():
@@ -183,7 +131,7 @@ def test_integer_beyond_the_float_range_is_a_domain_error(name):
     assert getattr(IntegratorConfig(**{name: 10**300}), name) == 1e300
 
 
-@pytest.mark.parametrize("method, dt", [(None, 1e-3), ("adaptive", 1e-3), ("rk4", 1e-3), ("extrapolation", 0.1)])
+@pytest.mark.parametrize("method, dt", [(None, 1e-3), ("adaptive", 1e-3), ("extrapolation", 0.1)])
 def test_unset_dt_is_the_steppers_default(method, dt):
     base = IntegratorConfig(method=method, rtol=1e-10, atol=1e-12, t_final=0.05, stride=1)
     unset = integrate(one_dof_rhs, [0.0, 0.0], base)
@@ -299,8 +247,9 @@ class TestBatchedTableau:
         for y in (one, batch):
             f0 = field(0.3, y)
             for dt in (0.01, 0.05, 0.2):
-                for got, want in zip(_gbs_step(field, 0.3, y, dt, f0), gbs_step_by_rows(field, 0.3, y, dt, f0)):
-                    assert got.shape == y.shape and np.isfinite(got).all()
+                tableau = _Tableau(len(y), 1, y.size // len(y))
+                for got, want in zip(tableau.step(field, 0.3, y, dt, f0), gbs_step_by_rows(field, 0.3, y, dt, f0)):
+                    assert got.shape == (len(y), y.size // len(y)) and np.isfinite(got).all()
                     assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", range(2, 11))
@@ -312,7 +261,8 @@ class TestBatchedTableau:
         for y in (one, batch):
             f0 = field(0.3, y)
             for dt in (0.01, 0.05, 0.2):
-                (y12, err), (ref, ref_err) = _gbs_step(field, 0.3, y, dt, f0), gbs_step_by_rows(field, 0.3, y, dt, f0)
+                y12, err = (a.reshape(y.shape) for a in _Tableau(len(y), 1, y.size // len(y)).step(field, 0.3, y, dt, f0))
+                ref, ref_err = gbs_step_by_rows(field, 0.3, y, dt, f0)
                 scale = np.max(np.abs(ref)) + dt * np.max(np.abs(f0))
                 assert np.isfinite(y12).all()
                 assert np.max(np.abs(y12 - ref)) <= 32 * eps * scale
@@ -330,7 +280,7 @@ class TestBatchedTableau:
 
         t, dt = 0.7, 0.3
         y = np.array([1.0, -2.0]) if width is None else np.arange(1.0, 7.0).reshape(2, width)
-        y12, _ = _gbs_step(field, t, y, dt, field(t, y))
+        y12, _ = _Tableau(2, 1, width or 1).step(field, t, y, dt, field(t, y))
         assert np.isfinite(y12).all()
         assert calls[0] == (np.array(t), y.shape)
         assert len(calls) == 1 + _GBS_SEQUENCE[-1] - 1
@@ -356,49 +306,6 @@ class TestBatchedTableau:
         assert traj.stats["nfev"] == len(calls) == 13
 
 
-def test_rk4_stats():
-    cfg = IntegratorConfig(method="rk4", dt=0.3, t_final=1.0)
-    stats = integrate(lambda t, y: np.array([1.0]), [0.0], cfg).stats
-    # steps end at 0.3, 0.6, 0.9 and 1.0
-    assert stats == {
-        "nfev": 16, "accepted": 4, "rejected": 0, "dt_min": pytest.approx(0.1), "dt_max": pytest.approx(0.3)
-    }
-
-
-class TestRK4Grid:
-    """Step ends sit on t0 + i*dt; rounding must not add a sliver step."""
-
-    def test_tenth_steps_to_one(self):
-        cfg = IntegratorConfig(method="rk4", dt=0.1, t_final=1.0, stride=1)
-        traj = integrate(lambda t, y: np.array([1.0]), [0.0], cfg)
-        assert len(traj) == 11
-        assert traj.times[-1] == 1.0
-        assert np.allclose(traj.times, np.linspace(0.0, 1.0, 11), rtol=0.0, atol=1e-15)
-
-    def test_long_run_has_no_tiny_last_step(self):
-        cfg = IntegratorConfig(method="rk4", dt=1e-3, t_final=10.0, stride=1)
-        traj = integrate(lambda t, y: np.array([1.0]), [0.0], cfg)
-        assert len(traj) == 10001
-        assert traj.times[-1] == 10.0
-        assert np.min(np.diff(traj.times)) > 0.999e-3
-        assert traj.stats["accepted"] == 10000
-
-    def test_integrate_at_times_uses_the_same_grid(self):
-        times = [0.0, 1.0]
-        traj = integrate_at_times(
-            lambda t, y: np.array([1.0]), [0.0], times, IntegratorConfig(method="rk4", dt=0.1)
-        )
-        assert traj.stats["accepted"] == 10
-        traj = integrate_at_times(
-            lambda t, y: np.array([1.0]),
-            [0.0],
-            [0.0, 5.0, 10.0],
-            IntegratorConfig(method="rk4", dt=1e-3),
-        )
-        assert traj.stats["accepted"] == 10000
-        assert abs(traj.states[-1][0] - 10.0) < 1e-12
-
-
 class TestBatch:
     """A (d, B) state advances B trajectories on one shared step sequence."""
 
@@ -412,7 +319,7 @@ class TestBatch:
         return sys, np.stack(cols, axis=1)
 
     @pytest.mark.parametrize("n", [3, 10])
-    @pytest.mark.parametrize("method", ["adaptive", "rk4", "extrapolation"])
+    @pytest.mark.parametrize("method", ["adaptive", "extrapolation"])
     def test_single_column_is_bit_identical(self, rng, n, method):
         sys, y0 = self.starts(rng, n, 1)
         rhs = eisenhart.flow_field(sys)
@@ -464,7 +371,7 @@ class TestBatch:
     def test_non_finite_column_raises(self, rng):
         sys, y0 = self.starts(rng, 3, 3)
         y0[2, 1] = float("nan")
-        for method in ("adaptive", "rk4", "extrapolation"):
+        for method in ("adaptive", "extrapolation"):
             with pytest.raises(DivergenceError):
                 integrate(eisenhart.flow_field(sys), y0, IntegratorConfig(method=method, t_final=1.0))
 
@@ -527,7 +434,7 @@ class TestDenseOutput:
         # measured: 2.1e-10 (chain), 2.4e-10 (eisenhart), 2.7e-10 (generalized)
         assert worst < 1e-8
 
-    @pytest.mark.parametrize("method", ["adaptive", "rk4", "extrapolation"])
+    @pytest.mark.parametrize("method", ["adaptive", "extrapolation"])
     def test_batch_columns_match_solo_runs(self, rng, method):
         sys = toda.TodaSystem(3, [0.8, 1.2])
         rhs = eisenhart.flow_field(sys)
@@ -595,8 +502,9 @@ class TestRideSamples:
         assert sampled.stats == stepped.stats
         for i, (t, y) in enumerate(zip(starts, stepped.states[:-1])):
             f0 = rhs(t, y)
+            tableau = _Tableau(len(y), 1, y.size // len(y))
             for r, t_s in enumerate(inside[i]):
-                want, _ = _gbs_step(rhs, t, y, t_s - t, f0)
+                want, _ = tableau.step(rhs, t, y, t_s - t, f0)
                 assert sampled.states[1 + 3 * i + r].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("picture", PICTURES, ids=lambda p: p.name)
@@ -746,7 +654,7 @@ class TestStepperTableau:
             gc.enable()
 
 
-@pytest.mark.parametrize("method", ["adaptive", "rk4", "extrapolation"])
+@pytest.mark.parametrize("method", ["adaptive", "extrapolation"])
 def test_no_step_reports_zero_step_sizes(method):
     traj = integrate_at_times(one_dof_rhs, [0.0, 0.0], [0.0], IntegratorConfig(method=method))
     assert traj.stats["accepted"] == 0
@@ -759,7 +667,7 @@ class TestSampleTimeValidation:
         [[0.0, float("nan"), 1.0], [0.0, float("inf")], [0.0, 1.0, float("nan")], [[0.0, 1.0]], []],
         ids=["nan", "inf", "trailing-nan", "2-D", "empty"],
     )
-    @pytest.mark.parametrize("method", ["adaptive", "rk4", "extrapolation"])
+    @pytest.mark.parametrize("method", ["adaptive", "extrapolation"])
     def test_rejected(self, times, method):
         with pytest.raises(DomainError):
             integrate_at_times(one_dof_rhs, [0.0, 0.0], times, IntegratorConfig(method=method, t_final=1.0))
@@ -772,9 +680,11 @@ class TestStrideValidation:
             IntegratorConfig(stride=stride)
 
     def test_numpy_integer_accepted(self):
-        cfg = IntegratorConfig(method="rk4", dt=0.1, t_final=1.0, stride=np.int64(5))
-        traj = integrate(lambda t, y: np.array([1.0]), [0.0], cfg)
-        assert np.allclose(traj.times, [0.0, 0.5, 1.0], rtol=0.0, atol=1e-15)
+        cfg = IntegratorConfig(t_final=1.0, stride=np.int64(5))
+        traj = integrate(one_dof_rhs, [0.0, 0.0], cfg)
+        whole = integrate(one_dof_rhs, [0.0, 0.0], replace(cfg, stride=1))
+        assert len(traj) > 2
+        assert np.array_equal(traj.times[:-1], whole.times[:-1:5])
 
 
 class TestScalarValidation:
@@ -864,6 +774,6 @@ class TestDefaultMethod:
         assert traj.stats["nfev"] == 1 + 6 * (traj.stats["accepted"] + traj.stats["rejected"])
 
     def test_method_is_not_a_stat(self):
-        traj = integrate(one_dof_rhs, [0.0, 0.0], IntegratorConfig(method="rk4", t_final=0.01))
-        assert traj.method == "rk4"
+        traj = integrate(one_dof_rhs, [0.0, 0.0], IntegratorConfig(method="extrapolation", t_final=0.01))
+        assert traj.method == "extrapolation"
         assert set(traj.stats) == {"nfev", "accepted", "rejected", "dt_min", "dt_max"}

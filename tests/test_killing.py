@@ -511,3 +511,20 @@ class TestArrayPolarization:
         with pytest.raises(DomainError, match="sub-multisets"):
             killing.extract_tensor(inv, 8, 1000, np.zeros(1000))
         assert len(calls) == 2  # the scaling probes
+
+    def test_evaluation_cap_is_checked_before_the_first_evaluation(self, monkeypatch):
+        # rank 8 in dim 59, killing extract -k 8 on an n = 30 generalised lift: C(67, 8) - 1 = 6.5e9
+        calls = []
+        inv = lambda pos, mom: calls.append(None) or float(np.sum(mom)) ** 8  # noqa: E731
+        assert math.comb(59 + 8, 8) - 1 > killing._MAX_POLARIZATION_EVALS
+        with pytest.raises(DomainError, match="sub-multisets"):
+            killing.extract_tensor(inv, 8, 59, np.zeros(59))
+        assert len(calls) == 2
+        # the cap is on C(dim + rank, rank) - 1 evaluations: at it, the table is extracted
+        rank, dim = 3, 4
+        inv = power_sum_invariant(rank, dim)
+        monkeypatch.setattr(killing, "_MAX_POLARIZATION_EVALS", math.comb(dim + rank, rank) - 1)
+        assert same_bits(killing.extract_tensor(inv, rank, dim, np.zeros(dim)), loop_polarization(inv, rank, dim, np.zeros(dim)))
+        monkeypatch.setattr(killing, "_MAX_POLARIZATION_EVALS", math.comb(dim + rank, rank) - 2)
+        with pytest.raises(DomainError, match="sub-multisets"):
+            killing.extract_tensor(inv, rank, dim, np.zeros(dim))
