@@ -6,10 +6,10 @@ dimensional-reduction check, Killing-tensor extraction and verification,
 the structural identity sweep, and the adjudication findings report.
 
 Every command writes its data file (CSV or JSON, 17 significant digits) and
-prints a single PASS/FAIL line with the measured residual.  Exit status 0
-means every residual gate passed, 1 means a gate failed (the report is
-still written), 2 is a usage error.  Relative output paths land in
-$TODALIFT_OUTDIR when that is set.
+prints one PASS/FAIL line of gates, each name=value[ row][ at sample i[ t=T]]
+(gate G, margin G/value) for its worst residual.  Exit status 0 means every
+gate passed, 1 means a gate failed (the report is still written), 2 is a
+usage error.  Relative output paths land in $TODALIFT_OUTDIR when that is set.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import eisenhart, findings, killing, linalg, oplift, toda
 from .errors import ConfigError, DomainError
-from .integrate import IntegratorConfig, Trajectory, integrate_at_times
+from .integrate import IntegratorConfig, Trajectory, integrate_at_times, relative_drift
 
 __all__ = ["ExperimentConfig", "parse_config", "write_trajectory", "run_command", "main"]
 
@@ -230,39 +230,30 @@ def write_trajectory(traj: Trajectory, fmt: str, path: str) -> None:
         raise ConfigError(f"unknown output format {fmt!r}")
 
 
-def _worst_key(values: dict) -> str:
-    """The key of the largest value, or of the first non-finite one: max keeps a
-    finite value over a NaN that follows it, and a NaN must fail its gate."""
-    bad = [k for k, v in values.items() if not math.isfinite(v)]
-    return bad[0] if bad else max(values, key=values.__getitem__)
+def _gate(name: str, table, limit: float, times=None, rows=None) -> tuple[bool, str]:
+    """(ok, detail) of one gate on a residual table: a scalar, one value per sample, or, with
+    rows, one row (of samples, or of one value) per row name.  The worst entry is the first
+    non-finite one, else the largest, so a NaN always fails; a zero limit asks for exact zeros."""
+    table = np.asarray(table, dtype=float)
+    i = int(np.argmax(np.where(np.isfinite(table), table, np.inf)))
+    value, where = float(table.flat[i]), np.unravel_index(i, table.shape)
+    detail = f"{name}={value:.3e}"
+    if rows is not None:
+        detail, where = f"{detail} {rows[where[0]]}", where[1:]
+    if where:
+        detail += f" at sample {where[0]}" + (f" t={times[where[0]]:.6g}" if times is not None else "")
+    margin = limit / value if value else math.inf
+    return value < limit or value == limit == 0.0, f"{detail} (gate {limit:g}, margin {margin:.3g})"
 
 
-def _worst_drift(traj: Trajectory, names=None) -> tuple[float, str]:
-    """Largest drift over the named monitors, with the monitor and the time of its worst
-    sample; a non-finite drift is taken before any finite one, at its first non-finite sample."""
-    name = _worst_key({m: traj.drift[m] for m in names or traj.drift})
-    series = traj.monitors[name]
-    finite = np.isfinite(series)
-    i = int(np.argmin(finite)) if not finite.all() else int(np.argmax(np.abs(series - series[0])))
-    return traj.drift[name], f"max_drift={traj.drift[name]:.3e} at {name} t={traj.times[i]:.6g}"
-
-
-def _worst_sample(name: str, series: np.ndarray, times: np.ndarray, gate: float, what: str = "") -> tuple[bool, str]:
-    """Gate the largest entry of a per-sample residual; the detail names its sample, time and margin (gate/value)."""
-    i = int(np.argmax(series))
-    value = float(series[i])
-    margin = gate / value if value else math.inf
-    detail = f"{name}={value:.3e}{what} at sample {i} t={times[i]:.6g} (gate {gate:g}, margin {margin:.3g})"
-    return value < gate, detail
-
-
-def _report(tag: str, ok: bool, detail: str, path: str | None, traj: Trajectory | None = None) -> int:
-    """Print the PASS/FAIL line; a run's ends with its integrator work, and no wall time."""
-    status = "PASS" if ok else "FAIL"
+def _report(tag: str, gates, path: str | None, traj: Trajectory | None = None) -> int:
+    """Print the PASS/FAIL line of the (ok, detail) gates; a run's ends with its integrator work, and no wall time."""
+    ok = all(passed for passed, _ in gates)
+    detail = " ".join(text for _, text in gates)
     if traj is not None:
         detail += " nfev={nfev} accepted={accepted} rejected={rejected}".format(**traj.stats)
     suffix = f" -> {path}" if path else ""
-    print(f"{status} {tag} {detail}{suffix}")
+    print(f"{'PASS' if ok else 'FAIL'} {tag} {detail}{suffix}")
     return 0 if ok else 1
 
 
@@ -279,15 +270,13 @@ def _load_config(args) -> ExperimentConfig:
 
 def _run(cfg: ExperimentConfig, picture: toda.Picture, tag: str, stem: str, gated=None, extra=None, **options) -> int:
     """Run picture from the configured start, write the trajectory and gate the drift of the
-    gated monitors (all by default); extra(cfg, traj) -> (ok, detail, gate) is one more gate."""
+    gated monitors (all by default); extra(cfg, traj) -> (ok, detail) is one more gate."""
     traj = picture.run(cfg.system(), cfg.state(picture), cfg.integrator, **options)
     path = _resolve_path(cfg.output_path or f"{stem}.{cfg.output_format}")
     write_trajectory(traj, cfg.output_format, path)
-    worst, where = _worst_drift(traj, gated)
-    if extra is None:
-        return _report(tag, worst < _GATE_DRIFT, f"{where} (gate {_GATE_DRIFT:g})", path, traj)
-    ok, detail, gate = extra(cfg, traj)
-    return _report(tag, worst < _GATE_DRIFT and ok, f"{where} {detail} (gates {_GATE_DRIFT:g}, {gate:g})", path, traj)
+    names = gated or list(traj.monitors)
+    gates = [_gate("max_drift", relative_drift([traj.monitors[m] for m in names]), _GATE_DRIFT, traj.times, names)]
+    return _report(tag, gates + ([extra(cfg, traj)] if extra else []), path, traj)
 
 
 def _cmd_toda_run(args) -> int:
@@ -295,7 +284,7 @@ def _cmd_toda_run(args) -> int:
 
 
 def _p_y_gate(cfg, traj):
-    return traj.drift["p_y"] < 1e-10, f"p_y_drift={traj.drift['p_y']:.3e}", 1e-10
+    return _gate("p_y_drift", relative_drift(traj.monitors["p_y"]), 1e-10, traj.times)
 
 
 def _cmd_eisenhart_run(args) -> int:
@@ -319,13 +308,11 @@ def _cmd_oplift_run(args) -> int:
         _write_csv(path, labels, rows)
     else:
         _write_json(path, {lab: rows[:, j].tolist() for j, lab in enumerate(labels)})
-    gates = [_worst_sample("det_drift", np.abs(np.expm1(2.0 * q.sum(axis=1))), times, _GATE_DRIFT)]
+    gates = [_gate("det_drift", np.abs(np.expm1(2.0 * q.sum(axis=1))), _GATE_DRIFT, times)]
     if not np.any(state.omega):
         invs = toda.lax_traces(q.T, qdot.T, state.p_omega[:, None], sys_.n)
-        drift = np.abs(invs - invs[:, :1]) / np.maximum(1.0, np.abs(invs[:, :1]))
-        k = int(np.argmax(np.max(drift, axis=1)))
-        gates.append(_worst_sample("I_drift", drift[k], times, _GATE_DRIFT, f" in I_{k + 1}"))
-    return _report("oplift-exact", all(ok for ok, _ in gates), " ".join(d for _, d in gates), path)
+        gates.append(_gate("I_drift", relative_drift(invs), _GATE_DRIFT, times, [f"I_{k + 1}" for k in range(sys_.n)]))
+    return _report("oplift-exact", gates, path)
 
 
 def _cmd_oplift_compare(args) -> int:
@@ -349,18 +336,15 @@ def _cmd_oplift_compare(args) -> int:
             fh.write("pair,sup_dq\n" + "".join(f"{k},{v:.17g}\n" for k, v in pairs.items()))
     else:
         _write_json(path, pairs)
-    worst = _worst_key(pairs)
-    ok, detail = _worst_sample("max_sup_dq", per_sample[worst], ttraj.times, _GATE_TRAJ, f" {worst}")
-    return _report("oplift-compare", ok, detail, path)
+    gate = _gate("max_sup_dq", list(per_sample.values()), _GATE_TRAJ, ttraj.times, list(pairs))
+    return _report("oplift-compare", [gate], path)
 
 
 def _cbar_gate(cfg, traj):
-    # np.max, unlike max, keeps a NaN deviation, which then fails the gate
-    cbar_dev = float(np.max([
-        np.max(np.abs(traj.monitors[f"cbar_{a + 1}_{a}"] - 2.0 * pw)) / max(1.0, abs(2.0 * pw))
-        for a, pw in enumerate(cfg.p_omega, start=1)
-    ]))
-    return cbar_dev < _GATE_CBAR, f"cbar_vs_2pw={cbar_dev:.3e}", _GATE_CBAR
+    names = [f"cbar_{a + 1}_{a}" for a in range(1, cfg.n)]
+    two_pw = 2.0 * cfg.p_omega[:, None]
+    dev = np.abs([traj.monitors[m] for m in names] - two_pw) / np.maximum(1.0, np.abs(two_pw))
+    return _gate("cbar_vs_2pw", dev, _GATE_CBAR, traj.times, names)
 
 
 def _cmd_forms_monitor(args) -> int:
@@ -376,22 +360,14 @@ def _cmd_forms_monitor(args) -> int:
 def _cmd_reduce_check(args) -> int:
     cfg = _load_config(args)
     sys_ = cfg.system()
-    sup_dq, traj = oplift.compare_reduced_eisenhart(sys_, cfg.state(oplift.GENERALIZED), cfg.integrator)
+    dq, traj = oplift.compare_reduced_eisenhart(sys_, cfg.state(oplift.GENERALIZED), cfg.integrator)
     report = oplift.reduction_check(sys_, traj)
     path = _resolve_path(cfg.output_path or "reduce_check.json")
-    doc = {
-        "max_ydot_residual": report.max_ydot_residual,
-        "max_kinetic_residual": report.max_kinetic_residual,
-        "max_block_residual": report.max_block_residual,
-        "eisenhart_sup_dq": sup_dq,
-        "n_samples": report.n_samples,
-    }
-    _write_json(path, doc)
-    # np.max, unlike max, keeps a NaN residual, which then fails the gate
-    worst = float(np.max([report.max_ydot_residual, report.max_kinetic_residual, report.max_block_residual]))
-    ok = worst < _GATE_DRIFT and sup_dq < _GATE_TRAJ
-    detail = f"max_residual={worst:.3e} eisenhart_sup_dq={sup_dq:.3e} (gates {_GATE_DRIFT:g}, {_GATE_TRAJ:g})"
-    return _report("reduce-check", ok, detail, path)
+    residuals = {key: getattr(report, f"max_{key}_residual") for key in ("ydot", "kinetic", "block")}
+    _write_json(path, {**{f"max_{key}_residual": v for key, v in residuals.items()},
+                       "eisenhart_sup_dq": float(np.max(dq)), "n_samples": report.n_samples})
+    return _report("reduce-check", [_gate("max_residual", list(residuals.values()), _GATE_DRIFT, rows=list(residuals)),
+                                    _gate("eisenhart_sup_dq", dq, _GATE_TRAJ, traj.times)], path)
 
 
 def _cmd_killing_extract(args) -> int:
@@ -401,17 +377,15 @@ def _cmd_killing_extract(args) -> int:
     position = picture.pack(cfg.state(picture))[:dim]
     inv = picture.invariant(cfg.system(), args.k)
     table = killing.extract_tensor(inv, args.k, dim, position)
-    rng = np.random.default_rng(cfg.seed)
-    resids = [0.0]
-    for _ in range(10):
-        mom = rng.uniform(-1.0, 1.0, dim)
+    resids = []
+    for mom in np.random.default_rng(cfg.seed).uniform(-1.0, 1.0, (10, dim)):
         want = inv(position, mom)
         resids.append(abs(killing.contract_table(table, args.k, mom) - want) / max(1.0, abs(want)))
-    resid = float(np.max(resids))  # np.max, unlike max, keeps a NaN residual, which then fails the gate
     path = _resolve_path(cfg.output_path or f"killing_k{args.k}_{args.lift}.json")
     components = {" ".join(map(str, idx)): val for idx, val in table.items()}
-    _write_json(path, {"lift": args.lift, "k": args.k, "components": components, "contraction_residual": resid})
-    return _report("killing-extract", resid < _GATE_EXTRACT, f"contraction_residual={resid:.3e} (gate {_GATE_EXTRACT:g})", path)
+    _write_json(path, {"lift": args.lift, "k": args.k, "components": components,
+                       "contraction_residual": float(np.max(resids))})
+    return _report("killing-extract", [_gate("contraction_residual", resids, _GATE_EXTRACT)], path)
 
 
 def _cmd_killing_verify(args) -> int:
@@ -421,20 +395,19 @@ def _cmd_killing_verify(args) -> int:
     reports = [killing.verify_killing(sys_, args.lift, k, seed=cfg.seed) for k in ks]
     path = _resolve_path(cfg.output_path or f"killing_verify_{args.lift}.json")
     _write_json(path, [r.to_dict() for r in reports])
-    worst_b = float(np.max([r.bracket_max for r in reports]))  # a NaN shows, as it fails its report
-    worst_d = float(np.max([r.drift_max for r in reports]))
-    ok = all(r.passed for r in reports)
-    return _report(
-        f"killing-verify-{args.lift}", ok, f"bracket_max={worst_b:.3e} drift_max={worst_d:.3e} (gates 1e-05, 1e-08)", path
-    )
+    names = [f"I_{k}" for k in ks]
+    gates = [_gate("bracket_max", [r.bracket_max for r in reports], 1e-5, rows=names),
+             _gate("drift_max", [r.drift_max for r in reports], 1e-8, rows=names)]
+    return _report(f"killing-verify-{args.lift}", gates, path)
 
 
 def _cmd_identities_check(args) -> int:
     rng = np.random.default_rng(args.seed)
     products = {f"dim={dim}": linalg.product_identity_residuals(dim) for dim in range(2, args.n + 1)}
-    # per check, its residual at each dim; np.max, unlike max, keeps a NaN, which then fails the gate
-    checks = {"z_closed_form": [0.0], "z_inverse_sign_rule": [0.0], "udu_round_trip": [0.0]}
-    for dim in range(2, min(args.n, 8) + 1):
+    checked = range(2, min(args.n, 8) + 1)
+    # per check, its residual at each checked dim
+    checks = {"z_closed_form": [], "z_inverse_sign_rule": [], "udu_round_trip": []}
+    for dim in checked:
         omega = rng.uniform(-2.0, 2.0, dim - 1)
         z = oplift.z_from_omega(omega, dim)
         gen = sum(omega[a] * linalg.basis_matrix("upper", a + 1, a + 2, dim=dim) for a in range(dim - 1))
@@ -450,29 +423,28 @@ def _cmd_identities_check(args) -> int:
         recomposed = linalg.udu_compose(fac.z, fac.hsq)
         scale = max(1.0, float(np.max(np.abs(x))))
         checks["udu_round_trip"].append(float(np.max(np.abs(recomposed - x))) / scale)
-    out = {"product_identities": products, **{name: float(np.max(v)) for name, v in checks.items()}}
-    worst_products = float(np.max([0.0, *(v for res in products.values() for v in res.values())]))
     path = _resolve_path(args.out or "identities.json")
-    _write_json(path, out)
-    ok = (
-        worst_products == 0.0
-        and out["z_closed_form"] < 1e-13
-        and out["z_inverse_sign_rule"] < 1e-13
-        and out["udu_round_trip"] < 1e-12
-    )
-    detail = (
-        f"products={worst_products:.1e} z_form={out['z_closed_form']:.3e} "
-        f"z_inv={out['z_inverse_sign_rule']:.3e} udu={out['udu_round_trip']:.3e} "
-        f"(gates 0, 1e-13, 1e-13, 1e-12)"
-    )
-    return _report("identities-check", ok, detail, path)
+    _write_json(path, {"product_identities": products, **{name: float(np.max(v)) for name, v in checks.items()}})
+    rules = {f"{dim}/{rule}": value for dim, res in products.items() for rule, value in res.items()}
+    dims = [f"dim={dim}" for dim in checked]
+    gates = [_gate("products", list(rules.values()), 0.0, rows=list(rules))]  # integer matrices: exact zeros
+    gates += [_gate(short, checks[name], limit, rows=dims) for short, name, limit in (
+        ("z_form", "z_closed_form", 1e-13), ("z_inv", "z_inverse_sign_rule", 1e-13), ("udu", "udu_round_trip", 1e-12))]
+    return _report("identities-check", gates, path)
 
 
 def _cmd_findings_report(args) -> int:
     doc = findings.generate_findings(seed=args.seed, n=args.n)
     path = _resolve_path(args.out or "findings.json")
     findings.write_findings(path, doc)
-    return _report("findings-report", True, "adjudications written", path)
+    return _report("findings-report", [(True, "adjudications written")], path)
+
+
+def _size(text: str) -> int:
+    """A sweep's -n: an integer >= 2, as the smallest chain has two particles."""
+    if int(text) < 2:  # a non-integer is argparse's own "invalid _size value"
+        raise argparse.ArgumentTypeError(f"need an integer >= 2, got {text!r}")
+    return int(text)
 
 
 @functools.cache
@@ -521,13 +493,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     idn = sub.add_parser("identities", help="structural identity sweep").add_subparsers(dest="action", required=True)
     chk = idn.add_parser("check", help="basis products, Z closed form, UDU round trip")
-    chk.add_argument("-n", type=int, default=6)
+    chk.add_argument("-n", type=_size, default=6)
     chk.add_argument("--seed", type=int, default=0)
     chk.add_argument("--out")
 
     fin = sub.add_parser("findings", help="adjudication report").add_subparsers(dest="action", required=True)
     rep = fin.add_parser("report", help="settle the ambiguous closed forms numerically")
-    rep.add_argument("-n", type=int, default=4)
+    rep.add_argument("-n", type=_size, default=4)
     rep.add_argument("--seed", type=int, default=0)
     rep.add_argument("--out")
 

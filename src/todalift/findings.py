@@ -24,7 +24,7 @@ import json
 import numpy as np
 
 from . import oplift, toda
-from .integrate import IntegratorConfig, Trajectory, integrate_at_times
+from .integrate import IntegratorConfig, Trajectory, integrate_at_times, relative_drift
 from .linalg import basis_matrix
 
 __all__ = [
@@ -100,7 +100,7 @@ def lambda_factor_finding(seed: int = 0, n: int = 4) -> dict:
     labels = [f"a={a}" for a in range(1, n + 1)]
     fitted = {key: float(-c / v) for key, c, v in zip(labels, cov, var) if v > 1e-18}
     series = np.array([1.0, 2.0])[:, None, None] * qdot + coupling  # alpha = 1, 2
-    rel = np.max(np.abs(series - series[..., :1]), axis=2) / np.maximum(1.0, np.abs(series[..., 0]))
+    rel = np.max(relative_drift(series), axis=2)
     drift = {f"alpha={alpha}": dict(zip(labels, row)) for alpha, row in zip((1, 2), rel.tolist())}
     return {
         "fitted_alpha": fitted,

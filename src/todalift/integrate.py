@@ -77,6 +77,7 @@ __all__ = [
     "integrate_at_times",
     "checked_sample_times",
     "monitor_drift",
+    "relative_drift",
 ]
 
 # rhs(t, y) -> dy/dt of y's shape; t is a float, or a (C,) array of column times for a (d, C) y
@@ -187,8 +188,8 @@ class IntegratorConfig:
 class Trajectory:
     """Sampled solution plus monitored conserved quantities.
 
-    drift maps each monitor name to max over samples of
-    |m(t) - m(0)| / max(1, |m(0)|).  stats records the integrator's work:
+    drift maps each monitor name to its monitor_drift, the largest
+    relative_drift over the samples.  stats records the integrator's work:
     nfev right-hand-side calls (a batched call counts once), accepted and
     rejected steps, and the smallest and largest accepted step, dt_min and
     dt_max (0.0 when no step was taken).  method names the stepper that ran
@@ -208,12 +209,18 @@ class Trajectory:
         return len(self.times)
 
 
-def monitor_drift(values: np.ndarray) -> float:
+def relative_drift(values) -> np.ndarray:
+    """|m(t) - m(0)| / max(1, |m(0)|) at every sample, the samples along the last axis."""
     values = np.asarray(values, dtype=float)
-    if len(values) == 0:
-        return 0.0
-    ref = values[0]
-    return float(np.max(np.abs(values - ref)) / max(1.0, abs(ref)))
+    ref = values[..., :1]
+    return np.abs(values - ref) / np.maximum(1.0, np.abs(ref))
+
+
+def monitor_drift(values: np.ndarray) -> float:
+    """The largest relative drift of one monitor's samples, 0.0 for none; a NaN is kept.
+    The scale is positive and one per row, so this is max|m(t) - m(0)| / max(1, |m(0)|) bit for bit."""
+    values = np.asarray(values, dtype=float)
+    return float(np.max(relative_drift(values))) if len(values) else 0.0
 
 
 def _dp54_step(rhs: Rhs, t: float, y: np.ndarray, dt: float, k1: np.ndarray):

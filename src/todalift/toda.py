@@ -123,7 +123,8 @@ def lax_pair(sys: TodaSystem, state: PhaseState) -> tuple[np.ndarray, np.ndarray
     L carries p on the diagonal, g on the subdiagonal and g_i e^{2(q_i -
     q_{i+1})} on the superdiagonal; M is twice the superdiagonal part of L.
     state is a PhaseState or a packed float vector [q, p] of length 2n, whose
-    entries are not validated (for integrator callbacks).
+    entries are not validated: eisenhart.lifted_lax passes the lift's q and p
+    packed, with the couplings p_y g in sys.
     """
     n = sys.n
     if isinstance(state, PhaseState):

@@ -4,10 +4,12 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from todalift import cli, eisenhart, killing, linalg, oplift, toda
 from todalift.errors import ConfigError
-from todalift.integrate import Trajectory
+from todalift.integrate import Trajectory, relative_drift
 
 MINIMAL = {"n": 2, "g": [1.0], "q": [0.0, 0.0], "p": [0.0, 0.0], "t_final": 10.0}
 
@@ -43,6 +45,10 @@ COMMANDS = {
     "forms-n2": (["forms", "monitor", "--set", "n2"], "forms_n2.csv"),
     "forms-general": (["forms", "monitor", "--set", "general"], "forms_general.csv"),
 }
+
+# the one grammar of a PASS/FAIL line: each gate reads name=value[ row][ at sample i[ t=T]] (gate G, margin M)
+GATE = r"(\w+)=(\S+)(?: (\S+))?(?: at sample (\d+)(?: t=(\S+))?)? \(gate (\S+), margin (\S+)\)"
+LINE = re.compile(rf"(PASS|FAIL) (\S+)((?: {GATE})+)(?: nfev=\d+ accepted=\d+ rejected=\d+)?(?: -> \S+)?")
 
 
 def write_cfg(tmp_path, doc, name="cfg.json"):
@@ -241,13 +247,16 @@ class TestCommands:
         with np.errstate(over="ignore", invalid="ignore"):
             rc = cli.run_command(["forms", "monitor", "--set", "general", "-c", write_cfg(tmp_path, SCATTERING_3)])
         line = capsys.readouterr().out
-        match = re.match(r"FAIL forms-general max_drift=nan at cbar_3_2 t=(\S+) cbar_vs_2pw=nan ", line)
+        # both gates name the poisoned monitor at its first non-finite sample
+        match = re.match(r"FAIL forms-general max_drift=nan cbar_3_2 at sample (\d+) t=(\S+) \(gate 1e-08, margin nan\) "
+                         r"cbar_vs_2pw=nan cbar_3_2 at sample \1 t=\2 ", line)
         assert rc == 1 and match, line
         header, *rows = (tmp_path / "forms_general.csv").read_text().splitlines()
         table = np.array([[float(v) for v in row.split(",")] for row in rows])
         column = table[:, header.split(",").index("cbar_3_2")]
         first = np.flatnonzero(~np.isfinite(column))[0]
-        assert first > 0 and float(match.group(1)) == float(f"{table[first, 0]:.6g}")
+        assert first > 0 and int(match.group(1)) == first
+        assert float(match.group(2)) == float(f"{table[first, 0]:.6g}")
 
     def test_forms_monitor_passes_on_a_scattering_start(self, tmp_path, monkeypatch, capsys):
         # the particles separate until exp(-2 (q_a - q_{a+1})) overflows; the
@@ -338,15 +347,14 @@ class TestCommands:
 
     @pytest.mark.parametrize("order", [("a", "b"), ("b", "a")])
     def test_worst_drift_takes_a_nan_in_either_order(self, order):
+        # the gate helper on a drift table: the NaN row fails wherever it stands, at its first NaN
         times = np.array([0.0, 1.0, 2.0])
         series = {"a": np.array([1.0, 1.0 + 1e-12, 1.0]), "b": np.array([1.0, np.nan, np.nan])}
-        drift = {"a": 1e-12, "b": float("nan")}
-        traj = Trajectory(times=times, states=np.zeros((3, 1)), monitors={m: series[m] for m in order},
-                          drift={m: drift[m] for m in order})
-        worst, detail = cli._worst_drift(traj)
-        assert not worst < cli._GATE_DRIFT
-        assert detail == "max_drift=nan at b t=1"
-        assert cli._worst_drift(traj, ["a"]) == (1e-12, "max_drift=1.000e-12 at a t=1")
+        ok, detail = cli._gate("max_drift", relative_drift([series[m] for m in order]), cli._GATE_DRIFT, times, order)
+        assert not ok
+        assert detail == "max_drift=nan b at sample 1 t=1 (gate 1e-08, margin nan)"
+        assert cli._gate("max_drift", relative_drift([series["a"]]), cli._GATE_DRIFT, times, ["a"]) == (
+            True, "max_drift=1.000e-12 a at sample 1 t=1 (gate 1e-08, margin 1e+04)")
 
     def test_reduce_check(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
@@ -590,20 +598,21 @@ class TestParserReuse:
 
 
 class TestDriftGateLine:
-    PATTERN = re.compile(r"^(PASS|FAIL) (\S+) max_drift=(\S+) at (\S+) t=(\S+) ")
+    PATTERN = re.compile(r"^(PASS|FAIL) (\S+) max_drift=(\S+) (\S+) at sample (\d+) t=(\S+) \(gate 1e-08, margin (\S+)\) ")
 
     def test_failing_gate_names_worst_monitor(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
         sloppy = dict(MINIMAL, rtol=1e-3, atol=1e-3, q=[0.5, -0.5], p=[0.4, -0.4], output_format="json")
         assert cli.run_command(["toda", "run", "-c", write_cfg(tmp_path, sloppy)]) == 1
-        status, tag, drift, name, at = self.PATTERN.match(capsys.readouterr().out).groups()
+        status, tag, drift, name, sample, at, margin = self.PATTERN.match(capsys.readouterr().out).groups()
         assert (status, tag) == ("FAIL", "toda-run")
         doc = json.loads((tmp_path / "toda_run.json").read_text())
         assert name == max(doc["drift"], key=doc["drift"].get)
         assert float(drift) == pytest.approx(doc["drift"][name], rel=1e-3)
+        assert float(margin) == pytest.approx(1e-8 / doc["drift"][name], rel=1e-2) and float(margin) < 1.0
         values = np.array(doc["monitors"][name])
-        worst_t = doc["t"][int(np.argmax(np.abs(values - values[0])))]
-        assert float(at) == pytest.approx(worst_t, rel=1e-5)
+        worst = int(np.argmax(np.abs(values - values[0])))
+        assert int(sample) == worst and float(at) == pytest.approx(doc["t"][worst], rel=1e-5)
 
     @pytest.mark.parametrize(
         "argv, tag",
@@ -617,7 +626,7 @@ class TestDriftGateLine:
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
         sloppy = dict(CALM, rtol=1e-4, atol=1e-4, output_format="json")
         rc = cli.run_command(argv + ["-c", write_cfg(tmp_path, sloppy), "--out", "o.json"])
-        status, got_tag, _, name, _ = self.PATTERN.match(capsys.readouterr().out).groups()
+        status, got_tag, _, name, _, _, _ = self.PATTERN.match(capsys.readouterr().out).groups()
         assert (status, got_tag) == (("PASS", "FAIL")[rc], tag)
         assert name in json.loads((tmp_path / "o.json").read_text())["monitors"]
 
@@ -635,7 +644,7 @@ class TestDriftGateLine:
         for _ in range(2):
             assert cli.run_command(argv + ["-c", cfgp, "--out", "o.csv"]) == 0
             lines.append(capsys.readouterr().out.strip())
-        # the drift line is unchanged in front, and a rerun prints the same line: no wall time
+        # the line opens with the drift gate, and a rerun prints the same line: no wall time
         assert self.PATTERN.match(lines[0]) and lines[0] == lines[1]
         nfev, accepted, rejected, path = (int(v) if v.isdigit() else v for v in self.WORK.search(lines[0]).groups())
         assert accepted > 0 and nfev == 1 + 6 * (accepted + rejected)  # Dormand-Prince's count
@@ -733,3 +742,119 @@ class TestExactPath:
         assert (status, tag) == ("PASS", "oplift-exact") and " I_drift=" in out
         rows = np.loadtxt(tmp_path / "oplift_exact.csv", delimiter=",", skiprows=1)
         assert rows.shape == (201, 6) and np.all(np.isfinite(rows))
+
+
+class TestGateGrammar:
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param(argv, id=tag) for tag, (argv, _) in COMMANDS.items() if tag != "forms-n2"),
+        pytest.param(["killing", "extract", "-k", "2"], id="killing-extract"),
+        pytest.param(["killing", "verify", "--lift", "eisenhart", "-k", "2"], id="killing-verify"),
+    ])
+    def test_every_gate_names_value_location_gate_and_margin(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        rc = cli.run_command(argv + ["-c", write_cfg(tmp_path, CALM)])
+        line = capsys.readouterr().out.strip()
+        match = LINE.fullmatch(line)
+        assert match and rc == 0 and match[1] == "PASS", line
+        for _, value, row, sample, _, gate, margin in re.findall(GATE, match[3]):
+            assert row or sample, line
+            assert float(margin) == pytest.approx(float(gate) / float(value), rel=1e-2) if float(value) else margin == "inf"
+
+    def test_identities_gates_name_the_dimension(self, tmp_path, monkeypatch, capsys):
+        # the products gate is an exact-zero check, so its margin on zeros is inf
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        assert cli.run_command(["identities", "check", "-n", "3"]) == 0
+        gates = re.findall(GATE, LINE.fullmatch(capsys.readouterr().out.strip())[3])
+        assert [(name, gate) for name, _, _, _, _, gate, _ in gates] == [
+            ("products", "0"), ("z_form", "1e-13"), ("z_inv", "1e-13"), ("udu", "1e-12")]
+        assert re.fullmatch(r"dim=[23]/upper_product", gates[0][2]) and gates[0][1] == "0.000e+00"
+        assert gates[0][6] == "inf" and all(re.fullmatch(r"dim=[23]", row) for _, _, row, *_ in gates[1:])
+
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    @pytest.mark.parametrize("group", [["identities", "check"], ["findings", "report"]], ids=lambda g: g[0])
+    def test_sweep_size_below_two_is_a_usage_error(self, tmp_path, monkeypatch, capsys, group, n):
+        # -n 1, 0 and -3 once checked nothing and passed, or failed inside numpy
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        assert cli.run_command([*group, "-n", n]) == 2
+        assert "argument -n: need an integer >= 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
+# optional README keys, valid for every run, compare, forms and reduce command
+def _optional(n):
+    unit = st.floats(-1.0, 1.0)
+    return {
+        "method": st.sampled_from(["adaptive", "extrapolation"]),
+        "stride": st.integers(1, 5),
+        "rtol": st.sampled_from([1e-8, 1e-10]),
+        "y": unit,
+        "p_y": st.floats(0.5, 1.5),
+        "omega": st.lists(unit, min_size=n - 1, max_size=n - 1),
+        "output_format": st.sampled_from(["csv", "json"]),
+    }
+
+
+@st.composite
+def readme_configs(draw):
+    n = draw(st.integers(2, 4))
+    doc = {
+        "n": n,
+        "g": draw(st.lists(st.floats(0.3, 1.2), min_size=n - 1, max_size=n - 1)),
+        "q": sorted(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))),
+        "p": draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)),
+        "t_final": draw(st.floats(0.5, 3.0)),
+    }
+    optional = _optional(n)
+    for key in draw(st.lists(st.sampled_from(sorted(optional)), unique=True)):
+        doc[key] = draw(optional[key])
+    return doc
+
+
+# one bad value per key; each must be refused as it is read
+MALFORMED = {
+    "n": [1, 2.5, "3", None, True],
+    "g": [[], "x", [[1.0]], [float("nan")]],
+    "q": ["x", [0.0], [None, 0.0]],
+    "p": [{}, [0.0] * 5],
+    "t_final": [-1.0, 0.0, "10", None, float("inf")],
+    "rtol": [0.0, -1e-10, "tight", [1e-10]],
+    "atol": [-1.0, None],
+    "dt": [0.0, -0.1],
+    "stride": [0, 1.5, True, "2"],
+    "method": ["rk4", None, 3],
+    "y": [None, "0"],
+    "p_y": ["1", [1.0], float("nan")],
+    "omega": ["x", [0.0] * 5],
+    "output_format": ["xml", 1],
+    "seed": [1.5, "0", False],
+    "output_path": [5, []],
+    "tfinal": [1.0],
+}
+SWEPT = [argv for argv, _ in COMMANDS.values() if argv[-1] != "n2"]  # forms --set general: n2 takes n = 2 alone
+
+
+class TestReadmeSchemaSweep:
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=readme_configs())
+    def test_valid_configs_pass_or_fail_a_named_gate(self, tmp_path, monkeypatch, capsys, doc):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        cfgp = write_cfg(tmp_path, doc)
+        for argv in SWEPT + [["forms", "monitor", "--set", "n2"]] * (doc["n"] == 2):
+            rc = cli.run_command(argv + ["-c", cfgp])
+            out, err = capsys.readouterr()
+            match = LINE.fullmatch(out.strip().splitlines()[-1])
+            assert rc in (0, 1) and not err and match, (argv, doc, out, err)
+            assert rc == ("PASS", "FAIL").index(match[1])
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(doc=readme_configs(), bad=st.sampled_from([(k, v) for k, vs in MALFORMED.items() for v in vs]),
+           argv=st.sampled_from(SWEPT))
+    def test_malformed_values_are_configuration_errors(self, tmp_path, monkeypatch, capsys, doc, bad, argv):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        key, value = bad
+        cfgp = write_cfg(tmp_path, dict(doc, **{key: value}), "bad.json")
+        assert cli.run_command(argv + ["-c", cfgp]) == 2
+        out, err = capsys.readouterr()
+        assert not out and err.startswith("configuration error: "), (bad, err)

@@ -18,6 +18,7 @@ from todalift.integrate import (
     integrate,
     integrate_at_times,
     monitor_drift,
+    relative_drift,
 )
 
 
@@ -146,6 +147,21 @@ def test_unset_dt_is_the_steppers_default(method, dt):
 def test_monitor_drift_definition():
     assert monitor_drift(np.array([2.0, 2.5, 1.5])) == 0.25
     assert monitor_drift(np.array([0.1, 0.3])) == pytest.approx(0.2)
+
+
+def test_relative_drift_rows_reach_monitor_drift_bit_for_bit():
+    # the scale max(1, |m(0)|) is one positive number per row, so dividing before the max changes no bit
+    rng = np.random.default_rng(3)
+    table = rng.normal(size=(6, 40)) * np.logspace(-3, 3, 6)[:, None]
+    table[4, 7:] = np.nan
+    table[5, 0] = np.nan
+    drift = relative_drift(table)
+    assert drift.shape == table.shape and np.all(drift[:, 0][np.isfinite(table[:, 0])] == 0.0)
+    for row, values in zip(drift, table):
+        want = np.max(np.abs(values - values[0])) / max(1.0, abs(values[0]))
+        got = [float(np.max(row)), float(want), monitor_drift(values)]
+        assert got[0] == got[1] == got[2] or all(map(math.isnan, got))
+    assert monitor_drift(np.zeros(0)) == 0.0
 
 
 def test_stats_count_every_rhs_evaluation():

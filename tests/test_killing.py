@@ -340,10 +340,15 @@ class TestVerifyKilling:
                 killing.verify_killing(sys, lift, 1)
 
     def test_a_nan_drift_fails(self, monkeypatch):
-        # the second geodesic's drift is NaN, after a finite one: max would keep the finite one
-        drifts = iter([1e-12, float("nan")])
-        real = killing.monitor_drift
-        monkeypatch.setattr(killing, "monitor_drift", lambda values: next(drifts, None) or real(values))
+        # the second geodesic's drift turns NaN, after a finite first geodesic: max would keep the finite one
+        real = killing.relative_drift
+
+        def poisoned(values):  # (geodesics, samples)
+            drift = real(values)
+            drift[1, 1:] = np.nan
+            return drift
+
+        monkeypatch.setattr(killing, "relative_drift", poisoned)
         sys = toda.TodaSystem(3, [0.8, 1.1])
         report = killing.verify_killing(sys, "eisenhart", 2, samples=5, seed=5, geodesics=3, t_final=2.0)
         assert math.isnan(report.drift_max) and not report.passed
