@@ -48,12 +48,13 @@ The right-hand side rhs(t, y) is called with the state's own shape and a
 float t, and, under extrapolation, also with a (d, C) batch of columns and
 a (C,) array holding each column's time: the substep states of the rows
 still substepping, C = rows x B, or rows x B x (1 + rides) under
-integrate_at_times.  rhs must return an array of y's shape and
-must not write into y.  The t and y handed to rhs may be views into the
-stepper's buffers, which later calls overwrite: the extrapolation stepper
-builds its tableau once per run and refills it on every trial step, so an
-rhs must copy what it keeps.  Every call counts once in a trajectory's
-nfev, whatever its batch width.
+integrate_at_times.  That batch is always a C-contiguous (d, C) array.
+rhs must return an array of y's shape and must not write into y.  The t
+and y handed to rhs may be the stepper's own buffers or views into them,
+which later calls overwrite: the extrapolation stepper builds its tableau
+once per run and refills it on every trial step, so an rhs must copy what
+it keeps.  Every call counts once in a trajectory's nfev, whatever its
+batch width.
 
 Everything here is deterministic: identical inputs produce bit-identical
 trajectories.
@@ -61,6 +62,7 @@ trajectories.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -106,17 +108,23 @@ _DP_DENSE = np.array([
     701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
 ])
 
-# Substep counts of the extrapolation tableau's rows; the first row still
-# substepping at substep m = 1, 2, ..., 11 (row j takes substeps 1..n_j - 1);
-# and, for column k = 1..5, the Aitken-Neville weights
-# 1 / ((n_j / n_{j-k})^2 - 1) of rows j = k..5.
+# Substep counts of the extrapolation tableau's rows (row j takes substeps
+# 1..n_j - 1); the first row with n_j >= m, m = 0, 1, ..., 12, whose state
+# after m substeps is kept (so _GBS_HELD[m + 1] is the first row still
+# substepping at substep m); and, for column k = 1..5, the Aitken-Neville
+# weights 1 / ((n_j / n_{j-k})^2 - 1) of rows j = k..5.
 _GBS_SEQUENCE = (2, 4, 6, 8, 10, 12)
-_GBS_SUBSTEPS, _GBS_ROWS = np.array(_GBS_SEQUENCE), np.arange(len(_GBS_SEQUENCE))
-_GBS_SUBSTEPS_GRID = _GBS_SUBSTEPS[:, None, None]
+_GBS_SUBSTEPS_GRID = np.array(_GBS_SEQUENCE)[:, None, None]
 _GBS_STEP_INDEX = np.arange(_GBS_SEQUENCE[-1], dtype=float)[:, None]
-_GBS_FIRST_ROW = tuple(
-    next(j for j, n in enumerate(_GBS_SEQUENCE) if n > m) for m in range(1, _GBS_SEQUENCE[-1])
+_GBS_HELD = tuple(
+    next(j for j, n in enumerate(_GBS_SEQUENCE) if n >= m) for m in range(_GBS_SEQUENCE[-1] + 1)
 )
+# z_m holds 6 - _GBS_HELD[m] rows; in a tableau's block, z_m starts after
+# _GBS_OFFSETS[m] row blocks.  Row j ends in z_{n_j}, which starts after
+# _GBS_END_OFFSETS[j] blocks and holds _GBS_END_ROWS[j] rows, (rows, 1, 1) grids.
+_GBS_OFFSETS = (0, *itertools.accumulate(len(_GBS_SEQUENCE) - first for first in _GBS_HELD))
+_GBS_END_OFFSETS = np.array([_GBS_OFFSETS[n] for n in _GBS_SEQUENCE])[:, None, None]
+_GBS_END_ROWS = np.array([len(_GBS_SEQUENCE) - _GBS_HELD[n] for n in _GBS_SEQUENCE])[:, None, None]
 _GBS_WEIGHTS = tuple(
     np.array([1.0 / ((n / _GBS_SEQUENCE[j - k]) ** 2 - 1.0) for j, n in enumerate(_GBS_SEQUENCE) if j >= k])[:, None, None]
     for k in range(1, len(_GBS_SEQUENCE))
@@ -253,10 +261,16 @@ class _Tableau:
 
     The batch is `groups` copies of a (d, width) state: column g width + b
     is start column b stepped by the g-th step (groups > 1 only for ride
-    columns, see _ExtrapolationStepper.trial).  Column j groups width + c of
-    a substep batch is tableau row j's state from column c.  Everything here
-    depends on the shape alone, so it is built once and every trial step of
-    that shape refills it in place.
+    columns, see _ExtrapolationStepper.trial).  There are `columns` =
+    groups width of them.  The state after m substeps, z_m, is one
+    C-contiguous (d, rows_m columns) buffer holding only the rows with
+    n_j >= m, so substep m writes z_{m+1} whole; column (j - j_m) columns + c
+    of it is row j's state from column c, j_m the first row held.  At an even
+    m the row with n_j = m has just ended, and the rows still substepping
+    are a trailing block of z_m, which is copied into a contiguous batch for
+    rhs; at an odd m, z_m is that batch itself.  The thirteen buffers are
+    views of one allocation.  Everything here depends on the shape alone, so
+    it is built once and every trial step of that shape refills it in place.
     """
 
     def __init__(self, d: int, groups: int, width: int):
@@ -267,18 +281,28 @@ class _Tableau:
         self.h_cols = self.h.reshape(-1)
         self.two_h = np.empty_like(self.h_cols)
         self.times = np.empty((_GBS_SEQUENCE[-1], rows * columns))  # times[m] = t + m h_j per column
-        # zs[m] is every row's state after m substeps, a (d, rows columns) batch
-        self.zs = np.empty((_GBS_SEQUENCE[-1] + 1, d, rows * columns))
-        self.start = self.zs[0].reshape(d, rows, groups, width)
-        self.first = self.zs[1].reshape(self.start.shape)
-        # each row's end value zs[n_j, :, j] is read through this view
-        self.ends = self.zs.reshape(len(self.zs), d, rows, columns)
-        # (z_{m+1}, z_m, z_{m-1}, t_m, 2 h) over the rows still substepping at m
+        # zs[m] is z_m of the rows with n_j >= m, the first row held being _GBS_HELD[m]
+        size = d * columns  # of one row's block
+        self.block = np.empty(_GBS_OFFSETS[-1] * size)
+        zs = [self.block[lo * size : hi * size].reshape(d, -1) for lo, hi in zip(_GBS_OFFSETS, _GBS_OFFSETS[1:])]
+        self.start = zs[0].reshape(d, rows, groups, width)
+        self.first = zs[1].reshape(self.start.shape)
+        # row j's end value, the first `columns` columns of zs[n_j], sits at
+        # these indices of the block, gathered by one take into (rows, d, columns)
+        self.ends = _GBS_END_OFFSETS * size + np.arange(d)[:, None] * (_GBS_END_ROWS * columns) + np.arange(columns)
+        # (z_{m+1}, the batch of z_m, its source in zs[m] or None, z_{m-1}, t_m, 2 h)
+        # over the rows still substepping at m
         self.substeps = []
-        for m, first in enumerate(_GBS_FIRST_ROW, 1):
+        batch = zs[0]
+        for m in range(1, _GBS_SEQUENCE[-1]):
+            first = _GBS_HELD[m + 1]
             active = slice(first * columns, None)
-            zs = self.zs[:, :, active]
-            self.substeps.append((zs[m + 1], zs[m], zs[m - 1], self.times[m, active], self.two_h[active]))
+            if _GBS_HELD[m] < first:  # the row with n_j = m ended: copy the others out of z_m
+                z_prev = zs[m - 1][:, (first - _GBS_HELD[m - 1]) * columns :]
+                source, batch = zs[m][:, columns:], np.empty((d, (rows - first) * columns))
+            else:  # z_m is the batch, and the batch before holds these rows' z_{m-1}
+                z_prev, source, batch = batch, None, zs[m]
+            self.substeps.append((zs[m + 1], batch, source, z_prev, self.times[m, active], self.two_h[active]))
         # Aitken-Neville's columns 1..4 go to buffers; for columns 2..5 the
         # (upper rows, lower rows) of the column before, its weights and its
         # buffer are made here once.  Column 5 is fresh, so no result aliases a buffer.
@@ -314,12 +338,14 @@ class _Tableau:
         self.start[...] = y.reshape(d, 1, 1, -1)
         np.multiply(f0.reshape(d, 1, 1, -1), self.h, out=self.first)
         self.first += self.start
-        for z_next, z, z_prev, t_m, two_h in self.substeps:
+        for z_next, z, source, z_prev, t_m, two_h in self.substeps:
+            if source is not None:
+                np.copyto(z, source)
             np.multiply(rhs(t_m, z), two_h, out=z_next)
             z_next += z_prev
         # Aitken-Neville, one tableau column at a time over all its rows,
         # from column 0: the rows' end values, gathered afresh
-        column = self.ends[_GBS_SUBSTEPS, :, _GBS_ROWS]
+        column = self.block.take(self.ends)
         first = (column[1:], column[:-1], _GBS_WEIGHTS[0], self.first_column)
         for upper, lower, weights, out in (first, *self.columns):
             column = np.subtract(upper, lower, out)
@@ -463,7 +489,7 @@ class _ExtrapolationStepper(_AdaptiveStepper):
         # one call at the start, one per substep index per trial step (rhs at
         # the step's start is shared by the six rows) and one at each
         # accepted state
-        return 1 + len(_GBS_FIRST_ROW) * (self.accepted + self.rejected) + self.accepted
+        return 1 + (_GBS_SEQUENCE[-1] - 1) * (self.accepted + self.rejected) + self.accepted
 
     def sample_at(self, sample_times: np.ndarray) -> None:
         """Make every later trial step also take the sample times strictly

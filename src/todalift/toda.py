@@ -294,15 +294,27 @@ class Picture:
 
     def monitors(self, sys: TodaSystem, kmax: int | None = None, forms=()):
         """Monitors over recorded packed states (S, dim), one value per sample: the
-        extra monitors, I_1..I_kmax, H, then each form monitor on a view of all samples."""
+        extra monitors, I_1..I_kmax, H, then each form monitor on a view of all samples.
+
+        The I_k of one dict share one invariants(sys, states, kmax) sweep per
+        states array: the first I_k called on an array computes every I_k, and
+        the others read it while they are called on that same array object.
+        So a caller must not modify an array between those calls."""
         n = sys.n
         kmax = n if kmax is None else kmax
         if not (1 <= kmax <= n):
             raise DomainError(f"kmax must satisfy 1 <= kmax <= {n}, got {kmax}")
         chart = self.chart(n, sys.g)
         mons = dict(self.extra_monitors(n))
+        sweep = [None, None]  # the last states array and its I_1..I_kmax
+
+        def invariant(states, k):
+            if sweep[0] is not states:
+                sweep[:] = states, self.invariants(sys, states, kmax)
+            return sweep[1][k - 1]
+
         for k in range(1, kmax + 1):
-            mons[f"I_{k}"] = lambda states, k=k: self.invariants(sys, states, k)[k - 1]
+            mons[f"I_{k}"] = lambda states, k=k: invariant(states, k)
         mons["H"] = lambda states: lax_energy(*chart(states.T))
         for fm in forms:
             mons[fm.name] = lambda states, fm=fm: fm.evaluate(self.view(states.T, n))

@@ -642,9 +642,41 @@ class TestStepperTableau:
                 for got, t_s in zip(stepper.ride_states, rides):
                     assert got.tobytes() == gbs_step_by_rows(rhs, t, y, t_s - t, stepper.k1)[0].tobytes()
                 results.append(stepper.ride_states)
+            buffers = self.buffers(stepper.ride_tableau if rides else stepper.tableau)
+            assert not any(np.shares_memory(a, b) for a in results for b in buffers)
             kept.append([(a, a.tobytes()) for a in results])
         # no trial's results alias a buffer that a later trial refills
         assert all(a.tobytes() == data for results in kept for a, data in results)
+
+    @staticmethod
+    def buffers(tableau):
+        """Every array a tableau refills: the substep block, the rhs batches and the extrapolation columns."""
+        batches = [batch for _, batch, _, _, _, _ in tableau.substeps]
+        outs = [out for _, _, _, out in tableau.columns if out is not None]
+        return [tableau.block, tableau.h, tableau.two_h, tableau.times, tableau.first_column, *batches, *outs]
+
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_every_batch_call_gets_a_contiguous_batch(self, rng, width):
+        n = 4
+        field = toda.CHAIN.flow_field(toda.TodaSystem(n, rng.uniform(0.5, 1.5, n - 1)))
+        calls = []
+
+        def rhs(t, y):
+            if np.ndim(t):
+                calls.append((y.shape, y.flags.c_contiguous, len(t)))
+            return field(t, y)
+
+        y = toda.CHAIN.random_states(rng, n, width or 1)
+        y = y if width else y[:, 0].copy()
+        stepper = _ExtrapolationStepper(rhs, y, IntegratorConfig(method="extrapolation"))
+        stepper.sample_at(self.SAMPLES)
+        for t, dt, rides in self.TRIALS:
+            calls.clear()
+            stepper.t, stepper.k1 = t, rhs(t, y)
+            stepper.trial(dt)
+            columns = (width or 1) * (1 + len(rides))
+            widths = [sum(s > m for s in _GBS_SEQUENCE) * columns for m in range(1, _GBS_SEQUENCE[-1])]
+            assert calls == [((2 * n, c), True, c) for c in widths]
 
     @pytest.mark.parametrize("samples", [None, np.linspace(0.0, 5.0, 31)], ids=["integrate", "at_times"])
     def test_stepper_is_freed_on_return(self, monkeypatch, samples):

@@ -237,23 +237,53 @@ def test_invariant_functions_take_packed_states(rng, n):
 
 
 def test_monitors_evaluate_through_the_public_invariant_functions(rng, monkeypatch):
-    # one call of the picture's invariants function per I_k monitor per run
+    # one call of the picture's invariants function per run, with the run's
+    # kmax, on the recorded (samples, d) states
     sys, st = random_chain(rng, 3)
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=2.0, stride=1)
     runs = [
-        (toda, "invariants", lambda: toda.run(sys, st, cfg)),
-        (eisenhart, "lifted_invariants", lambda: eisenhart.run_geodesic(
-            sys, eisenhart.EisenhartState(q=st.q, y=0.0, p=st.p, p_y=1.0), cfg)),
-        (oplift, "generalized_invariants", lambda: oplift.run_geodesic_generalized(
-            sys, oplift.OPState(q=st.q, omega=np.zeros(2), p_q=st.p, p_omega=sys.g), cfg)),
+        (toda, "invariants", lambda kmax: toda.run(sys, st, cfg, kmax)),
+        (eisenhart, "lifted_invariants", lambda kmax: eisenhart.run_geodesic(
+            sys, eisenhart.EisenhartState(q=st.q, y=0.0, p=st.p, p_y=1.0), cfg, kmax)),
+        (oplift, "generalized_invariants", lambda kmax: oplift.run_geodesic_generalized(
+            sys, oplift.OPState(q=st.q, omega=np.zeros(2), p_q=st.p, p_omega=sys.g), cfg, kmax)),
     ]
     for module, name, run in runs:
         calls = []
         real = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args, real=real: calls.append(args) or real(*args))
-        traj = run()
-        assert [args[-1] for args in calls] == [1, 2, 3]
-        assert all(np.shape(args[-2]) == traj.states.shape for args in calls)
+        for kmax in (None, 2):
+            calls.clear()
+            traj = run(kmax)
+            assert [args[-1] for args in calls] == [kmax or sys.n]
+            assert all(args[-2] is traj.states and traj.states.shape == (len(traj), len(traj.labels)) for args in calls)
+            assert [m for m in traj.monitors if m.startswith("I_")] == [f"I_{k}" for k in range(1, (kmax or sys.n) + 1)]
+
+
+@pytest.mark.parametrize("picture", [toda.CHAIN, eisenhart.EISENHART, oplift.GENERALIZED], ids=lambda p: p.name)
+@pytest.mark.parametrize("n", range(2, 11))
+def test_shared_sweep_is_each_invariant_bit_for_bit(rng, picture, n):
+    # the I_k of one dict read one sweep; each equals its own invariants call
+    sys = toda.TodaSystem(n, rng.uniform(0.3, 1.5, n - 1))
+    states = picture.random_states(rng, n, SAMPLES).T
+    for kmax in range(1, n + 1):
+        mons = picture.monitors(sys, kmax)
+        for k in range(1, kmax + 1):
+            want = picture.invariants(sys, states, k)[k - 1]
+            assert mons[f"I_{k}"](states).tobytes() == want.tobytes(), (kmax, k)
+
+
+@pytest.mark.parametrize("picture", [toda.CHAIN, eisenhart.EISENHART, oplift.GENERALIZED], ids=lambda p: p.name)
+def test_shared_sweep_follows_the_states_array(rng, picture):
+    # alternating arrays, including a copy of the first: each call reads its own array's values
+    n = 4
+    sys = toda.TodaSystem(n, rng.uniform(0.3, 1.5, n - 1))
+    first, second = (picture.random_states(rng, n, SAMPLES).T for _ in range(2))
+    mons = picture.monitors(sys)
+    for states in (first, second, first, first.copy(), second):
+        want = picture.invariants(sys, states, n)
+        for k in (n, 1, 2):
+            assert mons[f"I_{k}"](states).tobytes() == want[k - 1].tobytes()
 
 
 def test_lax_charts_read_the_packed_layouts():
