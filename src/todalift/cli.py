@@ -220,9 +220,9 @@ def write_trajectory(traj: Trajectory, fmt: str, path: str) -> None:
         _write_csv(path, ["t"] + labels + mon_names, rows)
     elif fmt == "json":
         doc = {
-            "t": [float(v) for v in traj.times],
-            "states": {lab: [float(v) for v in traj.states[:, j]] for j, lab in enumerate(labels)},
-            "monitors": {m: [float(v) for v in traj.monitors[m]] for m in mon_names},
+            "t": traj.times.tolist(),
+            "states": dict(zip(labels, traj.states.T.tolist())),
+            "monitors": {m: traj.monitors[m].tolist() for m in mon_names},
             "drift": {m: float(traj.drift[m]) for m in traj.drift},
         }
         _write_json(path, doc)

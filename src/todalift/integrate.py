@@ -3,6 +3,10 @@ extrapolation.
 
 The adaptive method ("adaptive") is the Dormand-Prince embedded pair with
 the standard step controller (safety 0.9, growth clamped to [0.2, 5.0]).
+The fifth-order state y5 is the seventh stage's state, and rhs there is
+the next step's first stage (first same as last), so a trial step makes six
+right-hand-side calls and no combination for y5 of its own; a non-finite
+seventh stage makes the error estimate non-finite, which rejects the trial.
 "extrapolation" is a Gragg-Bulirsch-Stoer method (Hairer, Norsett & Wanner,
 Solving ODEs I, II.9): Gragg's modified midpoint rule with 2, 4, ..., 12
 substeps and Aitken-Neville extrapolation in the squared substep, order 12,
@@ -23,11 +27,12 @@ Dormand-Prince.  The returned trajectory's method names the stepper that
 ran.
 
 integrate_at_times samples the solution at given times.  Dormand-Prince
-steps straight through them to the last one and evaluates its order-4
-continuous extension (Hairer, Norsett & Wanner, II.6; the dense output of
-DOPRI5), built from the seven stages of the step that contains each sample,
-at no extra right-hand-side evaluation; a sample on a step end is that
-step's state.  Extrapolation also steps exactly as integrate does: each
+steps straight through them to the last one, keeping the start, end and
+seven stages of each step that contains samples.  After the last step it
+evaluates its order-4 continuous extension (Hairer, Norsett & Wanner, II.6;
+the dense output of DOPRI5) once over all kept steps, at no extra
+right-hand-side evaluation, with the bits of one step's own evaluation; a
+sample on a step end is that step's state.  Extrapolation also steps exactly as integrate does: each
 sample time t_s strictly inside a trial step (t, t + dt) adds one ride
 column per state column to that trial's batch, started from the column's
 state at t and stepped by t_s - t.  The rides go through the same eleven
@@ -95,9 +100,11 @@ _DP_A = (
     np.array([44 / 45, -56 / 15, 32 / 9]),
     np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    # the fifth-order weights b_i (b_7 = 0): the seventh stage's state is y5 (FSAL)
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 )
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# (a_i, i, c_i) of stages 2..7: stage i + 1 evaluates rhs at y + h a_i . (k_1..k_i)
+_DP_STAGES = tuple((row, i, _DP_C[i]) for i, row in enumerate(_DP_A, 1))
 _DP_ERR = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
@@ -234,26 +241,27 @@ def monitor_drift(values: np.ndarray) -> float:
 def _dp54_step(rhs: Rhs, t: float, y: np.ndarray, dt: float, k1: np.ndarray):
     """One trial Dormand-Prince step: returns (y5, error_estimate, stages).
 
-    The stages k have shape (7,) + y.shape; k[6] is rhs at y5.  A batch of
-    shape (d, B) is combined through a flat (7, d B) view, so it costs one
-    vector-matrix product per stage like a vector.
+    The stages k have shape (7,) + y.shape; k[6] is rhs at y5, which is the
+    seventh stage's state, so y5 costs no combination of its own.  A batch
+    of shape (d, B) is combined through a flat (7, d B) view, so it costs
+    one vector-matrix product per stage like a vector.
     """
     k = np.empty((7,) + y.shape)
     k[0] = k1
     batch = y.ndim > 1
     flat, yflat = (k.reshape(7, -1), y.reshape(-1)) if batch else (k, y)
     h = np.array(dt)  # numpy scales by a 0-d array faster than by a Python float
-    for i, row in enumerate(_DP_A, 1):
-        z = row @ flat[:i]
+    for row, i, c in _DP_STAGES:
+        # .dot reaches the same gemv as @ without the matmul ufunc's dispatch
+        z = row.dot(flat[:i])
         z *= h
         z += yflat
-        k[i] = rhs(t + _DP_C[i] * dt, z.reshape(y.shape) if batch else z)
-    y5 = _DP_B5 @ flat
-    y5 *= h
-    y5 += yflat
-    err = _DP_ERR @ flat
+        if batch:
+            z = z.reshape(y.shape)
+        k[i] = rhs(t + c * dt, z)
+    err = _DP_ERR.dot(flat)
     err *= h
-    return (y5.reshape(y.shape), err.reshape(y.shape), k) if batch else (y5, err, k)
+    return z, err.reshape(y.shape) if batch else err, k
 
 
 class _Tableau:
@@ -382,6 +390,9 @@ class _AdaptiveStepper:
             raise DivergenceError("derivative is not finite at the initial state")
         # the last accepted step: its start, its size and its stages
         self.t_prev = self.y_prev = self.step = self.stages = None
+        self.sample_times = None
+        # what hold kept for write_held: one entry per accepted step holding samples
+        self.held = []
 
     def nfev(self) -> int:
         # one evaluation at the start, then six per trial step (the seventh
@@ -398,7 +409,8 @@ class _AdaptiveStepper:
         }
 
     def sample_at(self, sample_times: np.ndarray) -> None:
-        """Prepare to sample at sample_times; the continuous extension needs nothing."""
+        """Sample at sample_times: hold takes the ones inside the last accepted step."""
+        self.sample_times = sample_times
 
     def trial(self, dt: float):
         """(new state, error estimate, stages) of one trial step.
@@ -408,25 +420,41 @@ class _AdaptiveStepper:
         """
         return _dp54_step(self.rhs, self.t, self.y, dt, self.k1)
 
-    def interpolate(self, times: np.ndarray) -> np.ndarray:
-        """States at times inside the last accepted step, shape (len(times),) + y.shape.
+    def hold(self, samples: slice) -> None:
+        """Keep what the samples at sample_times[samples], strictly inside the last
+        accepted step, need: that step's start, size, end states and stages.
+        Each step's arrays are fresh, so nothing is copied."""
+        self.held.append((samples, self.t_prev, self.step, self.y_prev, self.y, self.stages))
+
+    def write_held(self, states: np.ndarray) -> None:
+        """Write every held sample into states, (len(sample_times),) + y.shape.
 
         The continuous extension of DOPRI5: with theta = (t - t_prev) / h,
         y(t) = y0 + theta (dy + (1 - theta) (r3 + theta (r4 + (1 - theta) r5))),
         where dy = y1 - y0, r3 = h k1 - dy, r4 = dy - h k7 - r3 and
-        r5 = h sum_i d_i k_i.
+        r5 = h sum_i d_i k_i.  It runs once over the held steps stacked, each
+        sample taking its step's row, with the ufuncs in the order a single
+        step would use, so every sample has the bits of its step's own
+        evaluation.
         """
-        h = self.step
-        flat = self.stages.reshape(7, -1)
-        y0 = self.y_prev.reshape(-1)
-        dy = self.y.reshape(-1) - y0
-        r3 = h * flat[0] - dy
-        r4 = dy - h * flat[6] - r3
+        if not self.held:
+            return
+        samples, t_prev, h, y0, y1, stages = zip(*self.held)
+        steps = len(samples)
+        index = np.r_[samples]  # the held sample indices, in order
+        owner = np.repeat(np.arange(steps), [s.stop - s.start for s in samples])  # each one's step
+        h = np.array(h)
+        theta = ((self.sample_times[index] - np.array(t_prev)[owner]) / h[owner])[:, None]
+        h = h[:, None]
+        y0 = np.stack(y0).reshape(steps, -1)
+        flat = np.stack(stages).reshape(steps, 7, -1)
+        dy = np.stack(y1).reshape(steps, -1) - y0
+        r3 = h * flat[:, 0] - dy
+        r4 = dy - h * flat[:, 6] - r3
         r5 = h * (_DP_DENSE @ flat)
-        theta = ((times - self.t_prev) / h)[:, None]
         theta1 = 1.0 - theta
-        out = y0 + theta * (dy + theta1 * (r3 + theta * (r4 + theta1 * r5)))
-        return out.reshape((len(theta),) + self.y.shape)
+        out = y0[owner] + theta * (dy[owner] + theta1 * (r3[owner] + theta * (r4[owner] + theta1 * r5[owner])))
+        states[index] = out.reshape((len(index),) + self.y.shape)
 
     def advance_to(self, t_target: float, on_accept=None) -> None:
         rtol, atol = np.array(self.cfg.rtol), np.array(self.cfg.atol)  # 0-d: cheaper operands than floats
@@ -480,7 +508,6 @@ class _ExtrapolationStepper(_AdaptiveStepper):
 
     def __init__(self, rhs: Rhs, y0: np.ndarray, cfg: IntegratorConfig):
         super().__init__(rhs, y0, cfg)
-        self.sample_times = None
         # the tableau of plain trials, kept for the run, and that of the
         # latest ride count, kept until the count changes; built when first needed
         self.tableau = self.ride_tableau = None
@@ -490,11 +517,6 @@ class _ExtrapolationStepper(_AdaptiveStepper):
         # the step's start is shared by the six rows) and one at each
         # accepted state
         return 1 + (_GBS_SEQUENCE[-1] - 1) * (self.accepted + self.rejected) + self.accepted
-
-    def sample_at(self, sample_times: np.ndarray) -> None:
-        """Make every later trial step also take the sample times strictly
-        inside it, as ride columns of its batch; interpolate returns them."""
-        self.sample_times = sample_times
 
     def trial(self, dt: float):
         """(new state, error estimate, None) of one trial step.
@@ -527,10 +549,14 @@ class _ExtrapolationStepper(_AdaptiveStepper):
         self.ride_states = y12[:, width:].reshape(d, len(rides), width).transpose(1, 0, 2).reshape(rides.shape + y.shape)
         return y12[:, :width].reshape(y.shape), err[:, :width].reshape(y.shape), None
 
-    def interpolate(self, times: np.ndarray) -> np.ndarray:
-        """States at the sample times inside the last accepted step, shape
-        (len(times),) + y.shape: the ride columns of that step's trial."""
-        return self.ride_states
+    def hold(self, samples: slice) -> None:
+        """Keep the ride columns of the last accepted step, the states at sample_times[samples]."""
+        self.held.append((samples, self.ride_states))
+
+    def write_held(self, states: np.ndarray) -> None:
+        """Write every held sample into states."""
+        for samples, ride_states in self.held:
+            states[samples] = ride_states
 
 
 _STEPPERS = {cls.method: cls for cls in (_AdaptiveStepper, _ExtrapolationStepper)}
@@ -613,10 +639,10 @@ def integrate_at_times(
 
     The first sample time must be 0.  Useful for comparing formulations on a
     common grid and for co-evolving auxiliary quantities along a previously
-    computed trajectory.  Dormand-Prince steps straight to the last sample
-    and interpolates the samples inside its steps; extrapolation steps
-    straight there too and takes those samples as ride columns of its trial
-    batches.  Without cfg.method, the run is Dormand-Prince.
+    computed trajectory.  Dormand-Prince steps straight to the last sample,
+    then interpolates the samples inside its steps in one pass; extrapolation
+    steps straight there too and takes those samples as ride columns of its
+    trial batches.  Without cfg.method, the run is Dormand-Prince.
     """
     sample_times = checked_sample_times(sample_times)
     y0 = np.asarray(y0, dtype=float)
@@ -627,17 +653,18 @@ def integrate_at_times(
     done = 1
 
     def record(t, y):
-        # the samples in (t_prev, t]: interpolated inside, copied at t
+        # the samples in (t_prev, t]: held by the stepper inside, copied at t
         nonlocal done
         if sample_times[done] > t:
             return
         end = done + int(np.searchsorted(sample_times[done:], t, side="right"))
         inside = end - 1 if sample_times[end - 1] == t else end
         if inside > done:
-            states[done:inside] = stepper.interpolate(sample_times[done:inside])
+            stepper.hold(slice(done, inside))
         if inside < end:
             states[inside] = y
         done = end
 
     stepper.advance_to(sample_times[-1], on_accept=record)
+    stepper.write_held(states)
     return _finish(sample_times, states, monitors, labels, stepper)

@@ -10,9 +10,12 @@ from gbs_oracle import gbs_step_by_rows
 from todalift import eisenhart, oplift, toda
 from todalift.errors import DivergenceError, DomainError, StiffnessError
 from todalift.integrate import (
+    _DP_DENSE,
     _GBS_SEQUENCE,
+    _SHRINK_LIMIT,
     _STEPPERS,
     IntegratorConfig,
+    _AdaptiveStepper,
     _ExtrapolationStepper,
     _Tableau,
     integrate,
@@ -182,6 +185,32 @@ def test_stats_count_every_rhs_evaluation():
         assert stats["rejected"] > 0
         assert stats["nfev"] == 1 + 6 * (stats["accepted"] + stats["rejected"])
         assert stats["nfev"] == len(calls)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("width", [None, 2])
+def test_non_finite_seventh_stage_rejects_the_trial(bad, width):
+    # the seventh stage is rhs at the trial's new state, y5; a non-finite value
+    # there alone must reject the trial and shrink the step by the shrink limit
+    calls = []
+
+    def fragile(t, y):
+        calls.append(t)
+        out = one_dof_rhs(t, y)
+        # call 1 is at the start, calls 2..7 are the first trial's stages 2..7
+        return np.full_like(out, bad) if len(calls) == 7 else out
+
+    y0 = np.array([0.1, -0.2]) if width is None else np.array([[0.1, 0.3], [-0.2, 0.0]])
+    cfg = IntegratorConfig(dt=0.01, rtol=1e-6, atol=1e-8, t_final=0.05, stride=1)
+    clean = integrate(one_dof_rhs, y0, cfg)
+    assert clean.stats["rejected"] == 0 and clean.times[1] == 0.01
+    # a product 0 * inf inside a stage combination may set numpy's invalid flag
+    with np.errstate(invalid="ignore"):
+        traj = integrate(fragile, y0, cfg)
+    assert traj.stats["rejected"] == 1
+    assert traj.times[1] == 0.01 * _SHRINK_LIMIT
+    assert traj.stats["nfev"] == 1 + 6 * (traj.stats["accepted"] + 1) == len(calls)
+    assert np.isfinite(traj.states).all()
 
 
 class TestExtrapolation:
@@ -450,6 +479,52 @@ class TestDenseOutput:
         # measured: 2.1e-10 (chain), 2.4e-10 (eisenhart), 2.7e-10 (generalized)
         assert worst < 1e-8
 
+    @staticmethod
+    def per_step(t_prev, h, y_prev, y, stages, times):
+        """The continuous extension of one step at its interior times, step by step: the oracle."""
+        flat = stages.reshape(7, -1)
+        y0 = y_prev.reshape(-1)
+        dy = y.reshape(-1) - y0
+        r3 = h * flat[0] - dy
+        r4 = dy - h * flat[6] - r3
+        r5 = h * (_DP_DENSE @ flat)
+        theta = ((times - t_prev) / h)[:, None]
+        theta1 = 1.0 - theta
+        out = y0 + theta * (dy + theta1 * (r3 + theta * (r4 + theta1 * r5)))
+        return out.reshape((len(theta),) + y.shape)
+
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_stacked_dense_output_is_the_per_step_formula(self, rng, width):
+        n = 4
+        rhs = toda.CHAIN.flow_field(toda.TodaSystem(n, rng.uniform(0.5, 1.5, n - 1)))
+        y0 = toda.CHAIN.random_states(rng, n, width or 1)
+        y0 = y0 if width else y0[:, 0].copy()
+        cfg = IntegratorConfig(rtol=1e-8, atol=1e-10, t_final=4.0)
+        steps = []
+        stepper = _AdaptiveStepper(rhs, y0, cfg)
+        stepper.advance_to(cfg.t_final, on_accept=lambda t, y: steps.append(
+            (stepper.t_prev, stepper.step, stepper.y_prev, stepper.y, stepper.stages)))
+        assert len(steps) > 10
+        # three samples inside every step, and the end of every other step and of the last
+        fractions = np.array([1 / 7, 0.5, 0.93])
+        ends = [i % 2 == 1 or i == len(steps) - 1 for i in range(len(steps))]
+        times = np.concatenate([[0.0]] + [
+            np.append(t_prev + fractions * h, [t_prev + h] if end else []) for (t_prev, h, *_), end in zip(steps, ends)
+        ])
+        traj = integrate_at_times(rhs, y0, times, cfg)
+        assert traj.stats == stepper.stats()
+        assert traj.states[0].tobytes() == y0.tobytes()
+        for (t_prev, h, y_prev, y, stages), end in zip(steps, ends):
+            rows = np.flatnonzero((times > t_prev) & (times <= t_prev + h))
+            assert len(rows) == 3 + end
+            want = self.per_step(t_prev, h, y_prev, y, stages, times[rows[:3]])
+            assert traj.states[rows[:3]].tobytes() == want.tobytes()
+            if end:
+                assert traj.states[rows[3]].tobytes() == y.tobytes()
+        only_start = integrate_at_times(rhs, y0, [0.0], cfg)
+        assert only_start.stats["accepted"] == 0
+        assert only_start.states.tobytes() == y0[None].tobytes()
+
     @pytest.mark.parametrize("method", ["adaptive", "extrapolation"])
     def test_batch_columns_match_solo_runs(self, rng, method):
         sys = toda.TodaSystem(3, [0.8, 1.2])
@@ -678,18 +753,20 @@ class TestStepperTableau:
             widths = [sum(s > m for s in _GBS_SEQUENCE) * columns for m in range(1, _GBS_SEQUENCE[-1])]
             assert calls == [((2 * n, c), True, c) for c in widths]
 
+    @pytest.mark.parametrize("method", ["adaptive", "extrapolation"])
     @pytest.mark.parametrize("samples", [None, np.linspace(0.0, 5.0, 31)], ids=["integrate", "at_times"])
-    def test_stepper_is_freed_on_return(self, monkeypatch, samples):
-        # no reference cycle: the stepper goes with its last reference, without the cycle collector
+    def test_stepper_is_freed_on_return(self, monkeypatch, samples, method):
+        # no reference cycle, also through the steps held for sampling: the
+        # stepper goes with its last reference, without the cycle collector
         refs = []
 
-        class Recorded(_ExtrapolationStepper):
+        class Recorded(_STEPPERS[method]):
             def __init__(self, *args):
                 super().__init__(*args)
                 refs.append(weakref.ref(self))
 
-        monkeypatch.setitem(_STEPPERS, "extrapolation", Recorded)
-        cfg = IntegratorConfig(method="extrapolation", rtol=1e-10, atol=1e-12, t_final=5.0)
+        monkeypatch.setitem(_STEPPERS, method, Recorded)
+        cfg = IntegratorConfig(method=method, rtol=1e-10, atol=1e-12, t_final=5.0)
         gc.disable()
         try:
             if samples is None:
