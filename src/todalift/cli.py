@@ -101,7 +101,9 @@ def parse_config(text: str) -> ExperimentConfig:
     defaults (method=adaptive, dt=the stepper's default, rtol=1e-10,
     atol=1e-12, stride=10, p_y=1, y=0, omega=0, p_omega=g, seed=0,
     output_format=csv).  method names a stepper of IntegratorConfig, which
-    checks it.
+    checks it; it is the stepper of the run a command writes.  The twins
+    that oplift compare and reduce check integrate at that run's times
+    always run extrapolation, with the same dt, rtol and atol.
     """
     try:
         doc = json.loads(text)
@@ -320,8 +322,9 @@ def _cmd_oplift_compare(args) -> int:
     sys_ = cfg.system()
     state = cfg.state(oplift.GENERALIZED)
     ttraj = toda.run(sys_, toda.PhaseState(q=state.q, p=state.p_q), cfg.integrator, kmax=1)
+    # the twin runs extrapolation whatever the toda run's stepper, so toda_vs_hamiltonian reads the toda run's own error
     otraj = integrate_at_times(oplift.flow_field_generalized(sys_), oplift.GENERALIZED.pack(state), ttraj.times,
-                               cfg.integrator)
+                               dataclasses.replace(cfg.integrator, method="extrapolation"))
     q_toda, q_ham = ttraj.states[:, : sys_.n], otraj.states[:, : sys_.n]
     q_exact = oplift.exact_coordinates(state, sys_, ttraj.times)[0]
     per_sample = {

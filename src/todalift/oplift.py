@@ -24,6 +24,7 @@ module).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -613,7 +614,10 @@ def compare_reduced_eisenhart(
     """Integrate the generalised geodesic and its reduced (q, y) twin.
 
     The reduced run starts from y = sum(g_a omega_a), p_y = 1 and must stay
-    on top of the generalised one; returns (max |dq| at each sample,
+    on top of the generalised one.  The generalised run uses cfg as given;
+    the reduced twin runs extrapolation at its times, on cfg's dt, rtol and
+    atol, so max |dq| reads the generalised run's own error rather than a
+    mix of two runs of one stepper.  Returns (max |dq| at each sample,
     generalised trajectory).
     """
     from . import eisenhart
@@ -625,5 +629,6 @@ def compare_reduced_eisenhart(
         p=state.p_q,
         p_y=1.0,
     )
-    etraj = integrate_at_times(eisenhart.flow_field(sys), eisenhart.EISENHART.pack(e0), traj.times, cfg)
+    twin_cfg = dataclasses.replace(cfg, method="extrapolation")
+    etraj = integrate_at_times(eisenhart.flow_field(sys), eisenhart.EISENHART.pack(e0), traj.times, twin_cfg)
     return np.max(np.abs(traj.states[:, : sys.n] - etraj.states[:, : sys.n]), axis=1), traj

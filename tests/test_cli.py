@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 from contextlib import nullcontext
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from todalift import cli, eisenhart, killing, linalg, oplift, toda
 from todalift.errors import ConfigError
-from todalift.integrate import Trajectory, relative_drift
+from todalift.integrate import Trajectory, integrate_at_times, relative_drift
 
 MINIMAL = {"n": 2, "g": [1.0], "q": [0.0, 0.0], "p": [0.0, 0.0], "t_final": 10.0}
 
@@ -744,6 +745,49 @@ class TestExactPath:
         assert rows.shape == (201, 6) and np.all(np.isfinite(rows))
 
 
+class TestReferenceTwins:
+    """oplift compare and reduce check integrate a twin at the times of the run they check.  The twin
+    runs extrapolation whatever the config's method, so its sup|dq| reads the checked run's own error."""
+
+    # On README_CONFIG the twin's own error against the exact path is 7% (compare) and 4% (reduce) of
+    # the checked run's, which bounds the relative difference; it reads 0.3% and 0.5%.  A Dormand-Prince
+    # twin reads 4.26e-11 against 1.19e-11 (compare) and 1.87e-11 against 1.50e-11 (reduce).
+    REL = 0.1
+
+    def test_compare_reads_the_toda_runs_own_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        cfgp = write_cfg(tmp_path, dict(README_CONFIG, output_format="json"))
+        assert cli.run_command(["oplift", "compare", "-c", cfgp]) == 0
+        pairs = json.loads((tmp_path / "oplift_compare.json").read_text())
+        assert pairs["toda_vs_hamiltonian"] == pytest.approx(pairs["toda_vs_exact"], rel=self.REL)
+
+    def test_reduce_check_reads_the_generalised_runs_own_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        assert cli.run_command(["reduce", "check", "-c", write_cfg(tmp_path, README_CONFIG)]) == 0
+        sup_dq = json.loads((tmp_path / "reduce_check.json").read_text())["eisenhart_sup_dq"]
+        cfg = cli.parse_config(json.dumps(README_CONFIG))
+        sys_, state = cfg.system(), cfg.state(oplift.GENERALIZED)
+        traj = oplift.run_geodesic_generalized(sys_, state, cfg.integrator, kmax=1)
+        q_exact = oplift.exact_coordinates(state, sys_, traj.times)[0]  # omega = 0: the chain's own q
+        assert sup_dq == pytest.approx(float(np.max(np.abs(traj.states[:, :3] - q_exact))), rel=self.REL)
+
+    @pytest.mark.parametrize("argv", [["oplift", "compare"], ["reduce", "check"]], ids=["compare", "reduce"])
+    def test_twin_runs_extrapolation_with_the_configs_step_settings(self, tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        doc = dict(README_CONFIG, method="adaptive", dt=0.05)
+        seen = []
+
+        def spy(rhs, y0, times, cfg, *args, **kwargs):
+            seen.append(cfg)
+            return integrate_at_times(rhs, y0, times, cfg, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "integrate_at_times", spy)
+        monkeypatch.setattr(oplift, "integrate_at_times", spy)
+        assert cli.run_command(argv + ["-c", write_cfg(tmp_path, doc)]) == 0
+        want = cli.parse_config(json.dumps(doc)).integrator
+        assert seen == [dataclasses.replace(want, method="extrapolation")]
+
+
 class TestGateGrammar:
     @pytest.mark.parametrize("argv", [
         *(pytest.param(argv, id=tag) for tag, (argv, _) in COMMANDS.items() if tag != "forms-n2"),
@@ -787,6 +831,8 @@ def _optional(n):
         "method": st.sampled_from(["adaptive", "extrapolation"]),
         "stride": st.integers(1, 5),
         "rtol": st.sampled_from([1e-8, 1e-10]),
+        "atol": st.sampled_from([1e-12, 1e-14]),
+        "dt": st.sampled_from([1e-4, 0.05, 0.5]),
         "y": unit,
         "p_y": st.floats(0.5, 1.5),
         "omega": st.lists(unit, min_size=n - 1, max_size=n - 1),
