@@ -35,6 +35,8 @@ _GATE_DRIFT = 1e-8
 _GATE_TRAJ = 1e-6
 _GATE_CBAR = 1e-13
 _GATE_EXTRACT = 1e-10
+# the points of every command's time grid over [0, t_final]: a run samples every stride-th, and t_final
+_GRID_POINTS = 201
 
 
 @dataclass
@@ -98,12 +100,15 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment document.
 
     Required keys: n, g, q, p, t_final.  Optional keys take the documented
-    defaults (method=adaptive, dt=the stepper's default, rtol=1e-10,
+    defaults (method=extrapolation, dt=the stepper's default, rtol=1e-10,
     atol=1e-12, stride=10, p_y=1, y=0, omega=0, p_omega=g, seed=0,
     output_format=csv).  method names a stepper of IntegratorConfig, which
-    checks it; it is the stepper of the run a command writes.  The twins
-    that oplift compare and reduce check integrate at that run's times
-    always run extrapolation, with the same dt, rtol and atol.
+    checks it; it is the stepper of the run a command writes and checks.
+    stride decimates the 201-point time grid over [0, t_final]: a run is
+    sampled at every stride-th grid point and at t_final.  The twins that
+    oplift compare and reduce check integrate at that run's times run
+    oplift.twin_config: extrapolation on the same dt, at rtol and atol a
+    hundred times tighter.
     """
     try:
         doc = json.loads(text)
@@ -144,7 +149,7 @@ def parse_config(text: str) -> ExperimentConfig:
     omega = vector("omega", n - 1, default=np.zeros(n - 1))
     p_omega = vector("p_omega", n - 1, default=g.copy())
 
-    if doc.get("method", "adaptive") is None:
+    if doc.get("method", "extrapolation") is None:
         # null would leave the stepper to IntegratorConfig's choice by rtol
         raise ConfigError("key 'method': need a method name, got None")
     output_path = doc.get("output_path")
@@ -164,7 +169,7 @@ def parse_config(text: str) -> ExperimentConfig:
         g=g,
         q=q,
         p=p,
-        integrator=_integrator(IntegratorConfig(method="adaptive"), **settings),
+        integrator=_integrator(IntegratorConfig(method="extrapolation"), **settings),
         y=_number("y", doc.get("y", 0.0)),
         p_y=_number("p_y", doc.get("p_y", 1.0)),
         omega=omega,
@@ -173,6 +178,13 @@ def parse_config(text: str) -> ExperimentConfig:
         output_format=fmt,
         seed=seed,
     )
+
+
+def _sample_times(integrator: IntegratorConfig) -> np.ndarray:
+    """The times a command samples its runs at: every stride-th point of the
+    201-point grid over [0, t_final], then t_final where the stride skips it."""
+    times = np.linspace(0.0, integrator.t_final, _GRID_POINTS)[:: integrator.stride]
+    return times if times[-1] == integrator.t_final else np.append(times, integrator.t_final)
 
 
 def _resolve_path(path: str) -> str:
@@ -271,9 +283,10 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _run(cfg: ExperimentConfig, picture: toda.Picture, tag: str, stem: str, gated=None, extra=None, **options) -> int:
-    """Run picture from the configured start, write the trajectory and gate the drift of the
-    gated monitors (all by default); extra(cfg, traj) -> (ok, detail) is one more gate."""
-    traj = picture.run(cfg.system(), cfg.state(picture), cfg.integrator, **options)
+    """Run picture from the configured start on the time grid, write the trajectory and gate the
+    drift of the gated monitors (all by default); extra(cfg, traj) -> (ok, detail) is one more gate."""
+    times = _sample_times(cfg.integrator)
+    traj = picture.run(cfg.system(), cfg.state(picture), cfg.integrator, sample_times=times, **options)
     path = _resolve_path(cfg.output_path or f"{stem}.{cfg.output_format}")
     write_trajectory(traj, cfg.output_format, path)
     names = gated or list(traj.monitors)
@@ -297,11 +310,11 @@ def _cmd_oplift_run(args) -> int:
     cfg = _load_config(args)
     if args.mode == "hamiltonian":
         return _run(cfg, oplift.GENERALIZED, "oplift-run", "oplift_run")
-    # exact mode: the closed-form geodesic at 201 samples, gated on det x(t) and,
+    # exact mode: the closed-form geodesic on the whole grid, gated on det x(t) and,
     # where its q-projection is a Toda chain with couplings p_omega (omega = 0), on I_1..I_n
     sys_ = cfg.system()
     state = cfg.state(oplift.GENERALIZED)
-    times = np.linspace(0.0, cfg.integrator.t_final, 201)
+    times = np.linspace(0.0, cfg.integrator.t_final, _GRID_POINTS)
     q, omega, qdot = oplift.exact_coordinates(state, sys_, times)
     path = _resolve_path(cfg.output_path or f"oplift_exact.{cfg.output_format}")
     labels = ["t", *oplift.GENERALIZED.labels(sys_.n)[: 2 * sys_.n - 1]]
@@ -321,10 +334,11 @@ def _cmd_oplift_compare(args) -> int:
     cfg = _load_config(args)
     sys_ = cfg.system()
     state = cfg.state(oplift.GENERALIZED)
-    ttraj = toda.run(sys_, toda.PhaseState(q=state.q, p=state.p_q), cfg.integrator, kmax=1)
-    # the twin runs extrapolation whatever the toda run's stepper, so toda_vs_hamiltonian reads the toda run's own error
+    ttraj = toda.run(sys_, toda.PhaseState(q=state.q, p=state.p_q), cfg.integrator, kmax=1,
+                     sample_times=_sample_times(cfg.integrator))
+    # the twin runs tighter than the toda run, so toda_vs_hamiltonian reads the toda run's own error
     otraj = integrate_at_times(oplift.flow_field_generalized(sys_), oplift.GENERALIZED.pack(state), ttraj.times,
-                               dataclasses.replace(cfg.integrator, method="extrapolation"))
+                               oplift.twin_config(cfg.integrator))
     q_toda, q_ham = ttraj.states[:, : sys_.n], otraj.states[:, : sys_.n]
     q_exact = oplift.exact_coordinates(state, sys_, ttraj.times)[0]
     per_sample = {
@@ -363,7 +377,8 @@ def _cmd_forms_monitor(args) -> int:
 def _cmd_reduce_check(args) -> int:
     cfg = _load_config(args)
     sys_ = cfg.system()
-    dq, traj = oplift.compare_reduced_eisenhart(sys_, cfg.state(oplift.GENERALIZED), cfg.integrator)
+    dq, traj = oplift.compare_reduced_eisenhart(sys_, cfg.state(oplift.GENERALIZED), cfg.integrator,
+                                                _sample_times(cfg.integrator))
     report = oplift.reduction_check(sys_, traj)
     path = _resolve_path(cfg.output_path or "reduce_check.json")
     residuals = {key: getattr(report, f"max_{key}_residual") for key in ("ydot", "kinetic", "block")}

@@ -59,6 +59,7 @@ __all__ = [
     "adjoint_expansion",
     "reduction_check",
     "compare_reduced_eisenhart",
+    "twin_config",
     "flow_field_generalized",
     "GENERALIZED",
     "run_geodesic_generalized",
@@ -608,27 +609,40 @@ def reduction_check(sys: TodaSystem, traj: Trajectory) -> ReductionReport:
     )
 
 
+# a reference twin's rtol and atol are the checked run's divided by this
+TWIN_TIGHTENING = 100.0
+
+
+def twin_config(cfg: IntegratorConfig) -> IntegratorConfig:
+    """The settings of a reference twin, integrated at the times of a run on cfg: extrapolation
+    on cfg's dt, at rtol and atol TWIN_TIGHTENING times tighter.  The checked run may be
+    extrapolation too, so its own error, not the twin's, then dominates each sup|dq|."""
+    return dataclasses.replace(cfg, method="extrapolation", rtol=cfg.rtol / TWIN_TIGHTENING,
+                               atol=cfg.atol / TWIN_TIGHTENING)
+
+
 def compare_reduced_eisenhart(
-    sys: TodaSystem, state: OPState, cfg: IntegratorConfig
+    sys: TodaSystem, state: OPState, cfg: IntegratorConfig, sample_times=None
 ) -> tuple[np.ndarray, Trajectory]:
     """Integrate the generalised geodesic and its reduced (q, y) twin.
 
     The reduced run starts from y = sum(g_a omega_a), p_y = 1 and must stay
-    on top of the generalised one.  The generalised run uses cfg as given;
-    the reduced twin runs extrapolation at its times, on cfg's dt, rtol and
-    atol, so max |dq| reads the generalised run's own error rather than a
-    mix of two runs of one stepper.  Returns (max |dq| at each sample,
-    generalised trajectory).
+    on top of the generalised one.  The generalised run uses cfg as given,
+    sampled at sample_times, or at every cfg.stride-th accepted step
+    without them (see Picture.run).  The reduced twin runs at the
+    generalised run's times on twin_config(cfg): extrapolation
+    TWIN_TIGHTENING times tighter, so max |dq| reads the generalised run's
+    own error rather than a mix of two runs' errors.  Returns (max |dq| at
+    each sample, generalised trajectory).
     """
     from . import eisenhart
 
-    traj = run_geodesic_generalized(sys, state, cfg, kmax=1)
+    traj = run_geodesic_generalized(sys, state, cfg, kmax=1, sample_times=sample_times)
     e0 = eisenhart.EisenhartState(
         q=state.q,
         y=float(np.dot(sys.g, state.omega)),
         p=state.p_q,
         p_y=1.0,
     )
-    twin_cfg = dataclasses.replace(cfg, method="extrapolation")
-    etraj = integrate_at_times(eisenhart.flow_field(sys), eisenhart.EISENHART.pack(e0), traj.times, twin_cfg)
+    etraj = integrate_at_times(eisenhart.flow_field(sys), eisenhart.EISENHART.pack(e0), traj.times, twin_config(cfg))
     return np.max(np.abs(traj.states[:, : sys.n] - etraj.states[:, : sys.n]), axis=1), traj

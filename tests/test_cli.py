@@ -61,7 +61,7 @@ def write_cfg(tmp_path, doc, name="cfg.json"):
 class TestParseConfig:
     def test_minimal_with_defaults(self):
         cfg = cli.parse_config(json.dumps(MINIMAL))
-        assert cfg.integrator.method == "adaptive"
+        assert cfg.integrator.method == "extrapolation"
         assert cfg.integrator.rtol == 1e-10
         assert cfg.integrator.atol == 1e-12
         assert cfg.integrator.stride == 10
@@ -640,20 +640,25 @@ class TestDriftGateLine:
     )
     def test_run_lines_end_with_the_integrator_work(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
-        cfgp = write_cfg(tmp_path, CALM)
-        lines = []
-        for _ in range(2):
-            assert cli.run_command(argv + ["-c", cfgp, "--out", "o.csv"]) == 0
-            lines.append(capsys.readouterr().out.strip())
-        # the line opens with the drift gate, and a rerun prints the same line: no wall time
-        assert self.PATTERN.match(lines[0]) and lines[0] == lines[1]
-        nfev, accepted, rejected, path = (int(v) if v.isdigit() else v for v in self.WORK.search(lines[0]).groups())
-        assert accepted > 0 and nfev == 1 + 6 * (accepted + rejected)  # Dormand-Prince's count
-        assert path == str(tmp_path / "o.csv")
-        if argv[0] == "toda":
-            cfg = cli.parse_config(json.dumps(CALM))
-            stats = toda.run(cfg.system(), toda.PhaseState(q=cfg.q, p=cfg.p), cfg.integrator).stats
-            assert (nfev, accepted, rejected) == (stats["nfev"], stats["accepted"], stats["rejected"])
+        # each stepper's count of right-hand-side calls from its accepted and rejected steps
+        counts = {"adaptive": lambda acc, rej: 1 + 6 * (acc + rej), "extrapolation": lambda acc, rej: 1 + 11 * (acc + rej) + acc}
+        for method, count in counts.items():
+            doc = dict(CALM, method=method)
+            cfgp = write_cfg(tmp_path, doc)
+            lines = []
+            for _ in range(2):
+                assert cli.run_command(argv + ["-c", cfgp, "--out", "o.csv"]) == 0
+                lines.append(capsys.readouterr().out.strip())
+            # the line opens with the drift gate, and a rerun prints the same line: no wall time
+            assert self.PATTERN.match(lines[0]) and lines[0] == lines[1]
+            nfev, accepted, rejected, path = (int(v) if v.isdigit() else v for v in self.WORK.search(lines[0]).groups())
+            assert accepted > 0 and nfev == count(accepted, rejected)
+            assert path == str(tmp_path / "o.csv")
+            if argv[0] == "toda":
+                # the grid's samples do not change the steps: the library's stride run takes the same ones
+                cfg = cli.parse_config(json.dumps(doc))
+                stats = toda.run(cfg.system(), toda.PhaseState(q=cfg.q, p=cfg.p), cfg.integrator).stats
+                assert (nfev, accepted, rejected) == (stats["nfev"], stats["accepted"], stats["rejected"])
 
 
 # Starts on which the materialised exp(Bt) x0 path lost its UDU pivots or its
@@ -709,7 +714,8 @@ class TestExactPath:
 
     def test_failing_compare_names_pair_sample_and_time(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
-        sloppy = dict(CALM, rtol=1e-4, atol=1e-4, output_format="json")
+        # Dormand-Prince's error at these tolerances fails the gate; extrapolation's passes it
+        sloppy = dict(CALM, rtol=1e-4, atol=1e-4, method="adaptive", output_format="json")
         assert cli.run_command(["oplift", "compare", "-c", write_cfg(tmp_path, sloppy)]) == 1
         status, _, _, value, pair, _, sample, at, _, margin = self.LINE.match(capsys.readouterr().out).groups()
         pairs = json.loads((tmp_path / "oplift_compare.json").read_text())
@@ -747,12 +753,12 @@ class TestExactPath:
 
 class TestReferenceTwins:
     """oplift compare and reduce check integrate a twin at the times of the run they check.  The twin
-    runs extrapolation whatever the config's method, so its sup|dq| reads the checked run's own error."""
+    runs extrapolation a hundred times tighter than the config, so its sup|dq| reads the checked run's
+    own error, also when the checked run is extrapolation too."""
 
-    # On README_CONFIG the twin's own error against the exact path is 7% (compare) and 4% (reduce) of
-    # the checked run's, which bounds the relative difference; it reads 0.3% and 0.5%.  A Dormand-Prince
-    # twin reads 4.26e-11 against 1.19e-11 (compare) and 1.87e-11 against 1.50e-11 (reduce).
-    REL = 0.1
+    # On README_CONFIG the twins' own error against the exact path, 1.4e-14, is 1.8% (compare) and 1.6%
+    # (reduce) of the checked run's, which bounds the relative difference; it reads 0.6% and 0.2%.
+    REL = 0.05
 
     def test_compare_reads_the_toda_runs_own_error(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
@@ -767,12 +773,14 @@ class TestReferenceTwins:
         sup_dq = json.loads((tmp_path / "reduce_check.json").read_text())["eisenhart_sup_dq"]
         cfg = cli.parse_config(json.dumps(README_CONFIG))
         sys_, state = cfg.system(), cfg.state(oplift.GENERALIZED)
-        traj = oplift.run_geodesic_generalized(sys_, state, cfg.integrator, kmax=1)
+        traj = oplift.run_geodesic_generalized(sys_, state, cfg.integrator, kmax=1,
+                                               sample_times=np.linspace(0.0, 10.0, 201)[::10])
         q_exact = oplift.exact_coordinates(state, sys_, traj.times)[0]  # omega = 0: the chain's own q
         assert sup_dq == pytest.approx(float(np.max(np.abs(traj.states[:, :3] - q_exact))), rel=self.REL)
 
     @pytest.mark.parametrize("argv", [["oplift", "compare"], ["reduce", "check"]], ids=["compare", "reduce"])
     def test_twin_runs_extrapolation_with_the_configs_step_settings(self, tmp_path, monkeypatch, argv):
+        # the checked runs call integrate_at_times through toda, so the spy sees the twin alone
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
         doc = dict(README_CONFIG, method="adaptive", dt=0.05)
         seen = []
@@ -785,7 +793,108 @@ class TestReferenceTwins:
         monkeypatch.setattr(oplift, "integrate_at_times", spy)
         assert cli.run_command(argv + ["-c", write_cfg(tmp_path, doc)]) == 0
         want = cli.parse_config(json.dumps(doc)).integrator
-        assert seen == [dataclasses.replace(want, method="extrapolation")]
+        assert seen == [dataclasses.replace(want, method="extrapolation", rtol=want.rtol / 100, atol=want.atol / 100)]
+
+
+def written_times(path, fmt):
+    """The t column of a written trajectory file."""
+    if fmt == "json":
+        return np.array(json.loads(path.read_text())["t"])
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 0]
+
+
+# the run commands, which write a trajectory; forms-n2 takes n = 2 alone
+RUN_TAGS = ["toda-run", "eisenhart-run", "oplift-run", "forms-n2", "forms-general"]
+TWO_BODY = {"n": 2, "g": [0.8], "q": [-0.4, 0.4], "p": [0.05, -0.05], "t_final": 5.0}
+
+
+class TestSampleGrid:
+    """Every run a command writes or checks is sampled on the 201-point grid over [0, t_final]:
+    every stride-th point, then t_final, whatever the stepper."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("method", ["adaptive", "extrapolation"])
+    @pytest.mark.parametrize("tag", RUN_TAGS)
+    def test_run_rows_lie_on_the_grid(self, tmp_path, monkeypatch, tag, method, fmt):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        doc = dict(TWO_BODY if tag == "forms-n2" else CALM, stride=1, method=method, output_format=fmt)
+        argv, _ = COMMANDS[tag]
+        assert cli.run_command(argv + ["-c", write_cfg(tmp_path, doc), "--out", f"o.{fmt}"]) == 0
+        assert np.array_equal(written_times(tmp_path / f"o.{fmt}", fmt), np.linspace(0.0, doc["t_final"], 201))
+
+    @pytest.mark.parametrize("method", ["adaptive", "extrapolation"])
+    @pytest.mark.parametrize("stride, rows", [(1, 201), (7, 30), (200, 2), (201, 2), (250, 2)])
+    def test_stride_decimates_the_grid(self, tmp_path, monkeypatch, stride, rows, method):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        cfgp = write_cfg(tmp_path, dict(CALM, stride=stride, method=method))
+        assert cli.run_command(["toda", "run", "-c", cfgp]) == 0
+        times = written_times(tmp_path / "toda_run.csv", "csv")
+        grid = np.linspace(0.0, CALM["t_final"], 201)
+        # every stride-th grid point, and the run always ends on t_final
+        assert len(times) == rows and times[-1] == CALM["t_final"]
+        assert np.array_equal(times[:-1], grid[::stride][: rows - 1])
+
+    @pytest.mark.parametrize("stride, samples", [(1, 201), (7, 30), (250, 2)])
+    def test_checked_runs_sample_the_grid(self, tmp_path, monkeypatch, capsys, stride, samples):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        cfgp = write_cfg(tmp_path, dict(README_CONFIG, stride=stride))
+        grid = np.append(np.linspace(0.0, 10.0, 201)[::stride], 10.0)[:samples]
+        assert cli.run_command(["reduce", "check", "-c", cfgp]) == 0
+        assert json.loads((tmp_path / "reduce_check.json").read_text())["n_samples"] == samples
+        capsys.readouterr()
+        # compare's gate names a sample of the toda run it checks, and that sample's grid time
+        assert cli.run_command(["oplift", "compare", "-c", cfgp]) == 0
+        sample, at = re.search(r" at sample (\d+) t=(\S+) ", capsys.readouterr().out).groups()
+        assert float(at) == float(f"{grid[int(sample)]:.6g}")
+
+    @pytest.mark.parametrize("rtol", ["1e-6", "1e-16"])
+    @pytest.mark.parametrize("tag", ["oplift-compare", "reduce-check"])
+    def test_checked_commands_pass_at_the_tolerance_edges(self, tmp_path, monkeypatch, capsys, tag, rtol):
+        # the twin's rtol is a hundredth of the checked run's, down to 1e-18
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        argv, _ = COMMANDS[tag]
+        assert cli.run_command(argv + ["-c", write_cfg(tmp_path, README_CONFIG), "--rtol", rtol]) == 0
+        assert capsys.readouterr().out.startswith(f"PASS {tag} ")
+
+
+# starts shaped like the benchmark's CLI configs: n = 3..5, p_y != 1, stride 1
+SUITE_SHAPED = {
+    "n3": {"n": 3, "g": [0.33, 0.43], "q": [-0.74, -0.0, 0.2], "p": [0.43, -0.43, -0.37], "t_final": 10.0,
+           "p_y": 1.45, "stride": 1},
+    "n4": {"n": 4, "g": [0.55, 0.42, 1.01], "q": [-0.26, 0.02, 0.24, 0.33], "p": [0.17, 0.01, 0.32, 0.05],
+           "t_final": 5.0, "p_y": 1.48, "stride": 1},
+    "n5": {"n": 5, "g": [0.51, 1.02, 1.08, 0.42], "q": [-0.59, -0.29, -0.03, 0.11, 0.18],
+           "p": [-0.03, -0.22, -0.42, 0.4, -0.07], "t_final": 10.0, "p_y": 0.65, "stride": 1},
+}
+
+
+class TestDefaultRunAccuracy:
+    """A default run, extrapolation on the grid, against the closed form: oplift.exact_coordinates at
+    omega = 0, with p_omega the couplings of the q motion (g for the chain and the generalised lift,
+    p_y g for the Eisenhart lift).  The chain's and the Eisenhart lift's centre of mass moves freely."""
+
+    # Each bound is 3.5-5x the largest max |q - closed form| measured over the three pictures: README
+    # 7.8e-13 / 8.4e-13 / 8.6e-13 for the chain / Eisenhart / generalised run, where Dormand-Prince on
+    # its stride-10 steps read 1.2e-11 / 1.4e-11 / 1.5e-11; n3 2.4e-10 (the chain; Dormand-Prince on
+    # its stride-1 steps 1.0e-10), n4 2.0e-11 and n5 4.1e-11 (Dormand-Prince 9.1e-11 and 3.1e-10).
+    BOUNDS = {"readme": 3e-12, "n3": 1e-9, "n4": 1e-10, "n5": 2e-10}
+
+    @pytest.mark.parametrize("tag", ["toda-run", "eisenhart-run", "oplift-run"])
+    @pytest.mark.parametrize("name", sorted(BOUNDS))
+    def test_q_error_against_the_closed_form(self, tmp_path, monkeypatch, name, tag):
+        monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
+        doc = README_CONFIG if name == "readme" else SUITE_SHAPED[name]
+        argv, _ = COMMANDS[tag]
+        assert cli.run_command(argv + ["-c", write_cfg(tmp_path, doc), "--out", "o.csv"]) == 0
+        rows = np.loadtxt(tmp_path / "o.csv", delimiter=",", skiprows=1)
+        n, t = doc["n"], rows[:, 0]
+        q0, p0, g = (np.array(doc[key]) for key in ("q", "p", "g"))
+        couplings = doc.get("p_y", 1.0) * g if tag == "eisenhart-run" else g
+        start = oplift.OPState(q=q0 - q0.mean(), omega=np.zeros(n - 1), p_q=p0 - p0.mean(), p_omega=couplings)
+        q_exact = oplift.exact_coordinates(start, toda.TodaSystem(n=n, g=g), t)[0]
+        if tag != "oplift-run":  # the generalised lift starts centred
+            q_exact += q0.mean() + p0.mean() * t[:, None]
+        assert float(np.max(np.abs(rows[:, 1 : n + 1] - q_exact))) < self.BOUNDS[name]
 
 
 class TestGateGrammar:
@@ -829,7 +938,7 @@ def _optional(n):
     unit = st.floats(-1.0, 1.0)
     return {
         "method": st.sampled_from(["adaptive", "extrapolation"]),
-        "stride": st.integers(1, 5),
+        "stride": st.one_of(st.integers(1, 5), st.sampled_from([7, 250])),
         "rtol": st.sampled_from([1e-8, 1e-10]),
         "atol": st.sampled_from([1e-12, 1e-14]),
         "dt": st.sampled_from([1e-4, 0.05, 0.5]),
