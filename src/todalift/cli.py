@@ -27,7 +27,7 @@ import numpy as np
 
 from . import eisenhart, findings, killing, linalg, oplift, toda
 from .errors import ConfigError, DomainError
-from .integrate import IntegratorConfig, Trajectory, integrate_at_times, relative_drift
+from .integrate import IntegratorConfig, Trajectory, grid_times, integrate_at_times, relative_drift
 
 __all__ = ["ExperimentConfig", "parse_config", "write_trajectory", "run_command", "main"]
 
@@ -35,8 +35,6 @@ _GATE_DRIFT = 1e-8
 _GATE_TRAJ = 1e-6
 _GATE_CBAR = 1e-13
 _GATE_EXTRACT = 1e-10
-# the points of every command's time grid over [0, t_final]: a run samples every stride-th, and t_final
-_GRID_POINTS = 201
 
 
 @dataclass
@@ -104,11 +102,11 @@ def parse_config(text: str) -> ExperimentConfig:
     atol=1e-12, stride=10, p_y=1, y=0, omega=0, p_omega=g, seed=0,
     output_format=csv).  method names a stepper of IntegratorConfig, which
     checks it; it is the stepper of the run a command writes and checks.
-    stride decimates the 201-point time grid over [0, t_final]: a run is
-    sampled at every stride-th grid point and at t_final.  The twins that
-    oplift compare and reduce check integrate at that run's times run
-    oplift.twin_config: extrapolation on the same dt, at rtol and atol a
-    hundred times tighter.
+    stride means what it means to the library: a run is sampled at
+    integrate.grid_times, every stride-th point of the 201-point time grid
+    over [0, t_final], and t_final.  The twins that oplift compare and
+    reduce check integrate at that run's times run oplift.twin_config:
+    extrapolation on the same dt, at rtol and atol a hundred times tighter.
     """
     try:
         doc = json.loads(text)
@@ -178,13 +176,6 @@ def parse_config(text: str) -> ExperimentConfig:
         output_format=fmt,
         seed=seed,
     )
-
-
-def _sample_times(integrator: IntegratorConfig) -> np.ndarray:
-    """The times a command samples its runs at: every stride-th point of the
-    201-point grid over [0, t_final], then t_final where the stride skips it."""
-    times = np.linspace(0.0, integrator.t_final, _GRID_POINTS)[:: integrator.stride]
-    return times if times[-1] == integrator.t_final else np.append(times, integrator.t_final)
 
 
 def _resolve_path(path: str) -> str:
@@ -285,8 +276,7 @@ def _load_config(args) -> ExperimentConfig:
 def _run(cfg: ExperimentConfig, picture: toda.Picture, tag: str, stem: str, gated=None, extra=None, **options) -> int:
     """Run picture from the configured start on the time grid, write the trajectory and gate the
     drift of the gated monitors (all by default); extra(cfg, traj) -> (ok, detail) is one more gate."""
-    times = _sample_times(cfg.integrator)
-    traj = picture.run(cfg.system(), cfg.state(picture), cfg.integrator, sample_times=times, **options)
+    traj = picture.run(cfg.system(), cfg.state(picture), cfg.integrator, **options)
     path = _resolve_path(cfg.output_path or f"{stem}.{cfg.output_format}")
     write_trajectory(traj, cfg.output_format, path)
     names = gated or list(traj.monitors)
@@ -314,7 +304,7 @@ def _cmd_oplift_run(args) -> int:
     # where its q-projection is a Toda chain with couplings p_omega (omega = 0), on I_1..I_n
     sys_ = cfg.system()
     state = cfg.state(oplift.GENERALIZED)
-    times = np.linspace(0.0, cfg.integrator.t_final, _GRID_POINTS)
+    times = grid_times(dataclasses.replace(cfg.integrator, stride=1))
     q, omega, qdot = oplift.exact_coordinates(state, sys_, times)
     path = _resolve_path(cfg.output_path or f"oplift_exact.{cfg.output_format}")
     labels = ["t", *oplift.GENERALIZED.labels(sys_.n)[: 2 * sys_.n - 1]]
@@ -334,8 +324,7 @@ def _cmd_oplift_compare(args) -> int:
     cfg = _load_config(args)
     sys_ = cfg.system()
     state = cfg.state(oplift.GENERALIZED)
-    ttraj = toda.run(sys_, toda.PhaseState(q=state.q, p=state.p_q), cfg.integrator, kmax=1,
-                     sample_times=_sample_times(cfg.integrator))
+    ttraj = toda.run(sys_, toda.PhaseState(q=state.q, p=state.p_q), cfg.integrator, kmax=1)
     # the twin runs tighter than the toda run, so toda_vs_hamiltonian reads the toda run's own error
     otraj = integrate_at_times(oplift.flow_field_generalized(sys_), oplift.GENERALIZED.pack(state), ttraj.times,
                                oplift.twin_config(cfg.integrator))
@@ -377,8 +366,7 @@ def _cmd_forms_monitor(args) -> int:
 def _cmd_reduce_check(args) -> int:
     cfg = _load_config(args)
     sys_ = cfg.system()
-    dq, traj = oplift.compare_reduced_eisenhart(sys_, cfg.state(oplift.GENERALIZED), cfg.integrator,
-                                                _sample_times(cfg.integrator))
+    dq, traj = oplift.compare_reduced_eisenhart(sys_, cfg.state(oplift.GENERALIZED), cfg.integrator)
     report = oplift.reduction_check(sys_, traj)
     path = _resolve_path(cfg.output_path or "reduce_check.json")
     residuals = {key: getattr(report, f"max_{key}_residual") for key in ("ydot", "kinetic", "block")}

@@ -14,34 +14,34 @@ under the same controller with exponent 1/11.  The six rows of a trial
 step are independent, so substep m of every row still substepping is one
 right-hand-side call on the batch of their states: eleven calls per trial
 step, plus one at each accepted state.  It takes far fewer right-hand-side
-evaluations than Dormand-Prince at tight tolerances.  Its steps are long,
-so integrate's stride output from it is sparse; integrate_at_times samples
-it anywhere (below).  The last step is always shortened to land exactly on
-the requested end time.
+evaluations than Dormand-Prince at tight tolerances.  The last step is
+always shortened to land exactly on the last sample time.
 
-When the config names no method, the integrator chooses one.  integrate
-runs extrapolation when rtol < 1e-10, where it needs about a third of
-Dormand-Prince's evaluations, and Dormand-Prince otherwise, so the default
-rtol of 1e-10 keeps Dormand-Prince.  integrate_at_times always runs
-Dormand-Prince.  The returned trajectory's method names the stepper that
-ran.
+When the config names no method, one rule picks the stepper: extrapolation
+when rtol < 1e-10, where it needs about a third of Dormand-Prince's
+evaluations, and Dormand-Prince otherwise, so the default rtol of 1e-10
+keeps Dormand-Prince.  The returned trajectory's method names the stepper
+that ran.
 
-integrate_at_times samples the solution at given times.  Dormand-Prince
-steps straight through them to the last one, keeping the start, end and
-seven stages of each step that contains samples.  After the last step it
-evaluates its order-4 continuous extension (Hairer, Norsett & Wanner, II.6;
-the dense output of DOPRI5) once over all kept steps, at no extra
-right-hand-side evaluation, with the bits of one step's own evaluation; a
-sample on a step end is that step's state.  Extrapolation also steps exactly as integrate does: each
-sample time t_s strictly inside a trial step (t, t + dt) adds one ride
-column per state column to that trial's batch, started from the column's
-state at t and stepped by t_s - t.  The rides go through the same eleven
-batched calls, so they cost wider batches and no extra call; the error
-norm, the finiteness check and the accept/reject decision read the main
-columns alone, and on acceptance the rides are the samples.  Conserved
-quantities are monitored at the recorded samples: each monitor is called
-once, on the (samples, d) array of recorded states, and returns one value
-per sample.  Their relative drift is recorded on the returned trajectory.
+Every run samples the solution at given times: integrate at grid_times(cfg),
+every stride-th point of the 201-point grid over [0, t_final] and t_final,
+integrate_at_times at the caller's.  The rows of a run are its sample times,
+whichever stepper ran.  Dormand-Prince steps straight through them to the
+last one, keeping the start, end and seven stages of each step that contains
+samples.  After the last step it evaluates its order-4 continuous extension
+(Hairer, Norsett & Wanner, II.6; the dense output of DOPRI5) once over all
+kept steps, at no extra right-hand-side evaluation, with the bits of one
+step's own evaluation; a sample on a step end is that step's state.
+Extrapolation also steps straight through them: each sample time t_s
+strictly inside a trial step (t, t + dt) adds one ride column per state
+column to that trial's batch, started from the column's state at t and
+stepped by t_s - t.  The rides go through the same eleven batched calls, so
+they cost wider batches and no extra call; the error norm, the finiteness
+check and the accept/reject decision read the main columns alone, and on
+acceptance the rides are the samples.  Conserved quantities are monitored
+at the samples: each monitor is called once, on the (samples, d) array of
+sampled states, and returns one value per sample.  Their relative drift is
+recorded on the returned trajectory.
 
 A state is a vector of shape (d,) or a component-first batch of shape
 (d, B) whose columns advance together on one step sequence.  The step error
@@ -52,8 +52,8 @@ same start passed as a (d, 1) column.
 The right-hand side rhs(t, y) is called with the state's own shape and a
 float t, and, under extrapolation, also with a (d, C) batch of columns and
 a (C,) array holding each column's time: the substep states of the rows
-still substepping, C = rows x B, or rows x B x (1 + rides) under
-integrate_at_times.  That batch is always a C-contiguous (d, C) array.
+still substepping, C = rows x B, or rows x B x (1 + rides) on a trial step
+with samples inside.  That batch is always a C-contiguous (d, C) array.
 rhs must return an array of y's shape and must not write into y.  The t
 and y handed to rhs may be the stepper's own buffers or views into them,
 which later calls overwrite: the extrapolation stepper builds its tableau
@@ -82,6 +82,7 @@ __all__ = [
     "Trajectory",
     "integrate",
     "integrate_at_times",
+    "grid_times",
     "checked_sample_times",
     "monitor_drift",
     "relative_drift",
@@ -138,8 +139,10 @@ _GBS_WEIGHTS = tuple(
 )
 
 _MIN_STEP_FRACTION = 1e-14
-# integrate runs extrapolation below this rtol when the config names no method
+# a config without a method runs extrapolation below this rtol
 _EXTRAPOLATION_RTOL = 1e-10
+# the points of integrate's time grid over [0, t_final]: a run samples every stride-th, and t_final
+_GRID_POINTS = 201
 _SAFETY = 0.9
 _SHRINK_LIMIT = 0.2
 _GROWTH_LIMIT = 5.0
@@ -147,23 +150,23 @@ _GROWTH_LIMIT = 5.0
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Settings for :func:`integrate`.
+    """Settings for :func:`integrate` and :func:`integrate_at_times`.
 
     method is "adaptive" (Dormand-Prince), "extrapolation" (order-12
     Gragg-Bulirsch-Stoer, for tight tolerances; its rhs must also take a (d, C)
-    batch with a (C,) array of column times, and integrate_at_times takes
-    its samples as ride columns of the trial batches, see the module
-    docstring) or None.  None lets the integrator choose: integrate runs
-    extrapolation when rtol < 1e-10, where it is the cheaper method, and
-    Dormand-Prince otherwise; integrate_at_times always runs Dormand-Prince.
+    batch with a (C,) array of column times, and it takes its samples as
+    ride columns of the trial batches, see the module docstring) or None.
+    None picks by rtol: extrapolation when rtol < 1e-10, where it is the
+    cheaper method, and Dormand-Prince otherwise.
     dt is the initial trial step; unset, the stepper that runs starts at
     1e-3, or at 0.1 for extrapolation, whose error estimate is roundoff at
     small steps, so that the controller grows dt only about 2x per step
     from a small start.
-    stride decimates the output: every stride-th accepted step is recorded
-    (the endpoints always are).  dt, rtol, atol and t_final are finite
-    positive reals, not bools, and are stored as floats; t_final / dt must
-    be finite for every start step the config can run with.
+    stride decimates integrate's time grid: it samples every stride-th of
+    201 evenly spaced points over [0, t_final], and t_final (grid_times).
+    dt, rtol, atol and t_final are finite positive reals, not bools, and are
+    stored as floats; t_final / dt must be finite for the start step of the
+    stepper that runs.
     """
 
     method: str | None = None
@@ -188,11 +191,10 @@ class IntegratorConfig:
             if not ok:
                 raise DomainError(f"{name} must be a positive finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
-        # an unset dt is the default of the stepper that runs; without a
-        # method, Dormand-Prince's, the smaller of the two
+        # an unset dt is the default of the stepper that runs
         dt = self.dt
         if dt is None:
-            dt = _STEPPERS[self.method or "adaptive"].default_dt
+            dt = _STEPPERS[_stepper(self)].default_dt
         if not math.isfinite(self.t_final / dt):
             raise DomainError(f"t_final / dt overflows: {self.t_final} / {dt}")
         if isinstance(self.stride, bool) or not isinstance(self.stride, numbers.Integral) or self.stride < 1:
@@ -364,8 +366,8 @@ class _Tableau:
 
 
 class _AdaptiveStepper:
-    """The current (t, y) of a Dormand-Prince integration and a record of its
-    accepted steps; advances to requested target times."""
+    """The current (t, y) of a Dormand-Prince integration and its states at
+    the sample times; advances to requested target times."""
 
     method = "adaptive"  # the IntegratorConfig.method that selects this stepper
     # the step controller scales dt by err ** exponent; the error estimate is O(dt^5)
@@ -373,7 +375,7 @@ class _AdaptiveStepper:
     # the initial trial step when the config leaves dt unset
     default_dt = 1e-3
 
-    def __init__(self, rhs: Rhs, y0: np.ndarray, cfg: IntegratorConfig):
+    def __init__(self, rhs: Rhs, y0: np.ndarray, sample_times: np.ndarray, cfg: IntegratorConfig):
         self.rhs = rhs
         self.cfg = cfg
         self.t = 0.0
@@ -390,7 +392,12 @@ class _AdaptiveStepper:
             raise DivergenceError("derivative is not finite at the initial state")
         # the last accepted step: its start, its size and its stages
         self.t_prev = self.y_prev = self.step = self.stages = None
-        self.sample_times = None
+        self.sample_times = sample_times
+        self.states = np.empty(sample_times.shape + self.y.shape)
+        self.states[0] = self.y
+        # samples before index done are taken; the first after t is next_sample, a float
+        self.done = 1
+        self.next_sample = float(sample_times[1]) if len(sample_times) > 1 else math.inf
         # what hold kept for write_held: one entry per accepted step holding samples
         self.held = []
 
@@ -408,10 +415,6 @@ class _AdaptiveStepper:
             "dt_max": self.dt_max,
         }
 
-    def sample_at(self, sample_times: np.ndarray) -> None:
-        """Sample at sample_times: hold takes the ones inside the last accepted step."""
-        self.sample_times = sample_times
-
     def trial(self, dt: float):
         """(new state, error estimate, stages) of one trial step.
 
@@ -426,8 +429,23 @@ class _AdaptiveStepper:
         Each step's arrays are fresh, so nothing is copied."""
         self.held.append((samples, self.t_prev, self.step, self.y_prev, self.y, self.stages))
 
-    def write_held(self, states: np.ndarray) -> None:
-        """Write every held sample into states, (len(sample_times),) + y.shape.
+    def record(self, t: float, y: np.ndarray) -> None:
+        """Take the samples in (t_prev, t] after an accepted step: hold the
+        ones strictly inside it and copy y to the one at t."""
+        if self.next_sample > t:
+            return
+        times, done = self.sample_times, self.done
+        end = done + int(np.searchsorted(times[done:], t, side="right"))
+        inside = end - 1 if times[end - 1] == t else end
+        if inside > done:
+            self.hold(slice(done, inside))
+        if inside < end:
+            self.states[inside] = y
+        self.done = end
+        self.next_sample = float(times[end]) if end < len(times) else math.inf
+
+    def write_held(self) -> None:
+        """Write every held sample into states.
 
         The continuous extension of DOPRI5: with theta = (t - t_prev) / h,
         y(t) = y0 + theta (dy + (1 - theta) (r3 + theta (r4 + (1 - theta) r5))),
@@ -454,9 +472,10 @@ class _AdaptiveStepper:
         r5 = h * (_DP_DENSE @ flat)
         theta1 = 1.0 - theta
         out = y0[owner] + theta * (dy[owner] + theta1 * (r3[owner] + theta * (r4[owner] + theta1 * r5[owner])))
-        states[index] = out.reshape((len(index),) + self.y.shape)
+        self.states[index] = out.reshape((len(index),) + self.y.shape)
 
-    def advance_to(self, t_target: float, on_accept=None) -> None:
+    def advance_to(self, t_target: float, on_accept) -> None:
+        """Step to t_target, calling on_accept(t, y) after every accepted step."""
         rtol, atol = np.array(self.cfg.rtol), np.array(self.cfg.atol)  # 0-d: cheaper operands than floats
         min_step = _MIN_STEP_FRACTION * max(t_target, self.cfg.t_final)
         abs_y = np.abs(self.y)  # kept for the accepted state, shared by its trial steps
@@ -489,8 +508,7 @@ class _AdaptiveStepper:
                 self.accepted += 1
                 self.dt_min = min(self.dt_min, dt)
                 self.dt_max = max(self.dt_max, dt)
-                if on_accept is not None:
-                    on_accept(self.t, self.y)
+                on_accept(self.t, self.y)
             else:
                 self.rejected += 1
             factor = _GROWTH_LIMIT if err == 0.0 else _SAFETY * err ** self.exponent
@@ -506,8 +524,8 @@ class _ExtrapolationStepper(_AdaptiveStepper):
     # the error estimate is roundoff at small steps, so start large
     default_dt = 0.1
 
-    def __init__(self, rhs: Rhs, y0: np.ndarray, cfg: IntegratorConfig):
-        super().__init__(rhs, y0, cfg)
+    def __init__(self, rhs: Rhs, y0: np.ndarray, sample_times: np.ndarray, cfg: IntegratorConfig):
+        super().__init__(rhs, y0, sample_times, cfg)
         # the tableau of plain trials, kept for the run, and that of the
         # latest ride count, kept until the count changes; built when first needed
         self.tableau = self.ride_tableau = None
@@ -521,17 +539,17 @@ class _ExtrapolationStepper(_AdaptiveStepper):
     def trial(self, dt: float):
         """(new state, error estimate, None) of one trial step.
 
-        Once sample_at has run, the batch also holds, for each sample time
-        t_s in (t, t + dt), one ride column per main column: that column's
-        start, stepped by t_s - t.  Only the main columns' new state and
-        error estimate are returned, so the error norm, the finiteness check
-        and the accept/reject decision never see a ride.
+        The batch also holds, for each sample time t_s in (t, t + dt), one
+        ride column per main column: that column's start, stepped by t_s - t.
+        Only the main columns' new state and error estimate are returned, so
+        the error norm, the finiteness check and the accept/reject decision
+        never see a ride.
         """
         t, y = self.t, self.y
         d = len(y)
         width = y.size // d  # B, or 1 for one state
         rides = ()
-        if self.sample_times is not None:
+        if self.next_sample < t + dt:  # a sample may lie inside: next_sample is the first after t
             lo = np.searchsorted(self.sample_times, t, side="right")
             hi = np.searchsorted(self.sample_times, t + dt, side="left")
             rides = self.sample_times[lo:hi] - t
@@ -553,64 +571,26 @@ class _ExtrapolationStepper(_AdaptiveStepper):
         """Keep the ride columns of the last accepted step, the states at sample_times[samples]."""
         self.held.append((samples, self.ride_states))
 
-    def write_held(self, states: np.ndarray) -> None:
+    def write_held(self) -> None:
         """Write every held sample into states."""
         for samples, ride_states in self.held:
-            states[samples] = ride_states
+            self.states[samples] = ride_states
 
 
 _STEPPERS = {cls.method: cls for cls in (_AdaptiveStepper, _ExtrapolationStepper)}
 
 
-def _finish(times, states, monitors_spec, labels, stepper):
-    times = np.asarray(times, dtype=float)
-    states = np.asarray(states, dtype=float)
-    monitors: dict[str, np.ndarray] = {}
-    drift: dict[str, float] = {}
-    for name, fn in (monitors_spec or {}).items():
-        vals = np.asarray(fn(states), dtype=float)
-        if vals.shape != times.shape:
-            raise DomainError(f"monitor {name!r} returned shape {vals.shape}, expected {times.shape}")
-        monitors[name] = vals
-        drift[name] = monitor_drift(vals)
-    return Trajectory(
-        times=times, states=states, monitors=monitors, drift=drift, labels=labels,
-        stats=stepper.stats(), method=stepper.method,
-    )
+def _stepper(cfg: IntegratorConfig) -> str:
+    """The method a run on cfg steps with: cfg.method, or without one
+    extrapolation below rtol 1e-10 and Dormand-Prince otherwise."""
+    return cfg.method or ("extrapolation" if cfg.rtol < _EXTRAPOLATION_RTOL else "adaptive")
 
 
-def integrate(
-    rhs: Rhs,
-    y0,
-    cfg: IntegratorConfig,
-    monitors: dict[str, Monitor] | None = None,
-    labels: tuple[str, ...] | None = None,
-) -> Trajectory:
-    """Integrate dy/dt = rhs(t, y) from t=0 to cfg.t_final.
-
-    y0 is one state of shape (d,) or a batch of shape (d, B), and the
-    recorded states have shape (samples, d) or (samples, d, B).  Output
-    contains the initial state, every stride-th accepted step and the final
-    state exactly at t_final.  Each monitor is called once, on the array of
-    recorded states, after the integration.  Without cfg.method, the run is
-    extrapolation when cfg.rtol < 1e-10 and Dormand-Prince otherwise.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    times = [0.0]
-    states = [y0.copy()]
-    method = cfg.method or ("extrapolation" if cfg.rtol < _EXTRAPOLATION_RTOL else "adaptive")
-    stepper = _STEPPERS[method](rhs, y0, cfg)
-
-    def record(t, y):
-        if stepper.accepted % cfg.stride == 0:
-            times.append(t)
-            states.append(y.copy())
-
-    stepper.advance_to(cfg.t_final, on_accept=record)
-    if times[-1] != stepper.t:
-        times.append(stepper.t)
-        states.append(stepper.y.copy())
-    return _finish(times, states, monitors, labels, stepper)
+def grid_times(cfg: IntegratorConfig) -> np.ndarray:
+    """The times integrate samples at: every stride-th point of the
+    201-point grid over [0, t_final], then t_final where the stride skips it."""
+    times = np.linspace(0.0, cfg.t_final, _GRID_POINTS)[:: cfg.stride]
+    return times if times[-1] == cfg.t_final else np.append(times, cfg.t_final)
 
 
 def checked_sample_times(sample_times) -> np.ndarray:
@@ -627,6 +607,45 @@ def checked_sample_times(sample_times) -> np.ndarray:
     return sample_times
 
 
+def _sample(rhs: Rhs, y0, sample_times: np.ndarray, cfg: IntegratorConfig, monitors, labels) -> Trajectory:
+    """The run behind integrate and integrate_at_times.  Neither calls the other, so
+    a tracer that wraps both sees each run, and each of its rhs calls, once."""
+    stepper = _STEPPERS[_stepper(cfg)](rhs, np.asarray(y0, dtype=float), sample_times, cfg)
+    stepper.advance_to(float(sample_times[-1]), stepper.record)
+    stepper.write_held()
+    states = stepper.states
+    results: dict[str, np.ndarray] = {}
+    drift: dict[str, float] = {}
+    for name, fn in (monitors or {}).items():
+        vals = np.asarray(fn(states), dtype=float)
+        if vals.shape != sample_times.shape:
+            raise DomainError(f"monitor {name!r} returned shape {vals.shape}, expected {sample_times.shape}")
+        results[name] = vals
+        drift[name] = monitor_drift(vals)
+    return Trajectory(
+        times=sample_times, states=states, monitors=results, drift=drift, labels=labels,
+        stats=stepper.stats(), method=stepper.method,
+    )
+
+
+def integrate(
+    rhs: Rhs,
+    y0,
+    cfg: IntegratorConfig,
+    monitors: dict[str, Monitor] | None = None,
+    labels: tuple[str, ...] | None = None,
+) -> Trajectory:
+    """Integrate dy/dt = rhs(t, y) from t=0 to cfg.t_final, sampled at grid_times(cfg).
+
+    y0 is one state of shape (d,) or a batch of shape (d, B), and the
+    sampled states have shape (samples, d) or (samples, d, B).  Each monitor
+    is called once, on the array of sampled states, after the integration.
+    Without cfg.method, the run is extrapolation when cfg.rtol < 1e-10 and
+    Dormand-Prince otherwise.
+    """
+    return _sample(rhs, y0, grid_times(cfg), cfg, monitors, labels)
+
+
 def integrate_at_times(
     rhs: Rhs,
     y0,
@@ -635,36 +654,10 @@ def integrate_at_times(
     monitors: dict[str, Monitor] | None = None,
     labels: tuple[str, ...] | None = None,
 ) -> Trajectory:
-    """Integrate recording the state at the given increasing times.
+    """Integrate as integrate does, sampled at the given increasing times instead of the grid.
 
-    The first sample time must be 0.  Useful for comparing formulations on a
-    common grid and for co-evolving auxiliary quantities along a previously
-    computed trajectory.  Dormand-Prince steps straight to the last sample,
-    then interpolates the samples inside its steps in one pass; extrapolation
-    steps straight there too and takes those samples as ride columns of its
-    trial batches.  Without cfg.method, the run is Dormand-Prince.
+    The first sample time must be 0; the run ends on the last, whatever
+    cfg.t_final.  Useful for comparing formulations on a common grid and for
+    co-evolving auxiliary quantities along a previously computed trajectory.
     """
-    sample_times = checked_sample_times(sample_times)
-    y0 = np.asarray(y0, dtype=float)
-    states = np.empty(sample_times.shape + y0.shape)
-    states[0] = y0
-    stepper = _STEPPERS[cfg.method or "adaptive"](rhs, y0, cfg)
-    stepper.sample_at(sample_times)
-    done = 1
-
-    def record(t, y):
-        # the samples in (t_prev, t]: held by the stepper inside, copied at t
-        nonlocal done
-        if sample_times[done] > t:
-            return
-        end = done + int(np.searchsorted(sample_times[done:], t, side="right"))
-        inside = end - 1 if sample_times[end - 1] == t else end
-        if inside > done:
-            stepper.hold(slice(done, inside))
-        if inside < end:
-            states[inside] = y
-        done = end
-
-    stepper.advance_to(sample_times[-1], on_accept=record)
-    stepper.write_held(states)
-    return _finish(sample_times, states, monitors, labels, stepper)
+    return _sample(rhs, y0, checked_sample_times(sample_times), cfg, monitors, labels)

@@ -622,22 +622,21 @@ def twin_config(cfg: IntegratorConfig) -> IntegratorConfig:
 
 
 def compare_reduced_eisenhart(
-    sys: TodaSystem, state: OPState, cfg: IntegratorConfig, sample_times=None
+    sys: TodaSystem, state: OPState, cfg: IntegratorConfig
 ) -> tuple[np.ndarray, Trajectory]:
     """Integrate the generalised geodesic and its reduced (q, y) twin.
 
     The reduced run starts from y = sum(g_a omega_a), p_y = 1 and must stay
     on top of the generalised one.  The generalised run uses cfg as given,
-    sampled at sample_times, or at every cfg.stride-th accepted step
-    without them (see Picture.run).  The reduced twin runs at the
-    generalised run's times on twin_config(cfg): extrapolation
+    sampled at grid_times(cfg) (see Picture.run).  The reduced twin runs at
+    the generalised run's times on twin_config(cfg): extrapolation
     TWIN_TIGHTENING times tighter, so max |dq| reads the generalised run's
     own error rather than a mix of two runs' errors.  Returns (max |dq| at
     each sample, generalised trajectory).
     """
     from . import eisenhart
 
-    traj = run_geodesic_generalized(sys, state, cfg, kmax=1, sample_times=sample_times)
+    traj = run_geodesic_generalized(sys, state, cfg, kmax=1)
     e0 = eisenhart.EisenhartState(
         q=state.q,
         y=float(np.dot(sys.g, state.omega)),

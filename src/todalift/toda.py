@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateMetricError, DomainError
-from .integrate import IntegratorConfig, Trajectory, checked_sample_times, integrate, integrate_at_times
+from .integrate import IntegratorConfig, Trajectory, checked_sample_times, integrate
 
 __all__ = [
     "TodaSystem",
@@ -321,18 +321,14 @@ class Picture:
         return mons
 
     def run(self, sys: TodaSystem, state, cfg: IntegratorConfig, kmax: int | None = None,
-            extra_monitors=None, sample_times=None) -> Trajectory:
+            extra_monitors=None) -> Trajectory:
         """Integrate from one state, monitoring the record's monitors and each form monitor in extra_monitors.
 
-        With sample_times the run is integrate_at_times on those times, whose
-        stepper is cfg.method or Dormand-Prince; without, it is integrate,
-        recording every cfg.stride-th accepted step."""
+        The run is integrate on cfg, sampled at grid_times(cfg)."""
         check_dims(sys, state)
         rhs, y0 = self.flow_field(sys), self.pack(state)
         monitors, labels = self.monitors(sys, kmax, extra_monitors or ()), self.labels(sys.n)
-        if sample_times is None:
-            return integrate(rhs, y0, cfg, monitors=monitors, labels=labels)
-        return integrate_at_times(rhs, y0, sample_times, cfg, monitors=monitors, labels=labels)
+        return integrate(rhs, y0, cfg, monitors=monitors, labels=labels)
 
     def energy(self, sys: TodaSystem, state) -> float:
         """sum(p^2)/2 + sum_i c_i^2 exp(2 (q_i - q_{i+1})) of one state, c the record's couplings.

@@ -773,14 +773,13 @@ class TestReferenceTwins:
         sup_dq = json.loads((tmp_path / "reduce_check.json").read_text())["eisenhart_sup_dq"]
         cfg = cli.parse_config(json.dumps(README_CONFIG))
         sys_, state = cfg.system(), cfg.state(oplift.GENERALIZED)
-        traj = oplift.run_geodesic_generalized(sys_, state, cfg.integrator, kmax=1,
-                                               sample_times=np.linspace(0.0, 10.0, 201)[::10])
+        traj = oplift.run_geodesic_generalized(sys_, state, cfg.integrator, kmax=1)
         q_exact = oplift.exact_coordinates(state, sys_, traj.times)[0]  # omega = 0: the chain's own q
         assert sup_dq == pytest.approx(float(np.max(np.abs(traj.states[:, :3] - q_exact))), rel=self.REL)
 
     @pytest.mark.parametrize("argv", [["oplift", "compare"], ["reduce", "check"]], ids=["compare", "reduce"])
     def test_twin_runs_extrapolation_with_the_configs_step_settings(self, tmp_path, monkeypatch, argv):
-        # the checked runs call integrate_at_times through toda, so the spy sees the twin alone
+        # the checked runs call integrate through toda, so the spy sees the twin alone
         monkeypatch.setenv("TODALIFT_OUTDIR", str(tmp_path))
         doc = dict(README_CONFIG, method="adaptive", dt=0.05)
         seen = []

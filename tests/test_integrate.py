@@ -1,4 +1,5 @@
 import gc
+import importlib
 import math
 import weakref
 from dataclasses import replace
@@ -15,9 +16,12 @@ from todalift.integrate import (
     _SHRINK_LIMIT,
     _STEPPERS,
     IntegratorConfig,
+    Trajectory,
     _AdaptiveStepper,
     _ExtrapolationStepper,
+    _stepper,
     _Tableau,
+    grid_times,
     integrate,
     integrate_at_times,
     monitor_drift,
@@ -33,6 +37,16 @@ def one_dof_rhs(t, y):
 
 def closed_form_q(t):
     return -math.log(math.cosh(2.0 * t))
+
+
+def accepted_steps(rhs, y0, cfg):
+    """The start and every accepted step of a run on cfg, read through the
+    stepper's on_accept, as a trajectory with the run's stats and method."""
+    y0 = np.asarray(y0, dtype=float)
+    stepper = _STEPPERS[_stepper(cfg)](rhs, y0, np.array([0.0, cfg.t_final]), cfg)
+    times, states = [0.0], [y0.copy()]
+    stepper.advance_to(cfg.t_final, lambda t, y: (times.append(t), states.append(y.copy())))
+    return Trajectory(np.array(times), np.array(states), stats=stepper.stats(), method=stepper.method)
 
 
 def test_closed_form_is_a_solution():
@@ -78,7 +92,7 @@ def test_final_time_exact_and_strided():
     cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=1.0, stride=1)
     whole = integrate(one_dof_rhs, [0.0, 0.0], cfg)
     traj = integrate(one_dof_rhs, [0.0, 0.0], replace(cfg, stride=2))
-    # the start, every second accepted step, and the last step landing on t_final
+    # the start, every second grid point, and t_final
     kept = np.append(np.arange(0, len(whole) - 1, 2), len(whole) - 1)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == 1.0
@@ -88,8 +102,9 @@ def test_final_time_exact_and_strided():
 
 def test_integrate_at_times_hits_samples():
     times = [0.0, 0.37, 1.0, 1.61]
+    # rtol 1e-12 runs extrapolation, whose substeps call the rhs on (1, C) batches
     traj = integrate_at_times(
-        lambda t, y: np.array([math.cos(t)]), [0.0], times, IntegratorConfig(rtol=1e-12, atol=1e-14, t_final=2.0)
+        lambda t, y: np.cos(t) + 0.0 * y, [0.0], times, IntegratorConfig(rtol=1e-12, atol=1e-14, t_final=2.0)
     )
     assert np.array_equal(traj.times, times)
     for t, s in zip(traj.times, traj.states):
@@ -202,11 +217,11 @@ def test_non_finite_seventh_stage_rejects_the_trial(bad, width):
 
     y0 = np.array([0.1, -0.2]) if width is None else np.array([[0.1, 0.3], [-0.2, 0.0]])
     cfg = IntegratorConfig(dt=0.01, rtol=1e-6, atol=1e-8, t_final=0.05, stride=1)
-    clean = integrate(one_dof_rhs, y0, cfg)
+    clean = accepted_steps(one_dof_rhs, y0, cfg)
     assert clean.stats["rejected"] == 0 and clean.times[1] == 0.01
     # a product 0 * inf inside a stage combination may set numpy's invalid flag
     with np.errstate(invalid="ignore"):
-        traj = integrate(fragile, y0, cfg)
+        traj = accepted_steps(fragile, y0, cfg)
     assert traj.stats["rejected"] == 1
     assert traj.times[1] == 0.01 * _SHRINK_LIMIT
     assert traj.stats["nfev"] == 1 + 6 * (traj.stats["accepted"] + 1) == len(calls)
@@ -428,7 +443,7 @@ class TestDenseOutput:
         sys, state = toda.TodaSystem(4, [0.7, 1.1, 0.9]), toda.PhaseState([-0.6, -0.1, 0.2, 0.5], [0.3, -0.2, 0.1, -0.2])
         rhs = toda.flow_field(sys)
         cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=8.0, stride=1)
-        stepped = integrate(rhs, toda.CHAIN.pack(state), cfg)
+        stepped = accepted_steps(rhs, toda.CHAIN.pack(state), cfg)
         sampled = integrate_at_times(rhs, toda.CHAIN.pack(state), stepped.times, cfg)
         assert np.array_equal(sampled.times, stepped.times)
         assert np.array_equal(sampled.states, stepped.states)
@@ -465,7 +480,7 @@ class TestDenseOutput:
         else:
             rhs, y0 = oplift.flow_field_generalized(toda.TodaSystem(n, g)), oplift.GENERALIZED.pack(exact_start)
         cfg = IntegratorConfig(rtol=1e-10, atol=1e-12, t_final=10.0, stride=1)
-        stepped = integrate(rhs, y0, cfg)
+        stepped = accepted_steps(rhs, y0, cfg)
         steps = stepped.times
         times = np.concatenate([[0.0], 0.5 * (steps[:-1] + steps[1:])])
         traj = integrate_at_times(rhs, y0, times, cfg)
@@ -501,8 +516,8 @@ class TestDenseOutput:
         y0 = y0 if width else y0[:, 0].copy()
         cfg = IntegratorConfig(rtol=1e-8, atol=1e-10, t_final=4.0)
         steps = []
-        stepper = _AdaptiveStepper(rhs, y0, cfg)
-        stepper.advance_to(cfg.t_final, on_accept=lambda t, y: steps.append(
+        stepper = _AdaptiveStepper(rhs, y0, np.array([0.0, cfg.t_final]), cfg)
+        stepper.advance_to(cfg.t_final, lambda t, y: steps.append(
             (stepper.t_prev, stepper.step, stepper.y_prev, stepper.y, stepper.stages)))
         assert len(steps) > 10
         # three samples inside every step, and the end of every other step and of the last
@@ -570,7 +585,7 @@ class TestRideSamples:
     @pytest.mark.parametrize("width", [None, 10])
     def test_step_ends_are_the_steps_of_integrate_bit_for_bit(self, rng, picture, width):
         rhs, y0 = self.start(rng, picture, width)
-        stepped = integrate(rhs, y0, self.CFG)
+        stepped = accepted_steps(rhs, y0, self.CFG)
         sampled = integrate_at_times(rhs, y0, self.with_midpoints(stepped.times), self.CFG)
         assert sampled.method == "extrapolation"
         assert sampled.states[::2].tobytes() == stepped.states.tobytes()
@@ -584,7 +599,7 @@ class TestRideSamples:
     @pytest.mark.parametrize("width", [None, 10])
     def test_each_ride_is_a_solo_step_from_its_step_start(self, rng, picture, width):
         rhs, y0 = self.start(rng, picture, width)
-        stepped = integrate(rhs, y0, self.CFG)
+        stepped = accepted_steps(rhs, y0, self.CFG)
         # two rides in every step, at a third and at nine tenths of it
         starts, ends = stepped.times[:-1], stepped.times[1:]
         inside = np.stack([starts + (ends - starts) / 3.0, starts + 0.9 * (ends - starts)], axis=1)
@@ -649,7 +664,7 @@ class TestRideSamples:
 
         cfg = replace(self.CFG, dt=5.0, t_final=5.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            stepped = integrate(fragile, y0, cfg)
+            stepped = accepted_steps(fragile, y0, cfg)
             sampled = integrate_at_times(fragile, y0, self.with_midpoints(stepped.times), cfg)
         assert poisoned and stepped.stats["rejected"] > 0
         assert sampled.stats == stepped.stats
@@ -667,7 +682,7 @@ class TestRideSamples:
             main_times.append(np.atleast_1d(t).copy())
             return rhs(t, y)
 
-        stepped = integrate(recorded, y0, cfg)
+        stepped = accepted_steps(recorded, y0, cfg)
         i = len(stepped.times) // 2
         t0, t1 = stepped.times[i], stepped.times[i + 1]
         t_s = t0 + 0.3 * (t1 - t0)
@@ -701,8 +716,7 @@ class TestStepperTableau:
         rhs = toda.CHAIN.flow_field(toda.TodaSystem(n, rng.uniform(0.5, 1.5, n - 1)))
         starts = toda.CHAIN.random_states(rng, n, len(self.TRIALS) * (width or 1))
         starts = np.split(starts, len(self.TRIALS), axis=1) if width else starts.T.copy()
-        stepper = _ExtrapolationStepper(rhs, starts[0], IntegratorConfig(method="extrapolation"))
-        stepper.sample_at(self.SAMPLES)
+        stepper = _ExtrapolationStepper(rhs, starts[0], self.SAMPLES, IntegratorConfig(method="extrapolation"))
         kept = []
         for (t, dt, rides), y in zip(self.TRIALS, starts):
             # a fresh state each time, so no buffer can carry the last trial's values
@@ -743,8 +757,7 @@ class TestStepperTableau:
 
         y = toda.CHAIN.random_states(rng, n, width or 1)
         y = y if width else y[:, 0].copy()
-        stepper = _ExtrapolationStepper(rhs, y, IntegratorConfig(method="extrapolation"))
-        stepper.sample_at(self.SAMPLES)
+        stepper = _ExtrapolationStepper(rhs, y, self.SAMPLES, IntegratorConfig(method="extrapolation"))
         for t, dt, rides in self.TRIALS:
             calls.clear()
             stepper.t, stepper.k1 = t, rhs(t, y)
@@ -833,8 +846,8 @@ class TestScalarValidation:
 
 
 class TestDefaultMethod:
-    """With no method, integrate runs extrapolation below rtol 1e-10 and
-    Dormand-Prince otherwise; integrate_at_times always runs Dormand-Prince."""
+    """With no method, integrate and integrate_at_times both run extrapolation
+    below rtol 1e-10 and Dormand-Prince otherwise."""
 
     PICTURES = ["chain", "eisenhart", "generalized"]
 
@@ -873,10 +886,24 @@ class TestDefaultMethod:
         self.assert_identical(default, record.run(sys, state, replace(cfg, method=chosen)))
 
     @pytest.mark.parametrize("picture", PICTURES)
-    def test_integrate_at_times_keeps_dormand_prince(self, rng, picture):
+    @pytest.mark.parametrize(
+        "rtol, chosen", [(1e-12, "extrapolation"), (1e-10, "adaptive"), (1e-8, "adaptive")]
+    )
+    def test_integrate_at_times_chooses_by_rtol(self, rng, picture, rtol, chosen):
         record, sys, state = self.start(rng, picture)
         rhs, y0 = record.flow_field(sys), record.pack(state)
-        cfg = IntegratorConfig(rtol=1e-12, atol=1e-14, t_final=5.0)
+        cfg = IntegratorConfig(rtol=rtol, atol=1e-2 * rtol, t_final=5.0)
+        times = np.linspace(0.0, 5.0, 6)
+        default = integrate_at_times(rhs, y0, times, cfg)
+        assert default.method == chosen
+        self.assert_identical(default, integrate_at_times(rhs, y0, times, replace(cfg, method=chosen)))
+
+    @pytest.mark.parametrize("picture", PICTURES)
+    def test_integrate_at_times_keeps_dormand_prince(self, rng, picture):
+        # at the default rtol of 1e-10, an unset method stays on Dormand-Prince
+        record, sys, state = self.start(rng, picture)
+        rhs, y0 = record.flow_field(sys), record.pack(state)
+        cfg = IntegratorConfig(t_final=5.0)
         times = np.linspace(0.0, 5.0, 6)
         default = integrate_at_times(rhs, y0, times, cfg)
         assert default.method == "adaptive"
@@ -885,10 +912,12 @@ class TestDefaultMethod:
     def test_overflowing_step_count_still_rejected(self):
         with pytest.raises(DomainError, match="overflows"):
             IntegratorConfig(t_final=1e308)
-        # unset, the check uses the smallest start step the config can run with
+        # unset, the check uses the start step of the stepper that runs: Dormand-Prince's 1e-3 at
+        # the default rtol, extrapolation's 0.1 below rtol 1e-10 or when named
         with pytest.raises(DomainError, match="overflows"):
             IntegratorConfig(t_final=1e306)
         assert IntegratorConfig(method="extrapolation", t_final=1e306).dt is None
+        assert IntegratorConfig(rtol=1e-12, t_final=1e306).dt is None
 
     def test_step_baseline_config_stays_on_dormand_prince(self, rng):
         # the per-step timing config of the benchmark's layer baselines
@@ -902,3 +931,72 @@ class TestDefaultMethod:
         traj = integrate(one_dof_rhs, [0.0, 0.0], IntegratorConfig(method="extrapolation", t_final=0.01))
         assert traj.method == "extrapolation"
         assert set(traj.stats) == {"nfev", "accepted", "rejected", "dt_min", "dt_max"}
+
+
+class TestOneSamplingPath:
+    """integrate samples grid_times(cfg) and integrate_at_times the given
+    times through one driver, so a run's rows never depend on its stepper."""
+
+    PICTURES = TestDefaultMethod.PICTURES
+    ROWS = {1: 201, 7: 30, 10: 21, 200: 2, 10**9: 2}
+
+    @pytest.mark.parametrize("picture", PICTURES)
+    @pytest.mark.parametrize("method", ["adaptive", "extrapolation"])
+    @pytest.mark.parametrize("stride", list(ROWS))
+    def test_run_rows_are_the_grid(self, rng, picture, method, stride):
+        record, sys, state = TestDefaultMethod.start(rng, picture)
+        cfg = IntegratorConfig(method=method, t_final=2.0, stride=stride)
+        traj = record.run(sys, state, cfg)
+        want, grid = grid_times(cfg), np.linspace(0.0, 2.0, 201)[::stride]
+        assert len(want) == self.ROWS[stride] and want[-1] == 2.0
+        assert np.array_equal(want[: len(grid)], grid)
+        assert traj.times.tobytes() == want.tobytes()
+        assert traj.states.shape == (len(want), len(record.pack(state)))
+
+    @pytest.mark.parametrize("picture", PICTURES)
+    @pytest.mark.parametrize("method", [None, "adaptive", "extrapolation"])
+    @pytest.mark.parametrize("stride", [1, 7, 10**9])
+    def test_integrate_is_integrate_at_times_on_the_grid(self, rng, picture, method, stride):
+        record, sys, state = TestDefaultMethod.start(rng, picture)
+        rhs, y0 = record.flow_field(sys), record.pack(state)
+        # rtol 1e-11: without a method, the run is extrapolation
+        cfg = IntegratorConfig(method=method, rtol=1e-11, atol=1e-13, t_final=3.0, stride=stride)
+        got = integrate(rhs, y0, cfg, monitors=record.monitors(sys))
+        want = integrate_at_times(rhs, y0, grid_times(cfg), cfg, monitors=record.monitors(sys))
+        assert got.method == want.method == (method or "extrapolation")
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+        assert got.monitors.keys() == want.monitors.keys()
+        assert all(got.monitors[k].tobytes() == want.monitors[k].tobytes() for k in got.monitors)
+        assert got.drift == want.drift
+        assert got.stats == want.stats
+
+    @pytest.mark.parametrize("method", ["adaptive", "extrapolation"])
+    @pytest.mark.parametrize("entry", ["integrate", "integrate_at_times"])
+    def test_stats_are_python_numbers(self, method, entry):
+        # the README config; a numpy last sample time once made the last step, and dt_max, numpy floats
+        sys, state = toda.TodaSystem(3, [0.5, 0.4]), toda.PhaseState([-0.7, 0.0, 0.7], [0.1, 0.0, -0.1])
+        rhs, y0 = toda.flow_field(sys), toda.CHAIN.pack(state)
+        cfg = IntegratorConfig(method=method, t_final=10.0)
+        if entry == "integrate":
+            traj = integrate(rhs, y0, cfg)
+        else:
+            traj = integrate_at_times(rhs, y0, np.linspace(0.0, 10.0, 21), cfg)
+        assert traj.stats["accepted"] > 0
+        assert {key: type(value) for key, value in traj.stats.items()} == {
+            "nfev": int, "accepted": int, "rejected": int, "dt_min": float, "dt_max": float,
+        }
+
+    @pytest.mark.parametrize("method", ["adaptive", "extrapolation"])
+    def test_entry_points_never_call_each_other(self, monkeypatch, method):
+        # a tracer wraps both entry points; one calling the other would wrap a run's rhs twice
+        module = importlib.import_module("todalift.integrate")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an integrator entry point called the other")
+
+        monkeypatch.setattr(module, "integrate", forbidden)
+        monkeypatch.setattr(module, "integrate_at_times", forbidden)
+        cfg = IntegratorConfig(method=method, t_final=1.0)
+        assert len(integrate(one_dof_rhs, [0.0, 0.0], cfg)) == 21
+        assert len(integrate_at_times(one_dof_rhs, [0.0, 0.0], [0.0, 0.4, 1.0], cfg)) == 3
